@@ -23,10 +23,22 @@ using namespace dpe;
 
 namespace {
 
-uint64_t FileBytes(const std::filesystem::path& path) {
+/// A checkpoint's on-disk footprint: its journal (every live generation)
+/// and its current snapshot.
+struct Footprint {
+  uint64_t journal = 0;
+  uint64_t snapshot = 0;
+};
+
+Footprint ReadFootprint(const std::string& dir) {
+  auto store = store::MatrixStore::OpenExisting(dir);
+  DPE_BENCH_CHECK(store);
   std::error_code ec;
-  const uintmax_t size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<uint64_t>(size);
+  const uintmax_t snapshot = std::filesystem::file_size(
+      std::filesystem::path(dir) /
+          ("snapshot." + std::to_string(store->generation()) + ".dpe"),
+      ec);
+  return {store->JournalBytes(), ec ? 0 : static_cast<uint64_t>(snapshot)};
 }
 
 /// LoadCheckpoint + rebuild in a fresh engine; returns the matrix and fills
@@ -97,10 +109,7 @@ int main(int argc, char** argv) {
     DPE_BENCH_CHECK(session.BuildMatrix("token"));
   }
 
-  const auto journal_path = std::filesystem::path(dir) / "journal.dpe";
-  const uint64_t journal_before = FileBytes(journal_path);
-  const uint64_t snapshot_before =
-      FileBytes(std::filesystem::path(dir) / "snapshot.dpe");
+  const Footprint before = ReadFootprint(dir);
 
   // Restart A: replay the long journal.
   double long_load_ms = 0, long_rebuild_ms = 0;
@@ -127,15 +136,13 @@ int main(int argc, char** argv) {
     });
   }
 
-  uint64_t journal_after = 0;
-  uint64_t snapshot_after = 0;
-  {
-    auto store = store::MatrixStore::OpenExisting(dir);
-    DPE_BENCH_CHECK(store);
-    journal_after = store->JournalBytes();
-    snapshot_after = FileBytes(
-        std::filesystem::path(dir) /
-        ("snapshot." + std::to_string(store->generation()) + ".dpe"));
+  const Footprint after = ReadFootprint(dir);
+  // A missing file reads as 0 bytes: fail rather than report a footprint
+  // the store never had. The folded journal is legitimately empty — the
+  // fold consumed it and nothing was appended since.
+  if (before.journal == 0 || before.snapshot == 0 || after.snapshot == 0) {
+    std::fprintf(stderr, "FATAL: a checkpoint file read as 0 bytes\n");
+    return 1;
   }
 
   // Restart B: the folded generation — the journal replay is gone.
@@ -166,11 +173,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   folded_report.journal_records_replayed));
   std::printf("%-22s %12llu %12llu\n", "journal bytes",
-              static_cast<unsigned long long>(journal_before),
-              static_cast<unsigned long long>(journal_after));
+              static_cast<unsigned long long>(before.journal),
+              static_cast<unsigned long long>(after.journal));
   std::printf("%-22s %12llu %12llu\n", "snapshot bytes",
-              static_cast<unsigned long long>(snapshot_before),
-              static_cast<unsigned long long>(snapshot_after));
+              static_cast<unsigned long long>(before.snapshot),
+              static_cast<unsigned long long>(after.snapshot));
   std::printf("\n(compaction took %.1f ms; both restarts verified "
               "bit-identical.)\n",
               compact_ms);
@@ -186,13 +193,13 @@ int main(int argc, char** argv) {
   report.Add("journal_records_replayed",
              static_cast<double>(folded_report.journal_records_replayed),
              {{"layout", "folded"}});
-  report.Add("journal_bytes", static_cast<double>(journal_before),
+  report.Add("journal_bytes", static_cast<double>(before.journal),
              {{"layout", "long_journal"}});
-  report.Add("journal_bytes", static_cast<double>(journal_after),
+  report.Add("journal_bytes", static_cast<double>(after.journal),
              {{"layout", "folded"}});
-  report.Add("snapshot_bytes", static_cast<double>(snapshot_before),
+  report.Add("snapshot_bytes", static_cast<double>(before.snapshot),
              {{"layout", "long_journal"}});
-  report.Add("snapshot_bytes", static_cast<double>(snapshot_after),
+  report.Add("snapshot_bytes", static_cast<double>(after.snapshot),
              {{"layout", "folded"}});
   report.Add("compact_ms", compact_ms);
 

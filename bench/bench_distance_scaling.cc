@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   // Both sides go through the engine's blocked parallel builder (the bit-
   // identical replacement for the serial DistanceMatrix::Compute).
-  engine::ThreadPool pool;
+  common::ThreadPool pool;
   engine::MatrixBuilder builder(&pool);
   std::printf("(engine matrix builder, %zu threads)\n\n", pool.thread_count());
   std::printf("%-12s %6s %12s %12s %8s\n", "measure", "n", "plain ms",

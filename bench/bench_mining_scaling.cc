@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   distance::MeasureContext ctx = s.Context();
-  engine::ThreadPool build_pool;
+  common::ThreadPool build_pool;
   engine::MatrixBuilder builder(&build_pool);
   auto matrix = builder.Build(s.log, **measure, ctx);
   DPE_BENCH_CHECK(matrix);
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    engine::ThreadPool pool(threads);
+    common::ThreadPool pool(threads);
     const std::string threads_str = std::to_string(threads);
 
     mining::KMedoidsOptions kp = kopt;

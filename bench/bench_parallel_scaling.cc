@@ -58,7 +58,7 @@ int main() {
                 "-");
 
     for (size_t threads : {1u, 2u, 4u, 8u}) {
-      engine::ThreadPool pool(threads);
+      common::ThreadPool pool(threads);
       engine::MatrixBuilder builder(&pool);
       auto parallel = builder.Build(s.log, **measure, ctx);
       DPE_BENCH_CHECK(parallel);

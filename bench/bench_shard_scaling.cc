@@ -1,8 +1,10 @@
 // Shard-scaling bench: a k-shard matrix build round-tripped through on-disk
-// shard files vs the single-process blocked build. Verifies on every
-// configuration that the merged matrix is bit-identical to the direct one,
-// then reports per-shard compute cost (the distributed critical path is the
-// slowest shard), export cost, and merge cost.
+// shard files vs the single-process blocked build. Each shard is computed
+// by ShardWorker::Run — the unit every sharded build runs per tile range —
+// and the finished directory is merged by Engine::DriveShards. Verifies on
+// every configuration that the merged matrix is bit-identical to the direct
+// one, then reports per-shard compute cost (the distributed critical path
+// is the slowest shard), export cost, and merge cost.
 //
 //   $ ./build/bench/bench_shard_scaling              # n = 384
 //   $ DPE_BENCH_N=128 ./build/bench/bench_shard_scaling
@@ -73,30 +75,43 @@ int main(int argc, char** argv) {
       auto plan = coordinator.PlanShards(k);
       DPE_BENCH_CHECK(plan);
 
+      // Each shard stands in for its own process: a private store handle,
+      // pool and measure instance, sharing only the directory.
       double max_shard_ms = 0.0, sum_shard_ms = 0.0;
       for (size_t shard = 0; shard < k; ++shard) {
-        engine::Engine worker(s.Context(), options);
-        worker.SetLog(s.log);
+        auto store = store::MatrixStore::Open(dir);
+        DPE_BENCH_CHECK(store);
+        auto measure = engine::MeasureRegistry::WithBuiltins().Create(name);
+        if (!measure.ok()) {
+          std::fprintf(stderr, "FATAL: %s\n",
+                       measure.status().ToString().c_str());
+          return 1;
+        }
+        common::ThreadPool pool(options.threads);
+        engine::ShardWorker worker(&pool);
         double ms = bench::TimeMs([&] {
-          Status status = worker.RunShard(name, *plan, shard, dir);
-          if (!status.ok()) {
-            std::fprintf(stderr, "FATAL: shard %zu: %s\n", shard,
-                         status.ToString().c_str());
-            std::exit(1);
-          }
+          DPE_BENCH_CHECK(worker.Run(name, s.log, **measure, s.Context(),
+                                     *plan, shard, *store));
         });
         max_shard_ms = std::max(max_shard_ms, ms);
         sum_shard_ms += ms;
       }
 
-      auto merged = coordinator.MergeShards(name, k, dir);
+      // The merge: a drive over a directory where every shard landed.
+      auto merged = coordinator.DriveShards(name, k, dir);
       DPE_BENCH_CHECK(merged);
+      if (merged->merged_from_workers != k) {
+        std::fprintf(stderr, "FATAL: the merge recomputed %zu of %zu shards\n",
+                     k - merged->merged_from_workers, k);
+        return 1;
+      }
       double merge_ms = bench::TimeMs([&] {
         engine::Engine remerge(s.Context(), options);
         remerge.SetLog(s.log);
-        DPE_BENCH_CHECK(remerge.MergeShards(name, k, dir));
+        DPE_BENCH_CHECK(remerge.DriveShards(name, k, dir));
       });
-      auto delta = distance::DistanceMatrix::MaxAbsDifference(*direct, *merged);
+      auto delta =
+          distance::DistanceMatrix::MaxAbsDifference(*direct, merged->matrix);
       DPE_BENCH_CHECK(delta);
       if (*delta != 0.0) {
         std::fprintf(stderr,

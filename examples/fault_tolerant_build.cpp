@@ -1,5 +1,6 @@
-// Fault-tolerant multi-host build walkthrough: the lease-coordinated
-// flavor of sharded_build.cpp, where workers are expendable.
+// Fault-tolerant multi-host build walkthrough: the O(n²) distance-matrix
+// construction split across workers that share nothing but a directory,
+// where workers are expendable.
 //
 //   $ ./build/fault_tolerant_build
 //

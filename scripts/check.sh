@@ -56,16 +56,18 @@ echo "== compaction bench: restart cost, long journal vs folded =="
 (cd build && ./bench/bench_compaction --smoke > /dev/null)
 ls -l BENCH_compaction.json
 
+echo "== perfbench self-test: the benchmark builds from src/ and stays correct =="
+# perfbench/ is a CMake package of its own over src/ (built into
+# .bench_build/). Its self-test runs every BENCHMARK.json workload at tiny
+# sizes, untraced and traced, and fails unless each run prints every
+# contract metric with its unit and passes its plaintext-equality check.
+python3 perfbench/test_perfbench.py
+
 echo "== example smoke: compaction + self-healing scrub round-trip =="
 # Compacts in the background, flips a snapshot byte, and exits non-zero
 # unless the strict load fails typed, scrub_on_load quarantines and
 # recomputes the damage, and the result is bit-identical.
 (cd build && ./examples/compaction_scrub > /dev/null)
-
-echo "== example smoke: sharded build round-trip =="
-# Plans -> k worker engines -> on-disk shard files -> merged matrix; exits
-# non-zero unless the merge is bit-identical to the direct build.
-(cd build && ./examples/sharded_build > /dev/null)
 
 echo "== example smoke: fault-tolerant multi-host build =="
 # A dead worker's lease + a live worker + the coordinator; exits non-zero

@@ -40,34 +40,6 @@ Result<double> DistanceMatrix::MaxAbsDifference(const DistanceMatrix& a,
   return max_diff;
 }
 
-std::vector<double> DistanceMatrix::UpperTriangle() const {
-  std::vector<double> upper;
-  upper.reserve(n_ * (n_ - 1) / 2);
-  for (size_t i = 0; i < n_; ++i) {
-    for (size_t j = i + 1; j < n_; ++j) {
-      upper.push_back(cells_[i * n_ + j]);
-    }
-  }
-  return upper;
-}
-
-Result<DistanceMatrix> DistanceMatrix::FromUpperTriangle(
-    size_t n, const std::vector<double>& upper) {
-  if (upper.size() != n * (n - 1) / 2) {
-    return Status::InvalidArgument(
-        "DistanceMatrix::FromUpperTriangle: " + std::to_string(upper.size()) +
-        " cells for n = " + std::to_string(n));
-  }
-  DistanceMatrix m(n);
-  size_t k = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      m.set(i, j, upper[k++]);
-    }
-  }
-  return m;
-}
-
 Result<DistanceMatrix> DistanceMatrix::Compute(
     const std::vector<sql::SelectQuery>& queries,
     const QueryDistanceMeasure& measure, const MeasureContext& context) {

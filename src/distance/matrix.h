@@ -56,14 +56,6 @@ class DistanceMatrix {
   static Result<double> MaxAbsDifference(const DistanceMatrix& a,
                                          const DistanceMatrix& b);
 
-  /// Upper triangle (row-major, i < j) — n(n-1)/2 cells, the serialization
-  /// layout of the store codec and the planned shard exchange format.
-  std::vector<double> UpperTriangle() const;
-  /// Rebuilds the symmetric matrix (zero diagonal) from UpperTriangle()
-  /// output; InvalidArgument unless upper.size() == n(n-1)/2.
-  static Result<DistanceMatrix> FromUpperTriangle(
-      size_t n, const std::vector<double>& upper);
-
   /// Computes all pairwise distances of `queries` under `measure`, serially.
   /// This is the reference implementation the engine's parallel builder is
   /// tested bit-identical against.

@@ -95,6 +95,37 @@ std::string HostnameOrFallback() {
   return "unknown-host";
 }
 
+/// Replays one shard's cells into `into` along the shared tile traversal.
+/// The shard's manifest already matched the plan, so `range` lies inside
+/// `tiles` = TileSchedule(n, block); the cell count is checked here because
+/// the copy below reads `cells` unchecked.
+Status ReplayShardCells(const std::vector<double>& cells,
+                        const TileRange& range, size_t n, size_t block,
+                        const std::vector<std::pair<size_t, size_t>>& tiles,
+                        distance::DistanceMatrix* into) {
+  size_t range_cells = 0;
+  for (size_t t = range.begin; t < range.end; ++t) {
+    range_cells += TileCellCount(n, block, tiles[t].first, tiles[t].second);
+  }
+  if (cells.size() != range_cells) {
+    return Status::ParseError("shard merge: shard carries " +
+                              std::to_string(cells.size()) +
+                              " cells but its tile range owns " +
+                              std::to_string(range_cells));
+  }
+  // The cells arrive in tile-schedule order, so the same tile->cells
+  // traversal the builder executes replays them into place — bit-identical
+  // to the single-process build.
+  size_t next_cell = 0;
+  for (size_t t = range.begin; t < range.end; ++t) {
+    const auto [bi, bj] = tiles[t];
+    ForEachTileCell(n, block, bi, bj, [&](size_t i, size_t j) {
+      into->SetUnchecked(i, j, cells[next_cell++]);
+    });
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // -- DirectoryLeaseBoard -----------------------------------------------------
@@ -504,8 +535,8 @@ Result<DriveReport> ShardDriver::Drive(
                 "shard " + std::to_string(s) +
                 " manifest disagrees with the derived plan");
           } else {
-            replayed = ReplayShardCells(*shard, plan.n, plan.block, tiles,
-                                        &report.matrix);
+            replayed = ReplayShardCells(shard->cells, plan.ranges[s], plan.n,
+                                        plan.block, tiles, &report.matrix);
           }
         }
         if (replayed.ok()) {

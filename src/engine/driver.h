@@ -16,10 +16,9 @@
 //   - shard exports are idempotent and bit-identical: two workers that both
 //     compute shard 3 write byte-identical frames via unique-tmp + rename,
 //     so a lost race costs electricity, never correctness;
-//   - shard files are CRC-framed: a worker killed mid-export leaves either
-//     no file, or a torn tmp no reader ever opens, or (only via legacy
-//     paths) a corrupt frame that reads as a typed ParseError — all three
-//     are recoverable by recomputing.
+//   - shard files are CRC-framed: a worker killed mid-export leaves no file
+//     or a torn tmp no reader ever opens, and a file damaged any other way
+//     reads as a typed ParseError — each is recovered by recomputing.
 //
 // Coordination therefore reduces to *leases* over shard indices:
 //
@@ -231,7 +230,7 @@ struct WorkerOptions {
   /// worker exits and leaves the tail to the coordinator. <= 0 = wait
   /// forever (not advisable outside tests).
   int idle_timeout_ms = 60000;
-  ThreadPool* pool = nullptr;              ///< not owned; null = serial
+  common::ThreadPool* pool = nullptr;      ///< not owned; null = serial
   obs::MetricsRegistry* metrics = nullptr; ///< null = process default
   obs::TraceBuffer* trace = nullptr;       ///< may be null
   /// Crash-injection scope: null = the process-global injector (DPE_FAULT).
@@ -281,7 +280,7 @@ struct DriverOptions {
   /// kExecutionError. <= 0 = no watchdog.
   int stall_timeout_ms = 120000;
   bool self_finish = true;  ///< false = strictly coordinate, never compute
-  ThreadPool* pool = nullptr;              ///< for self-finished shards
+  common::ThreadPool* pool = nullptr;      ///< for self-finished shards
   obs::MetricsRegistry* metrics = nullptr; ///< null = process default
   obs::TraceBuffer* trace = nullptr;       ///< may be null
   common::FaultInjector* faults = nullptr; ///< null = process global
@@ -299,10 +298,12 @@ struct DriveReport {
 };
 
 /// The coordinator: polls the store, merges shard files incrementally as
-/// they land (validating each manifest against the plan), reclaims expired
-/// leases so survivors can steal, and self-finishes unclaimed ranges —
-/// degrading to a single-process build if every worker dies. The state
-/// machine only touches the LeaseBoard interface, never the directory.
+/// they land (validating each manifest against the plan, discarding and
+/// recomputing a bad one), reclaims expired leases so survivors can steal,
+/// and self-finishes unclaimed ranges — degrading to a single-process build
+/// if every worker dies. Merging a finished build is a drive over a
+/// directory where every shard file already landed. The state machine only
+/// touches the LeaseBoard interface, never the directory.
 class ShardDriver {
  public:
   explicit ShardDriver(DriverOptions options) : options_(std::move(options)) {}

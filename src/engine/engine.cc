@@ -734,64 +734,6 @@ Result<ShardPlan> Engine::PlanShards(size_t shard_count) const {
   return engine::PlanShards(queries_.size(), options_.block, shard_count);
 }
 
-Status Engine::RunShard(const std::string& measure_name, const ShardPlan& plan,
-                        size_t shard_index, const std::string& dir) {
-  DPE_ASSIGN_OR_RETURN(const distance::QueryDistanceMeasure* measure,
-                       MeasureFor(measure_name));
-  DPE_ASSIGN_OR_RETURN(store::MatrixStore store, store::MatrixStore::Open(dir));
-  store.set_fsync_policy(options_.fsync_policy);
-  obs::TraceSpan span(
-      "engine.run_shard", &trace_,
-      &metrics_->histogram("engine.api_ms", {{"api", "run_shard"}}));
-  ShardWorker worker(&pool_, metrics_, &trace_);
-  return worker
-      .Run(measure_name, queries_, *measure, context_, plan, shard_index,
-           store)
-      .status();
-}
-
-Result<distance::DistanceMatrix> Engine::MergeShards(
-    const std::string& measure_name, size_t shard_count,
-    const std::string& dir) {
-  // Fail a typo'd measure name fast (as RunShard does), before it can warm
-  // the cache with entries no BuildMatrix call could ever reach.
-  DPE_RETURN_NOT_OK(MeasureFor(measure_name).status());
-  DPE_ASSIGN_OR_RETURN(store::MatrixStore store,
-                       store::MatrixStore::OpenExisting(dir));
-  obs::TraceSpan span(
-      "engine.merge_shards", &trace_,
-      &metrics_->histogram("engine.api_ms", {{"api", "merge_shards"}}));
-  ShardCoordinator coordinator(metrics_, &trace_);
-  // Passing the expected n rejects a foreign (or corrupt-manifest) shard
-  // set before the merge allocates an n x n matrix for it. Merge treats
-  // expected_n == 0 as "don't check", so the empty-log case needs the
-  // post-merge size check below to stay rejected.
-  DPE_ASSIGN_OR_RETURN(
-      distance::DistanceMatrix merged,
-      coordinator.Merge(store, measure_name, shard_count, queries_.size()));
-  if (merged.size() != queries_.size()) {
-    return Status::InvalidArgument(
-        "merge shards: shard set is for n = " + std::to_string(merged.size()) +
-        " queries but this engine's log holds " +
-        std::to_string(queries_.size()));
-  }
-  if (options_.enable_cache) {
-    // Warm the cache so mining over the merged matrix (or an incremental
-    // rebuild after AddQuery) reuses the shards' work. Not journaled: the
-    // shard files on disk already persist these pairs.
-    const size_t n = merged.size();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        cache_.Insert(measure_name, static_cast<uint32_t>(i),
-                      static_cast<uint32_t>(j), merged.at(i, j));
-      }
-    }
-  }
-  return merged;
-}
-
-// -- Fault-tolerant multi-host builds ----------------------------------------
-
 namespace {
 
 /// Registers a drive's lease board with the engine's /stats for its
@@ -889,8 +831,9 @@ Result<DriveReport> Engine::DriveShards(const std::string& measure_name,
                                     context_, plan, *board));
 
   if (options_.enable_cache) {
-    // Warm the cache exactly as MergeShards does: the drive's work should
-    // feed incremental rebuilds and mining the same way.
+    // Warm the cache so mining over the merged matrix (or an incremental
+    // rebuild after AddQuery) reuses the shards' work. Not journaled: the
+    // shard files on disk already persist these pairs.
     const size_t n = report.matrix.size();
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
@@ -912,7 +855,7 @@ BuildReport Engine::last_build_report() const {
 obs::StatsReport Engine::Stats() const {
   // Gauges are sampled state, not event streams — refresh them from their
   // sources right before the snapshot so the export is current.
-  const ThreadPool::Stats pool_stats = pool_.GetStats();
+  const common::ThreadPool::Stats pool_stats = pool_.GetStats();
   metrics_->gauge("threadpool.threads")
       .Set(static_cast<double>(pool_.thread_count()));
   metrics_->gauge("threadpool.tasks_executed")

@@ -30,13 +30,13 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "common/thread_pool.h"
 #include "distance/matrix.h"
 #include "engine/distance_cache.h"
 #include "engine/driver.h"
 #include "engine/matrix_builder.h"
 #include "engine/measure_registry.h"
 #include "engine/shard.h"
-#include "engine/thread_pool.h"
 #include "mining/dbscan.h"
 #include "mining/hierarchical.h"
 #include "mining/kmedoids.h"
@@ -77,7 +77,7 @@ struct EngineOptions {
       common::simd::KernelBackend::kAuto;
   /// When the persistent store fsyncs (store/codec.h): kNever trades
   /// durability for latency, kOnCheckpoint (default) syncs snapshot/
-  /// matrix/shard frames but not journal appends, kAlways also syncs every
+  /// MANIFEST/shard frames but not journal appends, kAlways also syncs every
   /// journal append. Applied to every store this engine opens.
   store::FsyncPolicy fsync_policy = store::FsyncPolicy::kOnCheckpoint;
   /// Memoize distances across BuildMatrix / Run* calls and query insertions.
@@ -199,7 +199,7 @@ class Engine {
 
   /// Measure name -> factory table; custom measures register here.
   MeasureRegistry& registry() { return registry_; }
-  const ThreadPool& pool() const { return pool_; }
+  const common::ThreadPool& pool() const { return pool_; }
 
   // -- Log management --------------------------------------------------------
 
@@ -242,49 +242,23 @@ class Engine {
 
   // -- Sharded builds --------------------------------------------------------
   //
-  // The O(n²) matrix build split across processes/hosts: every participant
-  // derives the same deterministic plan, each worker computes one
-  // contiguous tile range and exports it as a checksummed shard file, and
-  // the coordinator validates + merges the shards into a matrix
-  // bit-identical to BuildMatrix. See engine/shard.h for the failure modes.
-  //
-  //   auto plan = coordinator.PlanShards(4).value();
-  //   // on worker s (any process able to see `dir`):
-  //   worker_engine.RunShard("token", plan, s, dir);
-  //   // back on the coordinator, once all k shard files exist:
-  //   auto m = coordinator.MergeShards("token", 4, dir).value();
-
-  /// Deterministic `shard_count`-way plan over the current log, using this
-  /// engine's block size.
-  Result<ShardPlan> PlanShards(size_t shard_count) const;
-
-  /// Computes shard `shard_index` of `plan` for the named measure on this
-  /// engine's pool and exports it to the store directory `dir` (created if
-  /// needed). InvalidArgument if the plan does not match this engine's log.
-  Status RunShard(const std::string& measure, const ShardPlan& plan,
-                  size_t shard_index, const std::string& dir);
-
-  /// Reads the `shard_count` shard files of `measure` from `dir`, validates
-  /// their manifests, merges them, and verifies the merged matrix covers
-  /// this engine's log (wrong-n shard sets are InvalidArgument). The merged
-  /// pairs warm the distance cache (nothing is journaled — the shards on
-  /// disk already persist the work), so subsequent Run* calls reuse them.
-  Result<distance::DistanceMatrix> MergeShards(const std::string& measure,
-                                               size_t shard_count,
-                                               const std::string& dir);
-
-  // -- Fault-tolerant multi-host builds --------------------------------------
-  //
-  // The lease-coordinated flavor of the above (engine/driver.h): workers
-  // and the coordinator share `dir`, leases over shard indices arbitrate
-  // who computes what, heartbeats detect dead/wedged workers, and the
-  // coordinator merges incrementally — finishing abandoned ranges itself
-  // if it must. The merged matrix is bit-identical to BuildMatrix.
+  // The O(n²) matrix build split across processes/hosts that share only the
+  // directory `dir` (engine/driver.h): every participant derives the same
+  // deterministic plan, leases over shard indices arbitrate who computes
+  // what, heartbeats detect dead/wedged workers, and the coordinator merges
+  // shard files incrementally — finishing abandoned ranges itself if it
+  // must. Merging a finished build is the same DriveShards call over a
+  // directory where every shard file already landed. The merged matrix is
+  // bit-identical to BuildMatrix.
   //
   //   // on each worker host (any process able to see `dir`):
   //   worker_engine.RunShardWorker("token", k, dir);
   //   // on the coordinator, concurrently:
   //   auto report = coordinator.DriveShards("token", k, dir).value();
+
+  /// Deterministic `shard_count`-way plan over the current log, using this
+  /// engine's block size.
+  Result<ShardPlan> PlanShards(size_t shard_count) const;
 
   /// The worker side: sweeps the deterministic k-way plan over this
   /// engine's log, lease-acquiring and exporting shards of `measure` into
@@ -296,11 +270,13 @@ class Engine {
                                       const std::string& dir,
                                       const MultiHostOptions& options = {});
 
-  /// The coordinator side: merges shards incrementally as they land,
-  /// reclaims expired leases, self-finishes abandoned ranges, and (like
-  /// MergeShards) warms the distance cache with the merged pairs. While a
-  /// drive is active, Stats()/the /stats endpoint carry its live lease
-  /// table. Completes even if every worker dies.
+  /// The coordinator side: merges shards incrementally as they land
+  /// (checking each manifest against the plan, discarding and recomputing
+  /// a bad shard), reclaims expired leases, self-finishes abandoned ranges,
+  /// and warms the distance cache with the merged pairs (not journaled —
+  /// the shard files persist them). While a drive is active, Stats()/the
+  /// /stats endpoint carry its live lease table. Completes even if every
+  /// worker dies.
   Result<DriveReport> DriveShards(const std::string& measure,
                                   size_t shard_count, const std::string& dir,
                                   const MultiHostOptions& options = {});
@@ -319,7 +295,8 @@ class Engine {
   /// captured in `dir`: the query log is re-parsed, the distance cache is
   /// repopulated, journal records are replayed in order, and the store
   /// stays attached for further journaling. NotFound if `dir` holds no
-  /// snapshot; ParseError on corruption (never UB). A torn journal tail is
+  /// committed checkpoint (no MANIFEST.dpe); ParseError on corruption
+  /// (never UB). A torn journal tail is
   /// recovered or rejected per EngineOptions::tolerate_torn_journal; when
   /// `report` is non-null it receives what the recovery dropped.
   Status LoadCheckpoint(const std::string& dir,
@@ -445,7 +422,7 @@ class Engine {
   obs::MetricsRegistry* metrics_;  ///< never null after construction
   obs::TraceBuffer trace_;
   MeasureRegistry registry_ = MeasureRegistry::WithBuiltins();
-  ThreadPool pool_;
+  common::ThreadPool pool_;
   MatrixBuilder builder_;
   DistanceCache cache_;
   mutable Mutex report_mu_;

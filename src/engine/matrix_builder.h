@@ -23,9 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "distance/features.h"
 #include "distance/matrix.h"
-#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -59,7 +59,8 @@ struct MatrixBuilderOptions {
 class MatrixBuilder {
  public:
   /// `pool` may be null: everything then runs serially on the caller.
-  explicit MatrixBuilder(ThreadPool* pool, MatrixBuilderOptions options = {})
+  explicit MatrixBuilder(common::ThreadPool* pool,
+                         MatrixBuilderOptions options = {})
       : pool_(pool), options_(options) {}
 
   /// Full pairwise matrix over `queries` (precomputes features, then calls
@@ -118,7 +119,7 @@ class MatrixBuilder {
       const distance::MeasureContext& context,
       distance::FeatureCache* features) const;
 
-  ThreadPool* pool_;  ///< not owned
+  common::ThreadPool* pool_;  ///< not owned
   MatrixBuilderOptions options_;
 };
 

@@ -1,7 +1,5 @@
 #include "engine/shard.h"
 
-#include <algorithm>
-
 #include "engine/matrix_builder.h"
 
 namespace dpe::engine {
@@ -120,128 +118,6 @@ Result<store::ShardManifest> ShardWorker::Run(
   DPE_RETURN_NOT_OK(store.WriteShard(manifest, partial));
   metrics.counter("shard.exports").Increment();
   return manifest;
-}
-
-Status ReplayShardCells(const store::ShardFile& shard, size_t n, size_t block,
-                        const std::vector<std::pair<size_t, size_t>>& tiles,
-                        distance::DistanceMatrix* into) {
-  const store::ShardManifest& m = shard.manifest;
-  if (m.tile_end > tiles.size()) {
-    return Status::InvalidArgument(
-        "shard merge: shard " + std::to_string(m.shard_index) +
-        " claims tiles [" + std::to_string(m.tile_begin) + ", " +
-        std::to_string(m.tile_end) + ") of a schedule with " +
-        std::to_string(tiles.size()) + " tiles");
-  }
-  // Guard BEFORE the copy loop: the loop indexes shard.cells unchecked,
-  // so a cells vector shorter than the tile range's traversal must be
-  // rejected here, not discovered by overreading it.
-  size_t range_cells = 0;
-  for (size_t t = m.tile_begin; t < m.tile_end; ++t) {
-    range_cells += TileCellCount(n, block, tiles[t].first, tiles[t].second);
-  }
-  if (shard.cells.size() != range_cells) {
-    return Status::ParseError(
-        "shard merge: shard " + std::to_string(m.shard_index) + " carries " +
-        std::to_string(shard.cells.size()) + " cells but its tile range " +
-        "owns " + std::to_string(range_cells));
-  }
-
-  // The shard's cells arrive in tile-schedule order, so the same
-  // tile->cells traversal the builder executes replays them into place —
-  // bit-identical to the single-process build.
-  size_t next_cell = 0;
-  for (size_t t = m.tile_begin; t < m.tile_end; ++t) {
-    const auto [bi, bj] = tiles[t];
-    ForEachTileCell(n, block, bi, bj, [&](size_t i, size_t j) {
-      into->SetUnchecked(i, j, shard.cells[next_cell++]);
-    });
-  }
-  return Status::OK();
-}
-
-Result<distance::DistanceMatrix> ShardCoordinator::Merge(
-    const store::MatrixStore& store, const std::string& matrix_name,
-    size_t shard_count, size_t expected_n) const {
-  if (shard_count == 0 || shard_count > UINT32_MAX) {
-    return Status::InvalidArgument("shard merge: shard count " +
-                                   std::to_string(shard_count) +
-                                   " out of range");
-  }
-  obs::MetricsRegistry& obs_registry =
-      metrics_ != nullptr ? *metrics_ : obs::MetricsRegistry::Default();
-  obs::TraceSpan merge_span("shard.merge", trace_,
-                            &obs_registry.histogram("shard.merge_ms"));
-
-  // Stream the shards: read one, validate its manifest, copy its owned
-  // cells, drop it — peak memory is one shard's cells plus the result, not
-  // k shards. A failure anywhere returns before `merged` escapes, so a
-  // missing (NotFound), corrupt (ParseError) or inconsistent
-  // (InvalidArgument) shard never yields a half-merged matrix. Shard 0
-  // anchors the build parameters every later manifest must match; the
-  // ranges, in shard order, must exactly partition the schedule — an
-  // overlap would double-write cells (two workers claiming the same
-  // pairs), a gap would silently leave distances at zero.
-  size_t n = 0;
-  size_t block = 0;
-  size_t tile_count = 0;
-  size_t expect_begin = 0;
-  std::vector<std::pair<size_t, size_t>> tiles;
-  distance::DistanceMatrix merged;
-  for (size_t s = 0; s < shard_count; ++s) {
-    DPE_ASSIGN_OR_RETURN(
-        store::ShardFile shard,
-        store.ReadShard(matrix_name, static_cast<uint32_t>(s),
-                        static_cast<uint32_t>(shard_count)));
-    const store::ShardManifest& m = shard.manifest;
-    if (s == 0) {
-      if (m.block == 0) {
-        return Status::InvalidArgument(
-            "shard merge: shard 0 declares block 0");
-      }
-      if (expected_n != 0 && m.n != expected_n) {
-        return Status::InvalidArgument(
-            "shard merge: shard set is for n = " + std::to_string(m.n) +
-            " queries but the caller expects n = " +
-            std::to_string(expected_n));
-      }
-      n = m.n;
-      block = m.block;
-      tile_count = TileCount(n, block);
-      tiles = TileSchedule(n, block);
-      merged = distance::DistanceMatrix(n);
-    } else if (m.n != n || m.block != block) {
-      return Status::InvalidArgument(
-          "shard merge: shard " + std::to_string(m.shard_index) +
-          " declares n = " + std::to_string(m.n) + ", block = " +
-          std::to_string(m.block) + " but shard 0 declares n = " +
-          std::to_string(n) + ", block = " + std::to_string(block));
-    }
-    if (m.tile_begin < expect_begin) {
-      return Status::InvalidArgument(
-          "shard merge: shard " + std::to_string(m.shard_index) +
-          " overlaps its predecessor (starts at tile " +
-          std::to_string(m.tile_begin) + ", expected " +
-          std::to_string(expect_begin) + ")");
-    }
-    if (m.tile_begin > expect_begin) {
-      return Status::InvalidArgument(
-          "shard merge: tiles [" + std::to_string(expect_begin) + ", " +
-          std::to_string(m.tile_begin) + ") are covered by no shard");
-    }
-    expect_begin = m.tile_end;
-
-    // Range validation + cell-count guard + tile-order replay, shared with
-    // the incremental driver (ReplayShardCells above).
-    DPE_RETURN_NOT_OK(ReplayShardCells(shard, n, block, tiles, &merged));
-  }
-  if (expect_begin != tile_count) {
-    return Status::InvalidArgument(
-        "shard merge: tiles [" + std::to_string(expect_begin) + ", " +
-        std::to_string(tile_count) + ") are covered by no shard");
-  }
-  obs_registry.counter("shard.merges").Increment();
-  return merged;
 }
 
 }  // namespace dpe::engine

@@ -11,23 +11,17 @@
 //                  tiles hold about half the cells of square ones), purely
 //                  from (n, block, k): every participant derives the same
 //                  plan with no coordination.
-//   ShardWorker    computes its range into a partial n x n matrix (zero
-//                  outside its tiles) and exports it through the store
-//                  codec as a checksummed shard file (manifest + partial
-//                  upper triangle) — the exchange format between processes
+//   ShardWorker    computes one range and exports it through the store
+//                  codec as a checksummed shard file (manifest + the cells
+//                  the range owns) — the exchange format between processes
 //                  or hosts.
-//   ShardCoordinator
-//                  streams the k shard files back, cross-validates their
-//                  manifests (matrix name, n, block, shard count, and that
-//                  the tile ranges exactly partition the schedule), and
-//                  merges the partials cell-by-cell, one shard in memory
-//                  at a time. Overlapping, missing or corrupt shards fail
-//                  with typed Status errors and no merged matrix escapes.
 //
-// Because the plan, the tile schedule and the per-tile cell traversal are
-// shared with MatrixBuilder (the builder iterates the same TileSchedule),
-// the merged matrix is bit-identical to a single-process
-// MatrixBuilder::Build — a tested guarantee for every built-in measure.
+// Leasing ranges to workers and merging their files is the shard driver's
+// job (engine/driver.h). Because the plan, the tile schedule and the
+// per-tile cell traversal are shared with MatrixBuilder (the builder
+// iterates the same TileSchedule), the merged matrix is bit-identical to a
+// single-process MatrixBuilder::Build — a tested guarantee for every
+// built-in measure.
 
 #ifndef DPE_ENGINE_SHARD_H_
 #define DPE_ENGINE_SHARD_H_
@@ -39,10 +33,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/tiles.h"
 #include "distance/matrix.h"
 #include "distance/measure.h"
-#include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/matrix_store.h"
@@ -89,14 +83,15 @@ struct ShardPlan {
 /// shard_count == 0.
 Result<ShardPlan> PlanShards(size_t n, size_t block, size_t shard_count);
 
-/// Computes one shard of a plan and exports it through the store codec.
+/// Computes one shard of a plan and exports it through the store codec —
+/// the unit of work both the worker loop and the driver's self-finish run.
 class ShardWorker {
  public:
   /// `pool` may be null: the shard's tiles then compute serially.
   /// `metrics` (null = process default registry) receives
   /// shard.cells_computed{matrix=...} and shard.exports; `trace` (optional)
   /// captures a "shard.run" span plus the builder's spans.
-  explicit ShardWorker(ThreadPool* pool,
+  explicit ShardWorker(common::ThreadPool* pool,
                        obs::MetricsRegistry* metrics = nullptr,
                        obs::TraceBuffer* trace = nullptr)
       : pool_(pool), metrics_(metrics), trace_(trace) {}
@@ -123,57 +118,10 @@ class ShardWorker {
       size_t shard_index, store::MatrixStore& store) const;
 
  private:
-  ThreadPool* pool_;               ///< not owned
+  common::ThreadPool* pool_;       ///< not owned
   obs::MetricsRegistry* metrics_;  ///< not owned; null = default registry
   obs::TraceBuffer* trace_;        ///< not owned; may be null
   std::atomic<uint64_t>* progress_cells_ = nullptr;  ///< not owned; optional
-};
-
-/// Replays one shard file's cells into `into` along the shared tile
-/// traversal — the single definition of "merge this shard" used by both the
-/// all-at-once ShardCoordinator::Merge and the incremental ShardDriver
-/// (engine/driver.h), so the two merge paths cannot drift. `tiles` must be
-/// TileSchedule(n, block). Validates the cell count against the manifest's
-/// tile range (ParseError on mismatch) and that the range fits the schedule
-/// (InvalidArgument); the caller has already validated manifest identity
-/// and partition/coverage.
-Status ReplayShardCells(const store::ShardFile& shard, size_t n, size_t block,
-                        const std::vector<std::pair<size_t, size_t>>& tiles,
-                        distance::DistanceMatrix* into);
-
-/// Validates and merges the shard files of one sharded build.
-class ShardCoordinator {
- public:
-  /// `metrics` (null = process default registry) receives shard.merges and
-  /// the shard.merge_ms histogram; `trace` captures a "shard.merge" span.
-  explicit ShardCoordinator(obs::MetricsRegistry* metrics = nullptr,
-                            obs::TraceBuffer* trace = nullptr)
-      : metrics_(metrics), trace_(trace) {}
-  /// Streams shards 0..shard_count-1 of `matrix_name` from `store` —
-  /// validate manifest, copy owned cells, drop, one shard resident at a
-  /// time — into the full matrix. Any failure returns before a (partially)
-  /// merged matrix escapes. A non-zero `expected_n` additionally pins the
-  /// matrix size the shard set must declare, and is checked before the
-  /// n x n result is allocated (callers that know their log size should
-  /// pass it — a corrupt or foreign manifest then cannot provoke a huge
-  /// allocation).
-  ///
-  /// Failure modes (all typed, never UB):
-  ///   - a shard file absent                      -> NotFound
-  ///   - frame/checksum/decode corruption          -> ParseError
-  ///   - manifests disagree on n / block / count   -> InvalidArgument
-  ///   - n != expected_n (when given)              -> InvalidArgument
-  ///   - tile ranges overlap                       -> InvalidArgument
-  ///   - tile ranges leave a gap / don't cover     -> InvalidArgument
-  ///   - tile range exceeds the schedule           -> InvalidArgument
-  Result<distance::DistanceMatrix> Merge(const store::MatrixStore& store,
-                                         const std::string& matrix_name,
-                                         size_t shard_count,
-                                         size_t expected_n = 0) const;
-
- private:
-  obs::MetricsRegistry* metrics_;  ///< not owned; null = default registry
-  obs::TraceBuffer* trace_;        ///< not owned; may be null
 };
 
 }  // namespace dpe::engine

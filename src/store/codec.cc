@@ -182,34 +182,6 @@ Status Reader::ExpectEnd() const {
 
 // -- Value codecs ------------------------------------------------------------
 
-void EncodeMatrix(const distance::DistanceMatrix& m, Writer* w) {
-  const size_t n = m.size();
-  w->PutU64(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      w->PutDouble(m.at(i, j));
-    }
-  }
-}
-
-Result<distance::DistanceMatrix> DecodeMatrix(Reader* r) {
-  DPE_ASSIGN_OR_RETURN(uint64_t n, r->ReadU64());
-  // Validate the declared size against the bytes present before allocating:
-  // n*(n-1)/2 doubles of 8 bytes each must still be in the input.
-  if (n != 0 && (n - 1) > r->remaining() / 4 / n) {
-    return Status::ParseError(
-        "store codec: matrix declares n = " + std::to_string(n) +
-        " but only " + std::to_string(r->remaining()) + " bytes remain");
-  }
-  std::vector<double> upper;
-  upper.reserve(n * (n - 1) / 2);
-  for (size_t k = 0; k < n * (n - 1) / 2; ++k) {
-    DPE_ASSIGN_OR_RETURN(double d, r->ReadDouble());
-    upper.push_back(d);
-  }
-  return distance::DistanceMatrix::FromUpperTriangle(n, upper);
-}
-
 void EncodeCacheEntries(const std::vector<CacheEntry>& entries, Writer* w) {
   // Name table in first-appearance order; entries reference it by index, so
   // repeated measure names cost 4 bytes instead of a full string each. The
@@ -415,8 +387,7 @@ Status WriteFramedFile(const std::string& path, uint32_t magic,
 }
 
 Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
-                                            uint32_t magic,
-                                            uint32_t max_version) {
+                                            uint32_t magic, uint32_t version) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::NotFound("store codec: " + path + " does not exist");
@@ -433,11 +404,11 @@ Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
   if (got_magic != magic) {
     return Corrupt("bad magic in " + path);
   }
-  SalvagedFrame frame;
-  DPE_ASSIGN_OR_RETURN(frame.version, r.ReadU32());
-  if (frame.version == 0 || frame.version > max_version) {
+  DPE_ASSIGN_OR_RETURN(uint32_t got_version, r.ReadU32());
+  if (got_version != version) {
     return Corrupt("unsupported format version " +
-                   std::to_string(frame.version) + " in " + path);
+                   std::to_string(got_version) + " in " + path +
+                   " (expected " + std::to_string(version) + ")");
   }
   DPE_ASSIGN_OR_RETURN(uint64_t payload_len, r.ReadU64());
   DPE_ASSIGN_OR_RETURN(uint32_t crc, r.ReadU32());
@@ -446,32 +417,26 @@ Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
                    std::to_string(payload_len) + ", have " +
                    std::to_string(r.remaining()) + ")");
   }
+  SalvagedFrame frame;
   frame.payload = data.substr(data.size() - payload_len);
   CrcValidationCounter().Increment();
   frame.crc_ok = Crc32(frame.payload) == crc;
   return frame;
 }
 
-Result<FramedFile> ReadFramedFileVersions(const std::string& path,
-                                          uint32_t magic,
-                                          uint32_t max_version) {
+Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
+                                   uint32_t version) {
   // Exists-but-empty gets its own message inside the salvage read (still
   // ParseError, the typed corruption code): a zero-length file is a torn
   // export or a crashed writer, and the shard merge path turns exactly
   // this into a discard-and-recompute instead of confusing it with "not
   // yet written" (which is NotFound).
   DPE_ASSIGN_OR_RETURN(SalvagedFrame frame,
-                       ReadFramedFileSalvage(path, magic, max_version));
+                       ReadFramedFileSalvage(path, magic, version));
   if (!frame.crc_ok) {
     return Corrupt("checksum mismatch in " + path);
   }
-  return FramedFile{frame.version, std::move(frame.payload)};
-}
-
-Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic) {
-  DPE_ASSIGN_OR_RETURN(FramedFile file,
-                       ReadFramedFileVersions(path, magic, kFormatVersion));
-  return std::move(file.payload);
+  return std::move(frame.payload);
 }
 
 void AppendRecord(std::string_view payload, std::string* out) {

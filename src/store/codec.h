@@ -11,17 +11,16 @@
 // cannot trigger a multi-gigabyte allocation.
 //
 // On top of the primitives sit the value codecs for the store's core types
-// (DistanceMatrix, distance-cache entries, snapshot metadata) and two
-// framing schemes:
+// (distance-cache entries, snapshot metadata, shard and generation
+// manifests) and two framing schemes:
 //
 //   whole-file:  [magic u32][version u32][payload_len u64][crc32 u32][payload]
 //   record:      [payload_len u32][crc32 u32][payload]        (journals)
 //
 // The whole-file frame is checksummed once over the payload and written
 // atomically (tmp + rename); the record frame is checksummed per record so
-// an append-only journal detects torn tails. The upper-triangle matrix
-// layout here is also the planned exchange format for the sharded
-// multi-host matrix builder (see ROADMAP).
+// an append-only journal detects torn tails. Every framed format has
+// exactly one version, and readers accept only that version.
 
 #ifndef DPE_STORE_CODEC_H_
 #define DPE_STORE_CODEC_H_
@@ -32,28 +31,24 @@
 #include <vector>
 
 #include "common/status.h"
-#include "distance/matrix.h"
 
 namespace dpe::store {
 
-/// Current on-disk format version (bumped on incompatible layout changes).
+/// Format version of journal and MANIFEST files.
 inline constexpr uint32_t kFormatVersion = 1;
 
-/// Shard files gained a sparse payload (manifest + only the owned cells) in
-/// version 2; version-1 dense shard frames remain readable. Non-shard files
-/// are still written (and required to be) kFormatVersion.
+/// Format version of shard files: the manifest plus only the cells its
+/// tile range owns.
 inline constexpr uint32_t kShardFormatVersion = 2;
 
-/// Snapshot frames gained a sectioned payload (CRC'd core + fixed-size
-/// CRC'd cache-entry chunks) in version 2, so a byte flip quarantines one
-/// chunk instead of condemning the whole file. Version-1 monolithic
-/// snapshots remain readable (at whole-file scrub granularity).
+/// Format version of snapshot files: a CRC'd core plus fixed-size CRC'd
+/// cache-entry chunks, so a byte flip quarantines one chunk instead of
+/// condemning the whole file.
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
-/// File magics ("DPES"/"DPEJ"/"DPEM"/"DPEH"/"DPEC" as little-endian u32).
+/// File magics ("DPES"/"DPEJ"/"DPEH"/"DPEC" as little-endian u32).
 inline constexpr uint32_t kSnapshotMagic = 0x53455044;  // "DPES"
 inline constexpr uint32_t kJournalMagic = 0x4a455044;   // "DPEJ"
-inline constexpr uint32_t kMatrixMagic = 0x4d455044;    // "DPEM"
 inline constexpr uint32_t kShardMagic = 0x48455044;     // "DPEH" (sHard)
 inline constexpr uint32_t kManifestMagic = 0x43455044;  // "DPEC" (Compaction)
 
@@ -61,7 +56,7 @@ inline constexpr uint32_t kManifestMagic = 0x43455044;  // "DPEC" (Compaction)
 ///   kNever        — no fsync anywhere; fastest, survives process crashes
 ///                   (the kernel still writes the data back) but a power
 ///                   loss can lose or tear recently written files.
-///   kOnCheckpoint — fsync whole-file frames (snapshot / matrix / shard)
+///   kOnCheckpoint — fsync whole-file frames (snapshot / MANIFEST / shard)
 ///                   before the rename publishes them, but not journal
 ///                   appends. The default, and the long-standing behavior.
 ///   kAlways       — additionally fsync the journal after every append:
@@ -142,11 +137,6 @@ struct SnapshotMeta {
   bool operator==(const SnapshotMeta&) const = default;
 };
 
-/// n + upper triangle (row-major, i < j) — half the cells; symmetry and the
-/// zero diagonal are restored on decode.
-void EncodeMatrix(const distance::DistanceMatrix& m, Writer* w);
-Result<distance::DistanceMatrix> DecodeMatrix(Reader* r);
-
 /// Entries with a measure-name table so repeated names cost 4 bytes each.
 void EncodeCacheEntries(const std::vector<CacheEntry>& entries, Writer* w);
 Result<std::vector<CacheEntry>> DecodeCacheEntries(Reader* r);
@@ -158,7 +148,7 @@ Result<SnapshotMeta> DecodeSnapshotMeta(Reader* r);
 /// belongs to and which contiguous range of the deterministic upper-triangle
 /// tile schedule it carries. Travels inside the shard file (a "DPEH" frame,
 /// so the codec version and checksum are validated on read) and is what the
-/// merge coordinator cross-checks before touching any cell.
+/// shard driver checks against its plan before touching any cell.
 struct ShardManifest {
   std::string matrix;       ///< logical matrix name, e.g. "token"
   uint32_t shard_index = 0; ///< this shard's position, < shard_count
@@ -178,8 +168,8 @@ Result<ShardManifest> DecodeShardManifest(Reader* r);
 /// how many frozen-journal bytes the compaction that published it folded
 /// (informational — recovery needs only the generation). Travels as a tiny
 /// "DPEC" frame (`MANIFEST.dpe`), so it is CRC'd and atomically replaced
-/// like every other framed file; an absent manifest means generation 0
-/// (the legacy `snapshot.dpe` / `journal.dpe` layout).
+/// like every other framed file; its rename commits a checkpoint, so an
+/// absent manifest means no checkpoint.
 struct CompactionManifest {
   uint64_t generation = 0;
   uint64_t journal_cut_offset = 0;  ///< frozen-journal bytes folded
@@ -211,41 +201,27 @@ Status WriteFramedFile(const std::string& path, uint32_t magic,
 /// FsyncPolicy::kAlways path.
 Status SyncPath(const std::string& path);
 
-/// Reads a framed file back, validating magic, version (== kFormatVersion),
+/// Reads a framed file back, validating magic, version (== `version`),
 /// length and checksum. NotFound if the file does not exist; ParseError on
-/// any corruption.
-Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic);
-
-/// A framed payload plus the format version its frame declared.
-struct FramedFile {
-  uint32_t version = kFormatVersion;
-  std::string payload;
-};
-
-/// Like ReadFramedFile but accepts any version in [1, max_version] — the
-/// multi-version read path for formats with compatible older layouts
-/// (dense v1 shard frames under kShardFormatVersion = 2).
-Result<FramedFile> ReadFramedFileVersions(const std::string& path,
-                                          uint32_t magic,
-                                          uint32_t max_version);
+/// any corruption, including a frame of any other version.
+Result<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
+                                   uint32_t version = kFormatVersion);
 
 /// A framed payload read without the whole-payload CRC gate: `crc_ok`
 /// reports whether it passed. The scrubber's entry point — formats with
-/// per-section CRCs (snapshot v2) localize the damage themselves.
+/// per-section CRCs (snapshots) localize the damage themselves.
 struct SalvagedFrame {
-  uint32_t version = kFormatVersion;
   std::string payload;
   bool crc_ok = true;
 };
 
-/// Like ReadFramedFileVersions, but a payload-checksum mismatch is reported
-/// in `crc_ok` instead of failing the read. Structural damage — missing
-/// file, bad magic, unsupported version, payload-length mismatch — still
-/// fails: a frame whose geometry is destroyed cannot be salvaged, only
-/// rejected (typed, never a wrong payload).
+/// Like ReadFramedFile, but a payload-checksum mismatch is reported in
+/// `crc_ok` instead of failing the read. Structural damage — missing file,
+/// bad magic, another version, payload-length mismatch — still fails: a
+/// frame whose geometry is destroyed cannot be salvaged, only rejected
+/// (typed, never a wrong payload).
 Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
-                                            uint32_t magic,
-                                            uint32_t max_version);
+                                            uint32_t magic, uint32_t version);
 
 /// Appends one [payload_len][crc32][payload] record to `out`.
 void AppendRecord(std::string_view payload, std::string* out);

@@ -1,10 +1,12 @@
 #include "store/matrix_store.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string_view>
 #include <tuple>
 #include <unistd.h>
 
@@ -23,7 +25,7 @@ Status Corrupt(const std::string& what) {
 }
 
 // Journal traffic on the process-default registry. The framed-file paths
-// (snapshots, matrices, shards) are counted inside the codec; the journal
+// (snapshots, manifests, shards) are counted inside the codec; the journal
 // appends raw frames itself, so its bytes are counted here.
 obs::Counter& JournalRecordsAppended() {
   static obs::Counter& c =
@@ -138,9 +140,9 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view payload) {
   return record;
 }
 
-// -- Snapshot payload codec (v1 monolithic, v2 sectioned) ---------------------
+// -- Snapshot payload codec ----------------------------------------------------
 
-/// Entries per v2 snapshot chunk. Each chunk is a self-contained
+/// Entries per snapshot chunk. Each chunk is a self-contained
 /// EncodeCacheEntries block with its own CRC, so a byte flip quarantines
 /// ~4096 cells instead of the whole checkpoint.
 constexpr size_t kSnapshotChunkEntries = 4096;
@@ -187,13 +189,13 @@ Result<Snapshot> DecodeSnapshotCore(Reader* r) {
   return snapshot;
 }
 
-/// v2 layout:
+/// Layout:
 ///   [core_len u64][core_crc u32][core]
 ///   [entries_total u64][chunk_count u32]
 ///   chunk*: [chunk_len u64][chunk_crc u32][chunk]
 /// where core = EncodeSnapshotCore and chunk = EncodeCacheEntries over at
 /// most kSnapshotChunkEntries entries.
-std::string EncodeSnapshotPayloadV2(const Snapshot& snapshot) {
+std::string EncodeSnapshotPayload(const Snapshot& snapshot) {
   Writer core;
   EncodeSnapshotCore(snapshot, &core);
   Writer w;
@@ -220,15 +222,7 @@ std::string EncodeSnapshotPayloadV2(const Snapshot& snapshot) {
   return w.TakeBuffer();
 }
 
-Result<Snapshot> DecodeSnapshotPayloadV1(std::string_view payload) {
-  Reader r(payload);
-  DPE_ASSIGN_OR_RETURN(Snapshot snapshot, DecodeSnapshotCore(&r));
-  DPE_ASSIGN_OR_RETURN(snapshot.entries, DecodeCacheEntries(&r));
-  DPE_RETURN_NOT_OK(r.ExpectEnd());
-  return snapshot;
-}
-
-Result<Snapshot> DecodeSnapshotPayloadV2(std::string_view payload) {
+Result<Snapshot> DecodeSnapshotPayload(std::string_view payload) {
   Reader r(payload);
   DPE_ASSIGN_OR_RETURN(uint64_t core_len, r.ReadU64());
   DPE_ASSIGN_OR_RETURN(uint32_t core_crc, r.ReadU32());
@@ -270,7 +264,7 @@ Result<Snapshot> DecodeSnapshotPayloadV2(std::string_view payload) {
   return snapshot;
 }
 
-/// Tolerant v2 parse for the scrubber: the core must decode (queries are
+/// Tolerant parse for the scrubber: the core must decode (queries are
 /// source data and cannot be recomputed), but a damaged chunk is skipped
 /// and counted instead of failing the parse.
 struct SnapshotSalvageResult {
@@ -281,7 +275,7 @@ struct SnapshotSalvageResult {
   uint64_t cells_quarantined = 0;
 };
 
-SnapshotSalvageResult SalvageSnapshotPayloadV2(std::string_view payload) {
+SnapshotSalvageResult SalvageSnapshotPayload(std::string_view payload) {
   SnapshotSalvageResult out;
   Reader r(payload);
   Result<uint64_t> core_len = r.ReadU64();
@@ -363,29 +357,22 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes,
   return SyncPath(parent.empty() ? "." : parent);
 }
 
-/// Parses "<stem>.dpe" (gen 0) or "<stem>.<g>.dpe" -> g. Returns false for
-/// names that are neither (matrix-/shard-/tmp files).
-bool ParseGenerationName(const std::string& filename, const std::string& stem,
+/// Parses "<stem>.<g>.dpe" -> g. False for every other name — shard, lease
+/// and tmp files, and a generation too large for u64 — so a stray file is
+/// never mistaken for (or swept as) a generation.
+bool ParseGenerationName(std::string_view filename, std::string_view stem,
                          uint64_t* gen) {
-  const std::string suffix = ".dpe";
-  if (filename == stem + suffix) {
-    *gen = 0;
-    return true;
-  }
-  if (filename.size() <= stem.size() + suffix.size() + 1 ||
-      filename.compare(0, stem.size() + 1, stem + ".") != 0 ||
-      filename.compare(filename.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
+  constexpr std::string_view kSuffix = ".dpe";
+  if (filename.size() <= stem.size() + 1 + kSuffix.size() ||
+      !filename.starts_with(stem) || filename[stem.size()] != '.' ||
+      !filename.ends_with(kSuffix)) {
     return false;
   }
-  const std::string digits = filename.substr(
-      stem.size() + 1, filename.size() - stem.size() - 1 - suffix.size());
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  *gen = std::stoull(digits);
-  return true;
+  const std::string_view digits = filename.substr(
+      stem.size() + 1, filename.size() - stem.size() - 1 - kSuffix.size());
+  const char* end = digits.data() + digits.size();
+  const auto [parsed_end, ec] = std::from_chars(digits.data(), end, *gen);
+  return ec == std::errc() && parsed_end == end;
 }
 
 }  // namespace
@@ -428,15 +415,13 @@ std::string MatrixStore::JournalPath() const {
 }
 
 std::string MatrixStore::SnapshotPathForGen(uint64_t gen) const {
-  const std::string name =
-      gen == 0 ? "snapshot.dpe" : "snapshot." + std::to_string(gen) + ".dpe";
-  return (fs::path(dir_) / name).string();
+  return (fs::path(dir_) / ("snapshot." + std::to_string(gen) + ".dpe"))
+      .string();
 }
 
 std::string MatrixStore::JournalPathForGen(uint64_t gen) const {
-  const std::string name =
-      gen == 0 ? "journal.dpe" : "journal." + std::to_string(gen) + ".dpe";
-  return (fs::path(dir_) / name).string();
+  return (fs::path(dir_) / ("journal." + std::to_string(gen) + ".dpe"))
+      .string();
 }
 
 std::string MatrixStore::ManifestPath() const {
@@ -446,17 +431,16 @@ std::string MatrixStore::ManifestPath() const {
 void MatrixStore::ResolveGenerations() {
   gen_ = 0;
   manifest_ok_ = true;
-  Result<FramedFile> file =
-      ReadFramedFileVersions(ManifestPath(), kManifestMagic, kFormatVersion);
-  if (file.ok()) {
-    Reader r(file->payload);
+  Result<std::string> payload = ReadFramedFile(ManifestPath(), kManifestMagic);
+  if (payload.ok()) {
+    Reader r(*payload);
     Result<CompactionManifest> manifest = DecodeCompactionManifest(&r);
     if (manifest.ok() && r.AtEnd()) {
       gen_ = manifest->generation;
     } else {
       manifest_ok_ = false;
     }
-  } else if (file.status().code() != StatusCode::kNotFound) {
+  } else if (payload.status().code() != StatusCode::kNotFound) {
     manifest_ok_ = false;
   }
   if (!manifest_ok_) {
@@ -471,10 +455,9 @@ void MatrixStore::ResolveGenerations() {
                                &g)) {
         continue;
       }
-      if (g > best &&
-          ReadFramedFileVersions(SnapshotPathForGen(g), kSnapshotMagic,
-                                 kSnapshotFormatVersion)
-              .ok()) {
+      if (g > best && ReadFramedFile(SnapshotPathForGen(g), kSnapshotMagic,
+                                     kSnapshotFormatVersion)
+                          .ok()) {
         best = g;
       }
     }
@@ -483,10 +466,6 @@ void MatrixStore::ResolveGenerations() {
   std::error_code ec;
   journal_gen_ =
       fs::exists(JournalPathForGen(gen_ + 1), ec) ? gen_ + 1 : gen_;
-}
-
-std::string MatrixStore::MatrixPath(const std::string& name) const {
-  return (fs::path(dir_) / ("matrix-" + name + ".dpe")).string();
 }
 
 std::string MatrixStore::ShardPath(const std::string& matrix,
@@ -500,14 +479,19 @@ std::string MatrixStore::ShardPath(const std::string& matrix,
 
 // -- Snapshot ----------------------------------------------------------------
 
+bool MatrixStore::HasManifest() const {
+  std::error_code ec;
+  return fs::exists(ManifestPath(), ec);
+}
+
 bool MatrixStore::HasSnapshot() const {
   std::error_code ec;
-  return fs::exists(SnapshotPath(), ec);
+  return HasManifest() && fs::exists(SnapshotPath(), ec);
 }
 
 Status MatrixStore::WriteSnapshotToPath(const std::string& path,
                                         const Snapshot& snapshot) const {
-  return WriteFramedFile(path, kSnapshotMagic, EncodeSnapshotPayloadV2(snapshot),
+  return WriteFramedFile(path, kSnapshotMagic, EncodeSnapshotPayload(snapshot),
                          kSnapshotFormatVersion,
                          fsync_policy_ != FsyncPolicy::kNever);
 }
@@ -536,16 +520,15 @@ void MatrixStore::SweepOldGenerations(uint64_t keep_gen) const {
 Status MatrixStore::WriteSnapshot(const Snapshot& snapshot) {
   // A full checkpoint targets the ACTIVE journal's generation: when an
   // interrupted compaction left the journal rotated to gen+1, writing the
-  // checkpoint there (and publishing a manifest) completes the rotation
-  // instead of fighting it. At generation 0 this is the legacy layout —
-  // snapshot.dpe, no manifest.
+  // checkpoint there completes the rotation instead of fighting it. The
+  // MANIFEST rename commits it: a crash before that leaves a fresh store
+  // with no checkpoint, and a store that had one with the old or the new
+  // snapshot (each file is replaced atomically).
   const uint64_t target = journal_gen_;
   DPE_RETURN_NOT_OK(WriteSnapshotToPath(SnapshotPathForGen(target), snapshot));
-  if (target > 0) {
-    CompactionManifest manifest;
-    manifest.generation = target;
-    DPE_RETURN_NOT_OK(WriteManifest(manifest));
-  }
+  CompactionManifest manifest;
+  manifest.generation = target;
+  DPE_RETURN_NOT_OK(WriteManifest(manifest));
   gen_ = target;
   manifest_ok_ = true;
   ++mutation_epoch_;  // supersedes any in-flight compaction of older state
@@ -553,14 +536,19 @@ Status MatrixStore::WriteSnapshot(const Snapshot& snapshot) {
   return Status::OK();
 }
 
-Result<Snapshot> MatrixStore::ReadSnapshot() const {
-  DPE_ASSIGN_OR_RETURN(FramedFile file,
-                       ReadFramedFileVersions(SnapshotPath(), kSnapshotMagic,
-                                              kSnapshotFormatVersion));
-  if (file.version >= kSnapshotFormatVersion) {
-    return DecodeSnapshotPayloadV2(file.payload);
+Result<Snapshot> MatrixStore::ReadSnapshotForGen(uint64_t gen) const {
+  if (!HasManifest()) {
+    return Status::NotFound("matrix store: no checkpoint in " + dir_ +
+                            " (no MANIFEST.dpe)");
   }
-  return DecodeSnapshotPayloadV1(file.payload);
+  DPE_ASSIGN_OR_RETURN(std::string payload,
+                       ReadFramedFile(SnapshotPathForGen(gen), kSnapshotMagic,
+                                      kSnapshotFormatVersion));
+  return DecodeSnapshotPayload(payload);
+}
+
+Result<Snapshot> MatrixStore::ReadSnapshot() const {
+  return ReadSnapshotForGen(gen_);
 }
 
 // -- Journal -----------------------------------------------------------------
@@ -782,19 +770,11 @@ Result<CompactionPlan> MatrixStore::BeginCompaction() {
 }
 
 Result<Snapshot> MatrixStore::FoldFrozen(const CompactionPlan& plan) const {
-  Snapshot folded;
-  Result<FramedFile> file =
-      ReadFramedFileVersions(SnapshotPathForGen(plan.from_gen), kSnapshotMagic,
-                             kSnapshotFormatVersion);
-  if (file.ok()) {
-    if (file->version >= kSnapshotFormatVersion) {
-      DPE_ASSIGN_OR_RETURN(folded, DecodeSnapshotPayloadV2(file->payload));
-    } else {
-      DPE_ASSIGN_OR_RETURN(folded, DecodeSnapshotPayloadV1(file->payload));
-    }
-  } else if (file.status().code() != StatusCode::kNotFound) {
-    return file.status();
+  Result<Snapshot> base = ReadSnapshotForGen(plan.from_gen);
+  if (!base.ok() && base.status().code() != StatusCode::kNotFound) {
+    return base.status();
   }
+  Snapshot folded = base.ok() ? std::move(base).value() : Snapshot{};
 
   // The frozen journal is read tolerantly and WITHOUT mutating the file —
   // this runs off-lock while appends continue elsewhere. A torn tail is
@@ -893,6 +873,9 @@ Result<bool> MatrixStore::PublishCompaction(const CompactionPlan& plan,
   faults.Fire("store.compaction.after_manifest");
   gen_ = plan.to_gen;
   manifest_ok_ = true;
+  // Another in-flight fold of from_gen is stale now: the sweep below
+  // removes the files it reads, and this publish already covers them.
+  ++mutation_epoch_;
   faults.Fire("store.compaction.before_cleanup");
   SweepOldGenerations(gen_);
   CompactionPublishes().Increment();
@@ -916,34 +899,31 @@ Result<ScrubReport> MatrixStore::Scrub() {
     ScrubRewrites().Increment();
   }
 
-  Result<SalvagedFrame> frame = ReadFramedFileSalvage(
-      SnapshotPath(), kSnapshotMagic, kSnapshotFormatVersion);
+  // Without a MANIFEST no checkpoint was committed: there is no snapshot to
+  // check, only journals.
+  Result<SalvagedFrame> frame =
+      HasManifest() ? ReadFramedFileSalvage(SnapshotPath(), kSnapshotMagic,
+                                            kSnapshotFormatVersion)
+                    : Result<SalvagedFrame>(Status::NotFound("no checkpoint"));
   if (frame.ok()) {
-    if (frame->version >= kSnapshotFormatVersion) {
-      SnapshotSalvageResult salvage = SalvageSnapshotPayloadV2(frame->payload);
-      report.snapshot_chunks_checked = salvage.chunks_checked;
-      if (!salvage.core_ok) {
-        // The query log is source data — it cannot be recomputed, so a
-        // damaged core is not salvageable. Leave the file alone; strict
-        // loads keep failing typed (never a wrong matrix).
-        report.snapshot_unreadable = true;
-      } else {
-        report.snapshot_chunks_quarantined = salvage.chunks_quarantined;
-        report.cells_quarantined = salvage.cells_quarantined;
-        if (!frame->crc_ok || salvage.chunks_quarantined > 0 ||
-            salvage.cells_quarantined > 0) {
-          DPE_RETURN_NOT_OK(WriteSnapshotToPath(SnapshotPath(),
-                                                salvage.snapshot));
-          report.snapshot_rewritten = true;
-          ScrubCellsQuarantined().Increment(salvage.cells_quarantined);
-          ScrubRewrites().Increment();
-        }
-      }
-    } else if (!frame->crc_ok ||
-               !DecodeSnapshotPayloadV1(frame->payload).ok()) {
-      // v1 monolithic snapshots have no section checksums to localize the
-      // damage; a corrupt one is all-or-nothing.
+    SnapshotSalvageResult salvage = SalvageSnapshotPayload(frame->payload);
+    report.snapshot_chunks_checked = salvage.chunks_checked;
+    if (!salvage.core_ok) {
+      // The query log is source data — it cannot be recomputed, so a
+      // damaged core is not salvageable. Leave the file alone; strict
+      // loads keep failing typed (never a wrong matrix).
       report.snapshot_unreadable = true;
+    } else {
+      report.snapshot_chunks_quarantined = salvage.chunks_quarantined;
+      report.cells_quarantined = salvage.cells_quarantined;
+      if (!frame->crc_ok || salvage.chunks_quarantined > 0 ||
+          salvage.cells_quarantined > 0) {
+        DPE_RETURN_NOT_OK(WriteSnapshotToPath(SnapshotPath(),
+                                              salvage.snapshot));
+        report.snapshot_rewritten = true;
+        ScrubCellsQuarantined().Increment(salvage.cells_quarantined);
+        ScrubRewrites().Increment();
+      }
     }
   } else if (frame.status().code() != StatusCode::kNotFound) {
     report.snapshot_unreadable = true;  // structural frame damage
@@ -1014,31 +994,6 @@ Result<ScrubReport> MatrixStore::Scrub() {
   return report;
 }
 
-// -- Standalone matrices -----------------------------------------------------
-
-Status MatrixStore::WriteMatrix(const std::string& name,
-                                const distance::DistanceMatrix& matrix) {
-  Writer w;
-  w.PutString(name);
-  EncodeMatrix(matrix, &w);
-  return WriteFramedFile(MatrixPath(name), kMatrixMagic, w.buffer());
-}
-
-Result<distance::DistanceMatrix> MatrixStore::ReadMatrix(
-    const std::string& name) const {
-  DPE_ASSIGN_OR_RETURN(std::string payload,
-                       ReadFramedFile(MatrixPath(name), kMatrixMagic));
-  Reader r(payload);
-  DPE_ASSIGN_OR_RETURN(std::string stored_name, r.ReadString());
-  if (stored_name != name) {
-    return Corrupt("matrix file for '" + name + "' declares name '" +
-                   stored_name + "'");
-  }
-  DPE_ASSIGN_OR_RETURN(distance::DistanceMatrix m, DecodeMatrix(&r));
-  DPE_RETURN_NOT_OK(r.ExpectEnd());
-  return m;
-}
-
 // -- Shards ------------------------------------------------------------------
 
 Result<uint64_t> ShardCellCount(const ShardManifest& manifest) {
@@ -1047,7 +1002,7 @@ Result<uint64_t> ShardCellCount(const ShardManifest& manifest) {
 }
 
 /// Walks the manifest's (clamped) tile range in schedule order — the exact
-/// traversal both the sparse encoder and the merge coordinator use, so
+/// traversal both the sparse encoder and the shard driver's merge use, so
 /// cells[k] always means "the k-th owned cell of this shard". Uses the
 /// analytic range walker: no O(block_count²) schedule vector per shard.
 template <typename Fn>
@@ -1105,10 +1060,9 @@ Result<ShardFile> MatrixStore::ReadShard(const std::string& matrix,
                                          uint32_t shard_index,
                                          uint32_t shard_count) const {
   const std::string path = ShardPath(matrix, shard_index, shard_count);
-  DPE_ASSIGN_OR_RETURN(
-      FramedFile file,
-      ReadFramedFileVersions(path, kShardMagic, kShardFormatVersion));
-  Reader r(file.payload);
+  DPE_ASSIGN_OR_RETURN(std::string payload,
+                       ReadFramedFile(path, kShardMagic, kShardFormatVersion));
+  Reader r(payload);
   ShardFile shard;
   DPE_ASSIGN_OR_RETURN(shard.manifest, DecodeShardManifest(&r));
   if (shard.manifest.matrix != matrix ||
@@ -1125,46 +1079,27 @@ Result<ShardFile> MatrixStore::ReadShard(const std::string& matrix,
                    expected.status().message());
   }
 
-  if (file.version >= kShardFormatVersion) {
-    // Sparse payload: u64 cell count + cells in schedule order. The count
-    // is validated against BOTH the manifest-derived count and the bytes
-    // actually present before anything is allocated.
-    DPE_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-    if (count != *expected) {
-      return Corrupt("shard file " + path + " declares " +
-                     std::to_string(count) +
-                     " cells but its manifest's tile range owns " +
-                     std::to_string(*expected));
-    }
-    if (count != r.remaining() / 8 || r.remaining() % 8 != 0) {
-      return Corrupt("shard file " + path + " cell payload is " +
-                     std::to_string(r.remaining()) + " bytes for " +
-                     std::to_string(count) + " cells");
-    }
-    shard.cells.reserve(count);
-    for (uint64_t k = 0; k < count; ++k) {
-      DPE_ASSIGN_OR_RETURN(double d, r.ReadDouble());
-      shard.cells.push_back(d);
-    }
-    DPE_RETURN_NOT_OK(r.ExpectEnd());
-    return shard;
+  // Payload: u64 cell count + cells in schedule order. The count is
+  // validated against BOTH the manifest-derived count and the bytes
+  // actually present before anything is allocated.
+  DPE_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
+  if (count != *expected) {
+    return Corrupt("shard file " + path + " declares " +
+                   std::to_string(count) +
+                   " cells but its manifest's tile range owns " +
+                   std::to_string(*expected));
   }
-
-  // Legacy v1 dense frame: a full upper triangle (zeros outside the owned
-  // tiles). Decode it — DecodeMatrix bounds n by the bytes present — and
-  // extract the owned cells so callers see one representation.
-  DPE_ASSIGN_OR_RETURN(distance::DistanceMatrix partial, DecodeMatrix(&r));
+  if (count != r.remaining() / 8 || r.remaining() % 8 != 0) {
+    return Corrupt("shard file " + path + " cell payload is " +
+                   std::to_string(r.remaining()) + " bytes for " +
+                   std::to_string(count) + " cells");
+  }
+  shard.cells.reserve(count);
+  for (uint64_t k = 0; k < count; ++k) {
+    DPE_ASSIGN_OR_RETURN(double d, r.ReadDouble());
+    shard.cells.push_back(d);
+  }
   DPE_RETURN_NOT_OK(r.ExpectEnd());
-  if (partial.size() != shard.manifest.n) {
-    return Corrupt("shard file " + path + " carries an n = " +
-                   std::to_string(partial.size()) +
-                   " matrix but its manifest declares n = " +
-                   std::to_string(shard.manifest.n));
-  }
-  shard.cells.reserve(*expected);
-  ForEachOwnedCell(shard.manifest, [&](size_t i, size_t j) {
-    shard.cells.push_back(partial.AtUnchecked(i, j));
-  });
   return shard;
 }
 

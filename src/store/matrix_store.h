@@ -1,33 +1,31 @@
 // Persistent distance store: snapshot + append-only journal, rooted in one
 // directory, so incremental mining survives restarts.
 //
-//   <dir>/snapshot.dpe       full checkpoint: query log (canonical SQL),
-//                            memoized cache entries, measure metadata
-//                            (generation 0; generation g > 0 is
-//                            snapshot.<g>.dpe)
-//   <dir>/journal.dpe        append-only log of work done *after* the
-//                            snapshot: appended queries and computed rows
-//                            (generation 0; generation g > 0 is
-//                            journal.<g>.dpe)
 //   <dir>/MANIFEST.dpe       tiny CRC'd generation pointer ("DPEC" frame):
-//                            which snapshot generation is current. Absent =
-//                            generation 0, the legacy layout above.
-//   <dir>/matrix-<name>.dpe  standalone finished-matrix snapshots
+//                            which snapshot generation is current. Its
+//                            atomic rename commits every checkpoint; a
+//                            directory without one holds no checkpoint.
+//   <dir>/snapshot.<g>.dpe   full checkpoint of generation g: query log
+//                            (canonical SQL), memoized cache entries,
+//                            measure metadata
+//   <dir>/journal.<g>.dpe    append-only log of work done *after*
+//                            snapshot.<g>: appended queries and computed
+//                            rows
 //   <dir>/shard-<name>-<i>of<k>.dpe
 //                            one shard of a sharded matrix build: a
 //                            ShardManifest (which tile range of which
 //                            matrix) plus only the cells that range owns,
-//                            in tile-schedule order (~k× smaller than the
-//                            old dense frame, which is still readable) —
-//                            the exchange format between shard workers and
-//                            the merge coordinator (engine/shard.h)
+//                            in tile-schedule order — the exchange format
+//                            between shard workers and the shard driver
+//                            (engine/driver.h)
 //
-// The snapshot is rewritten atomically (tmp + rename) and replaces the
-// journal; the journal is the cheap hot path — one small checksummed record
-// per appended query or computed matrix row. Recovery = read snapshot, then
-// replay journal records in order. Every read path returns common::Status
-// on corruption (bad magic, bad checksum, truncated tail) instead of
-// crashing; see store/codec.h for the byte-level format.
+// A checkpoint writes its snapshot atomically (tmp + rename), commits it
+// with the MANIFEST, and replaces the journal; the journal is the cheap hot
+// path — one small checksummed record per appended query or computed
+// matrix row. Recovery = read snapshot, then replay journal records in
+// order. Every read path returns common::Status on corruption (bad magic,
+// bad checksum, truncated tail) instead of crashing; see store/codec.h for
+// the byte-level format.
 //
 // Online compaction folds a long journal into the next snapshot generation
 // without pausing appends (BeginCompaction / FoldFrozen / PublishCompaction
@@ -161,15 +159,16 @@ class MatrixStore {
 
   const std::string& dir() const { return dir_; }
 
-  /// Current snapshot generation (0 = legacy unnumbered layout) and the
-  /// generation the active journal belongs to (gen + 1 while a compaction
-  /// is in flight or was interrupted, gen otherwise).
+  /// Current snapshot generation (a fresh store's first checkpoint is
+  /// generation 0) and the generation the active journal belongs to
+  /// (gen + 1 while a compaction is in flight or was interrupted, gen
+  /// otherwise).
   uint64_t generation() const { return gen_; }
   uint64_t journal_generation() const { return journal_gen_; }
 
   /// Bumped by every operation that supersedes in-flight compaction state
-  /// (WriteSnapshot, TruncateJournal). PublishCompaction aborts when the
-  /// epoch moved since its plan was made.
+  /// (WriteSnapshot, TruncateJournal, PublishCompaction). PublishCompaction
+  /// aborts when the epoch moved since its plan was made.
   uint64_t mutation_epoch() const { return mutation_epoch_; }
 
   /// Total on-disk journal bytes (frozen + active generations) — the
@@ -184,11 +183,15 @@ class MatrixStore {
 
   // -- Snapshot --------------------------------------------------------------
 
+  /// True once a checkpoint was committed: MANIFEST.dpe exists and the
+  /// snapshot it names is on disk.
   bool HasSnapshot() const;
-  /// Atomically replaces the snapshot (the journal is left untouched;
-  /// callers checkpointing a full state follow with TruncateJournal()).
+  /// Atomically writes the snapshot, then commits it by writing
+  /// MANIFEST.dpe (the journal is left untouched; callers checkpointing a
+  /// full state follow with TruncateJournal()).
   Status WriteSnapshot(const Snapshot& snapshot);
-  /// NotFound if no snapshot was ever written; ParseError on corruption.
+  /// NotFound if no checkpoint was committed (no MANIFEST.dpe, even if
+  /// snapshot files exist); ParseError on corruption.
   Result<Snapshot> ReadSnapshot() const;
 
   // -- Journal ---------------------------------------------------------------
@@ -254,7 +257,8 @@ class MatrixStore {
   /// Publishes the folded snapshot: writes snapshot.<to_gen>, lands the
   /// MANIFEST, then removes every older generation's files. Returns false
   /// (benign abort, nothing written) when the mutation epoch moved since
-  /// the plan — a full SaveCheckpoint superseded this compaction.
+  /// the plan — a full SaveCheckpoint or a concurrent compaction of the
+  /// same generation superseded this one.
   Result<bool> PublishCompaction(const CompactionPlan& plan,
                                  const Snapshot& folded);
 
@@ -264,18 +268,12 @@ class MatrixStore {
   /// generation, quarantines damaged extents, and rewrites the damaged
   /// files without them (atomic tmp + rename), so a following strict load
   /// succeeds with the surviving state. A corrupt MANIFEST is rebuilt from
-  /// the highest readable snapshot generation. Core snapshot damage (the
-  /// query log) and v1 monolithic snapshots cannot be partially salvaged:
-  /// they are left untouched (`snapshot_unreadable`) and strict loads keep
-  /// failing typed — never a wrong matrix.
+  /// the highest readable snapshot generation; without a MANIFEST there is
+  /// no checkpoint, so only the journal is checked. Core snapshot damage
+  /// (the query log) cannot be partially salvaged: it is left untouched
+  /// (`snapshot_unreadable`) and strict loads keep failing typed — never a
+  /// wrong matrix.
   Result<ScrubReport> Scrub();
-
-  // -- Standalone matrices ---------------------------------------------------
-
-  /// Snapshots a finished matrix under `name` ("token", "structure", ...).
-  Status WriteMatrix(const std::string& name,
-                     const distance::DistanceMatrix& matrix);
-  Result<distance::DistanceMatrix> ReadMatrix(const std::string& name) const;
 
   // -- Shards ----------------------------------------------------------------
 
@@ -295,10 +293,8 @@ class MatrixStore {
   /// Reads shard `shard_index` of `shard_count` for `matrix` back,
   /// validating frame magic/version/checksum, manifest identity against the
   /// requested coordinates, and the cell payload against the count the
-  /// manifest implies. Both shard format versions decode: v2 sparse frames
-  /// natively, legacy v1 dense frames by extracting the owned cells from
-  /// the dense upper triangle. NotFound for an absent shard; ParseError on
-  /// corruption.
+  /// manifest implies. NotFound for an absent shard; ParseError on
+  /// corruption, including a frame of another format version.
   Result<ShardFile> ReadShard(const std::string& matrix, uint32_t shard_index,
                               uint32_t shard_count) const;
   /// True if the shard file exists on disk (says nothing about validity —
@@ -320,9 +316,13 @@ class MatrixStore {
   std::string SnapshotPathForGen(uint64_t gen) const;
   std::string JournalPathForGen(uint64_t gen) const;
   std::string ManifestPath() const;
-  std::string MatrixPath(const std::string& name) const;
   std::string ShardPath(const std::string& matrix, uint32_t shard_index,
                         uint32_t shard_count) const;
+  /// True if MANIFEST.dpe exists, readable or not: a checkpoint was
+  /// committed in this directory.
+  bool HasManifest() const;
+  /// Snapshot of generation `gen`; NotFound without a MANIFEST.
+  Result<Snapshot> ReadSnapshotForGen(uint64_t gen) const;
   Result<JournalRecovery> ReadJournalImpl(bool recover_torn_tail) const;
   /// One journal file's crash-tolerant read, accumulated into `recovery`.
   Status ReadJournalFile(const std::string& path, bool recover_torn_tail,

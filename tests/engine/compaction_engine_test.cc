@@ -201,7 +201,7 @@ TEST_F(CompactionTest, ScrubOnLoadRecomputesQuarantinedCells) {
 
   // Flip a byte in the snapshot's entry-chunk region (the tail of the
   // file): cache cells are damaged, the query-log core stays intact.
-  const fs::path path = fs::path(dir_) / "snapshot.dpe";
+  const fs::path path = fs::path(dir_) / "snapshot.0.dpe";
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());

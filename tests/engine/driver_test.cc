@@ -30,6 +30,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using testutil::ExpectBitIdentical;
+using testutil::MergeShardDir;
 using testutil::Shop;
 
 class DriverTest : public ::testing::Test {
@@ -300,10 +301,11 @@ TEST_F(DriverTest, SoloWorkerExportsEveryShard) {
   for (const LeaseInfo& lease : *table) EXPECT_FALSE(lease.held);
 
   // The exported set merges bit-identical to the direct build.
-  ShardCoordinator coordinator;
-  auto merged = coordinator.Merge(*store, "token", 3, f.scenario.log.size());
+  auto merged = MergeShardDir(dir_, "token", f.scenario.log, *f.measure,
+                              f.context, *plan);
   ASSERT_TRUE(merged.ok()) << merged.status();
-  ExpectBitIdentical(*merged, f.reference);
+  EXPECT_EQ(merged->merged_from_workers, 3u);
+  ExpectBitIdentical(merged->matrix, f.reference);
 }
 
 TEST_F(DriverTest, CoordinatorOnlyDriveCompletesWithZeroWorkers) {
@@ -447,58 +449,121 @@ TEST_F(DriverTest, CorruptExportIsDiscardedAndRecomputed) {
   BuildFixture f = BuildFixture::Make(24);
   auto plan = PlanShards(f.scenario.log.size(), 4, 3);
   ASSERT_TRUE(plan.ok());
-  auto store = store::MatrixStore::Open(dir_);
-  ASSERT_TRUE(store.ok());
 
-  // A garbage file sits where shard 1's export should be.
+  // What sits where shard 1's export should be: garbage, prefixes of a
+  // real export (a writer killed without the tmp + rename, a torn
+  // filesystem) and the real export with one byte flipped.
+  const std::string path = dir_ + "/shard-token-1of3.dpe";
+  std::string real;
   {
-    std::ofstream out(dir_ + "/shard-token-1of3.dpe", std::ios::binary);
-    out << "this is not a DPEH frame";
+    auto store = store::MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ShardWorker worker(nullptr);
+    ASSERT_TRUE(worker
+                    .Run("token", f.scenario.log, *f.measure, f.context,
+                         *plan, 1, *store)
+                    .ok());
+    std::ifstream in(path, std::ios::binary);
+    real.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
   }
-  ASSERT_TRUE(store->HasShard("token", 1, 3));
+  ASSERT_GT(real.size(), 16u);
+  std::string flipped = real;
+  flipped[flipped.size() / 2] =
+      static_cast<char>(flipped[flipped.size() / 2] ^ 0x08);
+  const std::vector<std::string> exports = {
+      "this is not a DPEH frame",
+      "",
+      real.substr(0, 8),
+      real.substr(0, real.size() / 2),
+      real.substr(0, real.size() - 1),
+      flipped,
+  };
 
-  auto board = OpenBoard(3, 60000, "coordinator");
-  DriverOptions options;
-  options.claim_grace_ms = 0;
-  ShardDriver driver(options);
-  auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
-                             f.context, *plan, *board);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_GE(report->discards, 1u);
-  ExpectBitIdentical(report->matrix, f.reference);
+  for (const std::string& bytes : exports) {
+    SCOPED_TRACE("corrupt export of " + std::to_string(bytes.size()) +
+                 " bytes");
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto store = store::MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->HasShard("token", 1, 3));
+
+    auto board = OpenBoard(3, 60000, "coordinator");
+    DriverOptions options;
+    options.claim_grace_ms = 0;
+    ShardDriver driver(options);
+    auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
+                               f.context, *plan, *board);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_GE(report->discards, 1u);
+    ExpectBitIdentical(report->matrix, f.reference);
+  }
 }
 
 TEST_F(DriverTest, ForeignManifestIsDiscardedNotMerged) {
   BuildFixture f = BuildFixture::Make(24);
   auto plan = PlanShards(f.scenario.log.size(), 4, 2);
   ASSERT_TRUE(plan.ok());
-  auto store = store::MatrixStore::Open(dir_);
-  ASSERT_TRUE(store.ok());
+  const std::vector<TileRange>& ranges = plan->ranges;
+  ASSERT_GT(ranges[1].begin, 0u);
+  ASSERT_LT(ranges[1].begin + 1, ranges[1].end);
 
-  // A well-formed shard file whose manifest disagrees with the derived
-  // plan (wrong tile split — e.g. produced under a different block size).
-  store::ShardManifest foreign;
-  foreign.matrix = "token";
-  foreign.shard_index = 0;
-  foreign.shard_count = 2;
-  foreign.n = f.scenario.log.size();
-  foreign.block = 4;
-  foreign.tile_begin = 0;
-  foreign.tile_end = plan->ranges[0].end == 0 ? 1 : plan->ranges[0].end - 1;
-  auto count = store::ShardCellCount(foreign);
-  ASSERT_TRUE(count.ok());
-  ASSERT_TRUE(
-      store->WriteShardCells(foreign, std::vector<double>(*count, 1.0)).ok());
+  // Well-formed shard files whose manifests disagree with the derived
+  // plan: a different tile split (e.g. produced under another block size),
+  // a range overlapping its predecessor or leaving a gap before it, a
+  // range past the end of the schedule, and another log size.
+  struct Doctored {
+    const char* what;
+    uint32_t shard;
+    uint64_t tile_begin;
+    uint64_t tile_end;
+    uint64_t n;
+  };
+  const uint64_t n = f.scenario.log.size();
+  const std::vector<Doctored> cases = {
+      {"wrong tile split", 0, 0, ranges[0].end == 0 ? 1 : ranges[0].end - 1,
+       n},
+      {"overlapping ranges", 1, ranges[1].begin - 1, ranges[1].end, n},
+      {"gap between ranges", 1, ranges[1].begin + 1, ranges[1].end, n},
+      {"range past the schedule", 1, ranges[1].begin, plan->tile_count + 5,
+       n},
+      {"wrong n", 1, ranges[1].begin, ranges[1].end, 20},
+  };
+  for (const Doctored& c : cases) {
+    SCOPED_TRACE(c.what);
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    auto store = store::MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    store::ShardManifest foreign;
+    foreign.matrix = "token";
+    foreign.shard_index = c.shard;
+    foreign.shard_count = 2;
+    foreign.n = c.n;
+    foreign.block = 4;
+    foreign.tile_begin = c.tile_begin;
+    foreign.tile_end = c.tile_end;
+    auto count = store::ShardCellCount(foreign);
+    ASSERT_TRUE(count.ok());
+    ASSERT_TRUE(
+        store->WriteShardCells(foreign, std::vector<double>(*count, 1.0))
+            .ok());
 
-  auto board = OpenBoard(2, 60000, "coordinator");
-  DriverOptions options;
-  options.claim_grace_ms = 0;
-  ShardDriver driver(options);
-  auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
-                             f.context, *plan, *board);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_GE(report->discards, 1u);
-  ExpectBitIdentical(report->matrix, f.reference);
+    auto board = OpenBoard(2, 60000, "coordinator");
+    DriverOptions options;
+    options.claim_grace_ms = 0;
+    ShardDriver driver(options);
+    auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
+                               f.context, *plan, *board);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_GE(report->discards, 1u);
+    ExpectBitIdentical(report->matrix, f.reference);
+  }
 }
 
 TEST_F(DriverTest, StallWatchdogFailsInsteadOfHangingForever) {
@@ -548,6 +613,11 @@ TEST_F(DriverTest, EngineDriveShardsMatchesBuildMatrixAndWarmsCache) {
 
   // After the drive, /stats carries no lease table.
   EXPECT_EQ(e.Stats().ToJson().find("\"leases\""), std::string::npos);
+
+  // A typo'd measure name fails fast instead of warming the cache with
+  // unreachable entries.
+  EXPECT_EQ(e.DriveShards("tokn", 3, dir_, options).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(DriverTest, StatsExposesTheLeaseTableWhileADriveIsActive) {
@@ -587,11 +657,16 @@ TEST_F(DriverTest, StatsExposesTheLeaseTableWhileADriveIsActive) {
       << "the lease table must carry per-worker progress";
 
   // Play the worker: export shard 0 and release — the drive completes.
-  Engine worker(s.Context(), eopts);
-  worker.SetLog(s.log);
-  auto plan = worker.PlanShards(1);
+  auto plan = PlanShards(s.log.size(), eopts.block, 1);
   ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(worker.RunShard("token", *plan, 0, dir_).ok());
+  auto store = store::MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  auto measure = MeasureRegistry::WithBuiltins().Create("token");
+  ASSERT_TRUE(measure.ok());
+  ShardWorker worker(nullptr);
+  ASSERT_TRUE(
+      worker.Run("token", s.log, **measure, s.Context(), *plan, 0, *store)
+          .ok());
   ASSERT_TRUE(external->Release(0).ok());
   driver_thread.join();
 }

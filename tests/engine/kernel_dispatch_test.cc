@@ -169,11 +169,11 @@ TEST(KernelDispatchTest, ShardedBuildsHonorTheForcedBackend) {
           worker.Run("token", s.log, token, ctx, *plan, shard, *store);
       ASSERT_TRUE(manifest.ok()) << manifest.status();
     }
-    auto store = store::MatrixStore::OpenExisting(dir);
-    ASSERT_TRUE(store.ok());
-    auto merged = ShardCoordinator().Merge(*store, "token", 2);
+    auto merged =
+        testutil::MergeShardDir(dir, "token", s.log, token, ctx, *plan);
     ASSERT_TRUE(merged.ok()) << merged.status();
-    ExpectBitIdentical(*reference, *merged);
+    EXPECT_EQ(merged->merged_from_workers, 2u);
+    ExpectBitIdentical(*reference, merged->matrix);
     std::filesystem::remove_all(dir);
   }
 }

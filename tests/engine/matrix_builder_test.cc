@@ -15,6 +15,8 @@
 namespace dpe::engine {
 namespace {
 
+using common::ThreadPool;
+
 workload::Scenario Shop(uint64_t seed, size_t log_size) {
   workload::ScenarioOptions opt;
   opt.seed = seed;

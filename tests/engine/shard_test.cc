@@ -1,19 +1,16 @@
 // Sharded matrix builds: the plan partitions the tile schedule
-// deterministically, a k-shard build round-tripped through on-disk shard
-// files merges bit-identical to MatrixBuilder::Build for every built-in
-// measure, and every corruption mode — overlapping ranges, missing shards,
-// flipped bytes, wrong-n manifests — fails with a typed Status, never UB.
+// deterministically, and a k-shard build round-tripped through on-disk
+// shard files merges bit-identical to MatrixBuilder::Build for every
+// built-in measure. Torn, doctored and foreign shard files are the shard
+// driver's to discard and recompute (tests/engine/driver_test.cc).
 
 #include "engine/shard.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <memory>
 
 #include "distance/token_distance.h"
-#include "engine/engine.h"
 #include "engine/matrix_builder.h"
 #include "engine/measure_registry.h"
 #include "tests/scenario_test_util.h"
@@ -25,6 +22,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using testutil::ExpectBitIdentical;
+using testutil::MergeShardDir;
 using testutil::Shop;
 
 class ShardTest : public ::testing::Test {
@@ -173,7 +171,7 @@ TEST_F(ShardTest, ShardedBuildIsBitIdenticalForAllMeasures) {
   workload::Scenario s = Shop(61, 21);
   distance::MeasureContext context = s.Context();
   MeasureRegistry registry = MeasureRegistry::WithBuiltins();
-  ThreadPool pool(2);
+  common::ThreadPool pool(2);
 
   for (const std::string& name : registry.Names()) {
     auto reference_measure = registry.Create(name);
@@ -206,71 +204,16 @@ TEST_F(ShardTest, ShardedBuildIsBitIdenticalForAllMeasures) {
         EXPECT_EQ(manifest->tile_end, plan->ranges[shard].end);
       }
 
-      auto store = store::MatrixStore::OpenExisting(shard_dir);
-      ASSERT_TRUE(store.ok());
-      ShardCoordinator coordinator;
-      auto merged = coordinator.Merge(*store, name, k);
+      auto measure = registry.Create(name);
+      ASSERT_TRUE(measure.ok());
+      auto merged =
+          MergeShardDir(shard_dir, name, s.log, **measure, context, *plan);
       ASSERT_TRUE(merged.ok())
           << name << " k=" << k << ": " << merged.status();
-      ExpectBitIdentical(*reference, *merged);
+      EXPECT_EQ(merged->merged_from_workers, k);
+      ExpectBitIdentical(*reference, merged->matrix);
       fs::remove_all(shard_dir);
     }
-  }
-}
-
-TEST_F(ShardTest, LegacyDenseShardSetMergesBitIdentically) {
-  // Shards written by a pre-sparse build — version-1 "DPEH" frames carrying
-  // the full zero-padded upper triangle — must keep merging, including a
-  // mixed directory where only some shards were rewritten sparsely.
-  workload::Scenario s = Shop(67, 17);
-  distance::MeasureContext context = s.Context();
-  distance::TokenDistance token;
-  constexpr size_t kShards = 3;
-  auto plan = PlanShards(s.log.size(), 4, kShards);
-  ASSERT_TRUE(plan.ok());
-
-  MatrixBuilder builder(nullptr, MatrixBuilderOptions{4});
-  auto reference = builder.Build(s.log, token, context);
-  ASSERT_TRUE(reference.ok());
-
-  for (size_t dense_upto : {kShards, size_t{1}}) {  // all-dense, then mixed
-    fs::remove_all(dir_);
-    for (size_t shard = 0; shard < kShards; ++shard) {
-      auto store = store::MatrixStore::Open(dir_);
-      ASSERT_TRUE(store.ok());
-      const TileRange& range = plan->ranges[shard];
-      auto partial =
-          builder.BuildTiles(s.log, token, context, range.begin, range.end);
-      ASSERT_TRUE(partial.ok()) << partial.status();
-      store::ShardManifest manifest;
-      manifest.matrix = "token";
-      manifest.shard_index = static_cast<uint32_t>(shard);
-      manifest.shard_count = kShards;
-      manifest.n = plan->n;
-      manifest.block = plan->block;
-      manifest.tile_begin = range.begin;
-      manifest.tile_end = range.end;
-      if (shard < dense_upto) {
-        // The exact legacy byte layout: manifest + dense matrix, version 1.
-        store::Writer w;
-        store::EncodeShardManifest(manifest, &w);
-        store::EncodeMatrix(*partial, &w);
-        const std::string path =
-            (fs::path(dir_) / ("shard-token-" + std::to_string(shard) + "of" +
-                               std::to_string(kShards) + ".dpe"))
-                .string();
-        ASSERT_TRUE(store::WriteFramedFile(path, store::kShardMagic,
-                                           w.buffer(), /*version=*/1)
-                        .ok());
-      } else {
-        ASSERT_TRUE(store->WriteShard(manifest, *partial).ok());
-      }
-    }
-    auto store = store::MatrixStore::OpenExisting(dir_);
-    ASSERT_TRUE(store.ok());
-    auto merged = ShardCoordinator().Merge(*store, "token", kShards);
-    ASSERT_TRUE(merged.ok()) << merged.status();
-    ExpectBitIdentical(*reference, *merged);
   }
 }
 
@@ -292,7 +235,7 @@ TEST_F(ShardTest, SparseShardFilesAreSmallerThanDense) {
         worker.Run("token", s.log, token, context, *plan, shard, *store);
     ASSERT_TRUE(manifest.ok()) << manifest.status();
   }
-  const uintmax_t dense_payload = 24 * 23 / 2 * 8;  // what v1 carried
+  const uintmax_t dense_payload = 24 * 23 / 2 * 8;  // a dense upper triangle
   uintmax_t total = 0;
   for (size_t shard = 0; shard < kShards; ++shard) {
     const auto path = fs::path(dir_) / ("shard-token-" +
@@ -326,192 +269,16 @@ TEST_F(ShardTest, TinyLogsShardAndMerge) {
           worker.Run("token", log, token, context, *plan, shard, *store);
       ASSERT_TRUE(manifest.ok()) << manifest.status();
     }
-    auto store = store::MatrixStore::OpenExisting(shard_dir);
-    ASSERT_TRUE(store.ok());
-    auto merged = ShardCoordinator().Merge(*store, "token", 2);
+    auto merged = MergeShardDir(shard_dir, "token", log, token, context, *plan);
     ASSERT_TRUE(merged.ok()) << merged.status();
-    EXPECT_EQ(merged->size(), n);
+    EXPECT_EQ(merged->matrix.size(), n);
     fs::remove_all(shard_dir);
   }
 }
 
-TEST_F(ShardTest, EngineShardRoundTripWarmsCache) {
-  workload::Scenario s = Shop(83, 20);
-  constexpr size_t kShards = 4;
+// -- Failure modes -------------------------------------------------------------
 
-  Engine reference(s.Context(), {.threads = 2, .block = 8});
-  reference.SetLog(s.log);
-  auto expect = reference.BuildMatrix("token");
-  ASSERT_TRUE(expect.ok());
-
-  Engine coordinator(s.Context(), {.threads = 2, .block = 8});
-  coordinator.SetLog(s.log);
-  auto plan = coordinator.PlanShards(kShards);
-  ASSERT_TRUE(plan.ok());
-
-  // Workers are separate engines — in production, separate processes that
-  // share only the plan (re-derivable) and the store directory.
-  for (size_t shard = 0; shard < kShards; ++shard) {
-    Engine worker(s.Context(), {.threads = 2, .block = 8});
-    worker.SetLog(s.log);
-    ASSERT_TRUE(worker.RunShard("token", *plan, shard, dir_).ok());
-  }
-
-  auto merged = coordinator.MergeShards("token", kShards, dir_);
-  ASSERT_TRUE(merged.ok()) << merged.status();
-  ExpectBitIdentical(*expect, *merged);
-
-  // The merge warmed the cache: a subsequent build computes nothing.
-  auto rebuilt = coordinator.BuildMatrix("token");
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(coordinator.cache_stats().misses, 0u);
-  ExpectBitIdentical(*expect, *rebuilt);
-
-  // A typo'd measure name fails fast instead of warming the cache with
-  // unreachable entries.
-  EXPECT_EQ(coordinator.MergeShards("tokn", kShards, dir_).status().code(),
-            StatusCode::kNotFound);
-}
-
-// -- Corruption / failure modes ----------------------------------------------
-
-class ShardCorruptionTest : public ShardTest {
- protected:
-  /// Runs a valid 3-shard "token" build over a 14-query log into dir_.
-  void RunValidShards() {
-    s_ = std::make_unique<workload::Scenario>(Shop(97, 14));
-    auto plan = PlanShards(s_->log.size(), 4, kShards);
-    ASSERT_TRUE(plan.ok());
-    plan_ = *plan;
-    for (size_t shard = 0; shard < kShards; ++shard) {
-      auto store = store::MatrixStore::Open(dir_);
-      ASSERT_TRUE(store.ok());
-      ShardWorker worker(nullptr);
-      auto manifest = worker.Run("token", s_->log, token_, s_->Context(),
-                                 plan_, shard, *store);
-      ASSERT_TRUE(manifest.ok()) << manifest.status();
-    }
-  }
-
-  Result<distance::DistanceMatrix> Merge() {
-    auto store = store::MatrixStore::OpenExisting(dir_);
-    if (!store.ok()) return store.status();
-    return ShardCoordinator().Merge(*store, "token", kShards);
-  }
-
-  /// Rewrites shard `index` with a doctored manifest; the cell payload is
-  /// regenerated (zeros) to the count the doctored manifest implies, so the
-  /// file itself is well-formed and only the coordinator's cross-manifest
-  /// validation can catch it.
-  void RewriteShard(uint32_t index, uint64_t tile_begin, uint64_t tile_end,
-                    uint64_t n = 0) {
-    auto store = store::MatrixStore::Open(dir_);
-    ASSERT_TRUE(store.ok());
-    auto shard = store->ReadShard("token", index, kShards);
-    ASSERT_TRUE(shard.ok()) << shard.status();
-    shard->manifest.tile_begin = tile_begin;
-    shard->manifest.tile_end = tile_end;
-    if (n != 0) shard->manifest.n = n;
-    auto count = store::ShardCellCount(shard->manifest);
-    ASSERT_TRUE(count.ok()) << count.status();
-    std::vector<double> cells(*count, 0.0);
-    ASSERT_TRUE(store->WriteShardCells(shard->manifest, cells).ok());
-  }
-
-  static constexpr size_t kShards = 3;
-  std::unique_ptr<workload::Scenario> s_;
-  ShardPlan plan_;
-  distance::TokenDistance token_;
-};
-
-TEST_F(ShardCorruptionTest, MissingShardIsNotFound) {
-  RunValidShards();
-  fs::remove(fs::path(dir_) / "shard-token-1of3.dpe");
-  auto merged = Merge();
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(ShardCorruptionTest, OverlappingTileRangesAreInvalidArgument) {
-  RunValidShards();
-  // Shard 1 reaches back into shard 0's range.
-  ASSERT_GT(plan_.ranges[1].begin, 0u);
-  RewriteShard(1, plan_.ranges[1].begin - 1, plan_.ranges[1].end);
-  auto merged = Merge();
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(merged.status().message().find("overlap"), std::string::npos)
-      << merged.status();
-}
-
-TEST_F(ShardCorruptionTest, TileGapIsInvalidArgument) {
-  RunValidShards();
-  // Shard 1 starts one tile late: a gap no shard covers.
-  ASSERT_LT(plan_.ranges[1].begin + 1, plan_.ranges[1].end);
-  RewriteShard(1, plan_.ranges[1].begin + 1, plan_.ranges[1].end);
-  auto merged = Merge();
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(merged.status().message().find("covered by no shard"),
-            std::string::npos)
-      << merged.status();
-}
-
-TEST_F(ShardCorruptionTest, RangeBeyondScheduleIsInvalidArgument) {
-  RunValidShards();
-  RewriteShard(2, plan_.ranges[2].begin, plan_.tile_count + 5);
-  auto merged = Merge();
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(ShardCorruptionTest, WrongNManifestIsInvalidArgument) {
-  RunValidShards();
-  // Shard 2 claims a different log size than its siblings.
-  RewriteShard(2, plan_.ranges[2].begin, plan_.ranges[2].end, /*n=*/20);
-  auto merged = Merge();
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(merged.status().message().find("declares n"), std::string::npos)
-      << merged.status();
-}
-
-TEST_F(ShardCorruptionTest, ConsistentButForeignShardSetIsRejectedByEngine) {
-  // All manifests agree with each other but belong to a different log: the
-  // engine-level merge must reject the size mismatch.
-  RunValidShards();
-  Engine engine(s_->Context());
-  engine.SetLog({s_->log.begin(), s_->log.begin() + 9});  // 9 != 14
-  auto merged = engine.MergeShards("token", kShards, dir_);
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
-
-  // The empty log (n = 0, which Merge's expected_n treats as "don't
-  // check") must be rejected too, not silently merged and cached.
-  Engine empty_engine(s_->Context());
-  auto empty_merge = empty_engine.MergeShards("token", kShards, dir_);
-  ASSERT_FALSE(empty_merge.ok());
-  EXPECT_EQ(empty_merge.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(empty_engine.cache_size(), 0u);
-}
-
-TEST_F(ShardCorruptionTest, ByteFlippedShardFileIsParseError) {
-  RunValidShards();
-  const std::string path = (fs::path(dir_) / "shard-token-0of3.dpe").string();
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  data[data.size() / 2] = static_cast<char>(data[data.size() / 2] ^ 0x08);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  out.close();
-  auto merged = Merge();
-  ASSERT_FALSE(merged.ok());
-  EXPECT_EQ(merged.status().code(), StatusCode::kParseError);
-}
-
-TEST_F(ShardCorruptionTest, WorkerRejectsForeignPlanAndBadIndex) {
+TEST_F(ShardTest, WorkerRejectsForeignPlanAndBadIndex) {
   workload::Scenario s = Shop(101, 10);
   auto plan = PlanShards(12, 4, 2);  // plan for 12 queries, log holds 10
   ASSERT_TRUE(plan.ok());

@@ -1,4 +1,4 @@
-#include "engine/thread_pool.h"
+#include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 #include <numeric>
 #include <vector>
 
-namespace dpe::engine {
+namespace dpe::common {
 namespace {
 
 TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
@@ -122,4 +122,4 @@ TEST(ParallelForTest, PoolIsReusableAcrossCalls) {
 }
 
 }  // namespace
-}  // namespace dpe::engine
+}  // namespace dpe::common

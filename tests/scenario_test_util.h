@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "distance/matrix.h"
+#include "engine/driver.h"
+#include "store/matrix_store.h"
 #include "workload/scenarios.h"
 
 namespace dpe::testutil {
@@ -30,6 +36,27 @@ inline void ExpectBitIdentical(const distance::DistanceMatrix& a,
   auto diff = distance::DistanceMatrix::MaxAbsDifference(a, b);
   ASSERT_TRUE(diff.ok());
   EXPECT_EQ(*diff, 0.0);
+}
+
+/// Merges `dir`, where every shard of `plan` already landed, the one way
+/// sharded builds merge: a shard-driver drive, which checks each shard
+/// against the plan before merging it. merged_from_workers == k in the
+/// report means no shard was discarded and recomputed.
+inline Result<engine::DriveReport> MergeShardDir(
+    const std::string& dir, const std::string& matrix,
+    const std::vector<sql::SelectQuery>& queries,
+    const distance::QueryDistanceMeasure& measure,
+    const distance::MeasureContext& context, const engine::ShardPlan& plan) {
+  DPE_ASSIGN_OR_RETURN(store::MatrixStore store,
+                       store::MatrixStore::OpenExisting(dir));
+  engine::DirectoryLeaseBoard::Options board_options;
+  board_options.dir = dir;
+  board_options.matrix = matrix;
+  board_options.shard_count = static_cast<uint32_t>(plan.shard_count());
+  DPE_ASSIGN_OR_RETURN(std::unique_ptr<engine::DirectoryLeaseBoard> board,
+                       engine::DirectoryLeaseBoard::Open(board_options));
+  engine::ShardDriver driver(engine::DriverOptions{});
+  return driver.Drive(store, matrix, queries, measure, context, plan, *board);
 }
 
 }  // namespace dpe::testutil

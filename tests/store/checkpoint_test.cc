@@ -166,6 +166,20 @@ TEST_F(CheckpointTest, LoadFromMissingDirectoryIsNotFoundAndCreatesNothing) {
   EXPECT_FALSE(fs::exists(dir_));
 }
 
+TEST_F(CheckpointTest, LoadWithoutManifestIsNotFound) {
+  // The MANIFEST commits a checkpoint; snapshot files alone are not one.
+  workload::Scenario s = Shop(2, 4);
+  {
+    Engine engine(s.Context());
+    engine.SetLog(s.log);
+    ASSERT_TRUE(engine.SaveCheckpoint(dir_).ok());
+  }
+  ASSERT_TRUE(fs::remove(fs::path(dir_) / "MANIFEST.dpe"));
+  Engine engine(s.Context());
+  EXPECT_EQ(engine.LoadCheckpoint(dir_).code(), StatusCode::kNotFound);
+  EXPECT_FALSE(engine.checkpoint_attached());
+}
+
 TEST_F(CheckpointTest, EvictedRecomputesAreNotReJournaled) {
   workload::Scenario s = Shop(37, 10);
   EngineOptions options;
@@ -210,7 +224,7 @@ TEST_F(CheckpointTest, CorruptSnapshotLeavesEngineUntouched) {
     ASSERT_TRUE(engine.BuildMatrix("token").ok());
     ASSERT_TRUE(engine.SaveCheckpoint(dir_).ok());
   }
-  const std::string path = (fs::path(dir_) / "snapshot.dpe").string();
+  const std::string path = (fs::path(dir_) / "snapshot.0.dpe").string();
   std::ifstream in(path, std::ios::binary);
   std::string data((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
@@ -297,7 +311,7 @@ TEST_F(CheckpointTest, TornJournalTailRecoversOnLoad) {
     ASSERT_TRUE(engine.BuildMatrix("token").ok());  // journals row 10
   }
   // The process is killed halfway through its next journal append.
-  std::ofstream out(fs::path(dir_) / "journal.dpe",
+  std::ofstream out(fs::path(dir_) / "journal.0.dpe",
                     std::ios::binary | std::ios::app);
   out.write("\x40\x00\x00\x00half", 8);
   out.close();
@@ -346,7 +360,7 @@ TEST_F(CheckpointTest, KillMidAppendEveryCutPointRecoversOrFailsStrictly) {
     ASSERT_TRUE(engine.BuildMatrix("token").ok());
     ASSERT_TRUE(engine.AddQuery(s.log[11]).ok());  // the record we tear
   }
-  const fs::path journal = fs::path(dir_) / "journal.dpe";
+  const fs::path journal = fs::path(dir_) / "journal.0.dpe";
   std::ifstream in(journal, std::ios::binary);
   std::string full((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());

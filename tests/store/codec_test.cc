@@ -1,4 +1,4 @@
-// Store codec: primitive round-trips, property-style random matrix / cache
+// Store codec: primitive round-trips, property-style random cache
 // round-trips across all six built-in measures, and corruption tests — a
 // truncated file, a bad magic, or any single flipped byte must surface as a
 // Status error, never undefined behaviour.
@@ -100,36 +100,6 @@ TEST(CodecTest, Crc32KnownVector) {
   // The classic IEEE test vector.
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0x00000000u);
-}
-
-TEST(CodecTest, MatrixRoundTripRandomProperty) {
-  Rng rng(2026);
-  for (size_t trial = 0; trial < 25; ++trial) {
-    const size_t n = static_cast<size_t>(rng.NextBelow(21));  // 0..20
-    distance::DistanceMatrix m(n);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        m.set(i, j, rng.NextDouble());
-      }
-    }
-    Writer w;
-    EncodeMatrix(m, &w);
-    Reader r(w.buffer());
-    auto decoded = DecodeMatrix(&r);
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    ASSERT_TRUE(r.AtEnd());
-    ASSERT_EQ(decoded->size(), n);
-    auto diff = distance::DistanceMatrix::MaxAbsDifference(m, *decoded);
-    ASSERT_TRUE(diff.ok());
-    EXPECT_EQ(*diff, 0.0);
-  }
-}
-
-TEST(CodecTest, MatrixDeclaringHugeSizeIsRejectedBeforeAllocating) {
-  Writer w;
-  w.PutU64(1ull << 40);  // a petabyte-scale matrix in an 8-byte payload
-  Reader r(w.buffer());
-  EXPECT_EQ(DecodeMatrix(&r).status().code(), StatusCode::kParseError);
 }
 
 TEST(CodecTest, CacheEntriesRoundTripAcrossAllSixMeasures) {

@@ -152,8 +152,8 @@ TEST_F(CompactionTest, ManualCycleFoldsJournalIntoNextGeneration) {
 
   // Old generation swept; new generation + manifest landed; the rotated
   // journal (with the mid-compaction appends) is the active one.
-  EXPECT_FALSE(fs::exists(fs::path(dir_) / "snapshot.dpe"));
-  EXPECT_FALSE(fs::exists(fs::path(dir_) / "journal.dpe"));
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "snapshot.0.dpe"));
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "journal.0.dpe"));
   EXPECT_TRUE(fs::exists(fs::path(dir_) / "snapshot.1.dpe"));
   EXPECT_TRUE(fs::exists(fs::path(dir_) / "MANIFEST.dpe"));
   EXPECT_TRUE(fs::exists(fs::path(dir_) / "journal.1.dpe"));
@@ -229,6 +229,36 @@ TEST_F(CompactionTest, PublishAbortsWhenACheckpointSupersedesThePlan) {
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ(state->queries.size(), 5u);
   EXPECT_EQ(state->queries.back(), "SELECT f FROM t5");
+}
+
+TEST_F(CompactionTest, SecondFoldOfAPublishedGenerationAborts) {
+  // Two cycles can plan the same generation (an explicit CompactNow racing
+  // the background trigger). Once one publishes, its sweep removes the
+  // files the other folds from; that stale fold must not be published.
+  auto store = MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->WriteSnapshot(BaseSnapshot()).ok());
+  SeedJournal(*store);
+  auto reference = Materialize(dir_);
+  ASSERT_TRUE(reference.ok());
+
+  auto first = store->BeginCompaction();
+  auto second = store->BeginCompaction();
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_EQ(first->from_gen, second->from_gen);
+  auto first_folded = store->FoldFrozen(*first);
+  ASSERT_TRUE(first_folded.ok());
+  auto published = store->PublishCompaction(*first, *first_folded);
+  ASSERT_TRUE(published.ok() && *published);
+
+  auto second_folded = store->FoldFrozen(*second);  // its inputs are gone
+  ASSERT_TRUE(second_folded.ok()) << second_folded.status();
+  auto stale = store->PublishCompaction(*second, *second_folded);
+  ASSERT_TRUE(stale.ok()) << stale.status();
+  EXPECT_FALSE(*stale);
+  auto state = Materialize(dir_);
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_EQ(*state, *reference);
 }
 
 TEST_F(CompactionTest, ManifestTruncatedAtEveryByteStillRecoversTheFullState) {
@@ -349,6 +379,75 @@ TEST_F(CompactionCrashTest, KillAtEveryFaultPointRecoversTheReferenceState) {
     auto final_state = Materialize(dir);
     ASSERT_TRUE(final_state.ok()) << spec;
     EXPECT_EQ(*final_state, expected) << spec;
+  }
+}
+
+/// Forked-child body: arm one die point and write `snapshot` as a full
+/// checkpoint; exits 0 only if the fault never fired.
+[[noreturn]] void WriteSnapshotThenExit(const std::string& dir,
+                                        const std::string& spec,
+                                        const Snapshot& snapshot) {
+  if (!common::FaultInjector::Global().Arm(spec)) _exit(10);
+  auto store = MatrixStore::Open(dir);
+  if (!store.ok()) _exit(11);
+  if (!store->WriteSnapshot(snapshot).ok()) _exit(12);
+  _exit(0);
+}
+
+class CheckpointCrashTest : public CompactionTest {};
+
+TEST_F(CheckpointCrashTest, KillDuringEitherWriteCommitsAllOrNothing) {
+  // WriteSnapshot makes two atomic framed writes: the snapshot, then the
+  // MANIFEST that commits it. A kill inside either leaves a fresh store
+  // with no checkpoint, and a store that had one at its old or new state.
+  const std::vector<std::string> kDieSpecs = {
+      "store.frame.mid_write=die",    // torn snapshot tmp
+      "store.frame.mid_write=die@2",  // torn MANIFEST tmp
+  };
+  const Snapshot base = BaseSnapshot();
+  Snapshot resaved = base;
+  resaved.queries.push_back("SELECT d FROM t3");
+  resaved.entries.push_back(CacheEntry{"token", 0, 3, 0.1});
+  int case_index = 0;
+  for (const std::string& spec : kDieSpecs) {
+    for (const bool fresh : {true, false}) {
+      SCOPED_TRACE(spec + (fresh ? " on a fresh store" : " on a re-save"));
+      const std::string dir =
+          (fs::path(dir_) / ("case_" + std::to_string(case_index++)))
+              .string();
+      if (!fresh) {
+        auto store = MatrixStore::Open(dir);
+        ASSERT_TRUE(store.ok());
+        ASSERT_TRUE(store->WriteSnapshot(base).ok());
+      }
+      const pid_t pid = fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) WriteSnapshotThenExit(dir, spec, resaved);
+      int wstatus = 0;
+      ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+      ASSERT_TRUE(WIFEXITED(wstatus));
+      ASSERT_EQ(WEXITSTATUS(wstatus), 137) << "the fault point never fired";
+
+      auto reopened = MatrixStore::OpenExisting(dir);
+      ASSERT_TRUE(reopened.ok());
+      auto read = reopened->ReadSnapshot();
+      if (fresh) {
+        EXPECT_EQ(read.status().code(), StatusCode::kNotFound)
+            << read.status();
+        EXPECT_FALSE(reopened->HasSnapshot());
+        // Not a dead end: a clean save commits.
+        ASSERT_TRUE(reopened->WriteSnapshot(resaved).ok());
+        auto saved = reopened->ReadSnapshot();
+        ASSERT_TRUE(saved.ok()) << saved.status();
+        EXPECT_EQ(saved->queries, resaved.queries);
+      } else {
+        ASSERT_TRUE(read.ok()) << read.status();
+        const Snapshot& expect =
+            read->queries == resaved.queries ? resaved : base;
+        EXPECT_EQ(read->queries, expect.queries);
+        EXPECT_EQ(read->entries, expect.entries);
+      }
+    }
   }
 }
 

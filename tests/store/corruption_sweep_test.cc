@@ -14,7 +14,6 @@
 
 #include "common/tiles.h"
 #include "engine/driver.h"
-#include "engine/shard.h"
 #include "store/matrix_store.h"
 
 namespace dpe::store {
@@ -79,7 +78,7 @@ TEST_F(CorruptionSweepTest, ShardFrameTruncatedAtEveryByteIsATypedError) {
   ASSERT_GT(whole.size(), 0u);
 
   // Every proper prefix — the file a writer killed after byte L leaves
-  // behind (had the export not gone through a tmp; legacy paths and torn
+  // behind (had the export not gone through a tmp; foreign writers and torn
   // filesystems can still produce this).
   for (size_t len = 0; len < whole.size(); ++len) {
     WriteBytes(path, whole.data(), len);
@@ -94,25 +93,6 @@ TEST_F(CorruptionSweepTest, ShardFrameTruncatedAtEveryByteIsATypedError) {
   auto shard = store->ReadShard("token", 0, 1);
   ASSERT_TRUE(shard.ok()) << shard.status();
   EXPECT_EQ(shard->manifest.tile_end, common::TileCount(6, 2));
-}
-
-TEST_F(CorruptionSweepTest, TruncatedShardNeverReachesAMergedMatrix) {
-  auto store = MatrixStore::Open(dir_);
-  ASSERT_TRUE(store.ok());
-  WriteWholeMatrixShard(*store);
-
-  const std::string path = dir_ + "/shard-token-0of1.dpe";
-  const std::vector<char> whole = ReadAllBytes(path);
-  engine::ShardCoordinator coordinator;
-
-  // Sample the sweep at a stride for the (much more expensive) full-merge
-  // entry point; the byte-exhaustive pass above covers the decoder itself.
-  for (size_t len = 0; len < whole.size(); len += 7) {
-    WriteBytes(path, whole.data(), len);
-    auto merged = coordinator.Merge(*store, "token", 1, 6);
-    ASSERT_FALSE(merged.ok()) << "prefix of " << len << " bytes merged";
-    EXPECT_EQ(merged.status().code(), StatusCode::kParseError);
-  }
 }
 
 TEST_F(CorruptionSweepTest, LeaseFileTruncatedAtEveryByteKeepsTheProtocol) {
@@ -174,10 +154,6 @@ TEST_F(CorruptionSweepTest, ResidualTmpFilesAreInvisibleToReaders) {
   ASSERT_TRUE(shard.ok()) << shard.status();
   EXPECT_EQ(store->ReadShard("token", 1, 2).status().code(),
             StatusCode::kNotFound);
-
-  engine::ShardCoordinator coordinator;
-  auto merged = coordinator.Merge(*store, "token", 1, 6);
-  EXPECT_TRUE(merged.ok()) << merged.status();
 }
 
 TEST_F(CorruptionSweepTest, ZeroLengthShardFrameIsATornExportError) {

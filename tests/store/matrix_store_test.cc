@@ -1,5 +1,5 @@
 // MatrixStore: snapshot + journal round-trips, reopen persistence,
-// truncation, standalone matrix files, and corruption handling.
+// truncation, shard files, and corruption handling.
 
 #include "store/matrix_store.h"
 
@@ -157,7 +157,7 @@ TEST_F(MatrixStoreTest, CorruptJournalTailIsParseError) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.75}}).ok());
   // Simulate a torn append: write half a record's worth of garbage.
-  std::ofstream out(fs::path(dir_) / "journal.dpe",
+  std::ofstream out(fs::path(dir_) / "journal.0.dpe",
                     std::ios::binary | std::ios::app);
   out.write("\x10\x00\x00\x00garbage", 11);
   out.close();
@@ -169,17 +169,17 @@ TEST_F(MatrixStoreTest, RecoverJournalDropsTornTailAndRepairsFile) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.75}}).ok());
   ASSERT_TRUE(store->AppendQuery(2, "SELECT a FROM t WHERE a = 1;").ok());
-  const auto intact_size = fs::file_size(fs::path(dir_) / "journal.dpe");
+  const auto intact_size = fs::file_size(fs::path(dir_) / "journal.0.dpe");
 
   // Crash mid-append: any cut point inside a third record must recover to
   // exactly the two intact records.
   ASSERT_TRUE(store->AppendRow("token", 2, {{0, 0.1}, {1, 0.2}}).ok());
-  std::ifstream in(fs::path(dir_) / "journal.dpe", std::ios::binary);
+  std::ifstream in(fs::path(dir_) / "journal.0.dpe", std::ios::binary);
   std::string full((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   in.close();
   for (size_t cut = intact_size + 1; cut < full.size(); ++cut) {
-    std::ofstream out(fs::path(dir_) / "journal.dpe",
+    std::ofstream out(fs::path(dir_) / "journal.0.dpe",
                       std::ios::binary | std::ios::trunc);
     out.write(full.data(), static_cast<std::streamsize>(cut));
     out.close();
@@ -192,7 +192,7 @@ TEST_F(MatrixStoreTest, RecoverJournalDropsTornTailAndRepairsFile) {
     EXPECT_TRUE(recovered->tail_truncated) << "cut at " << cut;
     EXPECT_EQ(recovered->dropped_records, 1u) << "cut at " << cut;
     EXPECT_EQ(recovered->dropped_bytes, cut - intact_size) << "cut at " << cut;
-    EXPECT_EQ(fs::file_size(fs::path(dir_) / "journal.dpe"), intact_size);
+    EXPECT_EQ(fs::file_size(fs::path(dir_) / "journal.0.dpe"), intact_size);
     // The repaired journal is fully valid again for the strict reader and
     // for further appends.
     auto strict = store->ReadJournal();
@@ -218,7 +218,7 @@ TEST_F(MatrixStoreTest, RecoverJournalHandlesHeaderStub) {
   ASSERT_TRUE(store.ok());
   // A crash inside the very first append can leave fewer than the 8 header
   // bytes on disk. Strict read errors; recovery clears the stub.
-  std::ofstream out(fs::path(dir_) / "journal.dpe", std::ios::binary);
+  std::ofstream out(fs::path(dir_) / "journal.0.dpe", std::ios::binary);
   out.write("\x44\x50\x45", 3);
   out.close();
   EXPECT_EQ(store->ReadJournal().status().code(), StatusCode::kParseError);
@@ -228,7 +228,7 @@ TEST_F(MatrixStoreTest, RecoverJournalHandlesHeaderStub) {
   EXPECT_TRUE(recovered->tail_truncated);
   EXPECT_EQ(recovered->dropped_records, 1u);  // the in-flight append
   EXPECT_EQ(recovered->dropped_bytes, 3u);
-  EXPECT_FALSE(fs::exists(fs::path(dir_) / "journal.dpe"));
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "journal.0.dpe"));
   // Appends start a clean journal afterwards.
   ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.5}}).ok());
   auto after = store->ReadJournal();
@@ -240,7 +240,7 @@ TEST_F(MatrixStoreTest, FlippedSnapshotByteIsParseError) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->WriteSnapshot(MakeSnapshot()).ok());
-  const std::string path = (fs::path(dir_) / "snapshot.dpe").string();
+  const std::string path = (fs::path(dir_) / "snapshot.0.dpe").string();
   std::ifstream in(path, std::ios::binary);
   std::string data((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
@@ -252,47 +252,48 @@ TEST_F(MatrixStoreTest, FlippedSnapshotByteIsParseError) {
   EXPECT_FALSE(store->ReadSnapshot().ok());
 }
 
-TEST_F(MatrixStoreTest, StandaloneMatrixRoundTrip) {
-  auto store = MatrixStore::Open(dir_);
-  ASSERT_TRUE(store.ok());
-  Rng rng(5);
-  distance::DistanceMatrix m(17);
-  for (size_t i = 0; i < 17; ++i) {
-    for (size_t j = i + 1; j < 17; ++j) {
-      m.set(i, j, rng.NextDouble());
-    }
+TEST_F(MatrixStoreTest, SnapshotFilesWithoutManifestAreNoCheckpoint) {
+  // The MANIFEST commits a checkpoint: a snapshot file without one (a save
+  // that died before its commit) is not a checkpoint to any reader.
+  {
+    auto store = MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->WriteSnapshot(MakeSnapshot()).ok());
   }
-  ASSERT_TRUE(store->WriteMatrix("token", m).ok());
-  auto read = store->ReadMatrix("token");
-  ASSERT_TRUE(read.ok()) << read.status();
-  auto diff = distance::DistanceMatrix::MaxAbsDifference(m, *read);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(*diff, 0.0);
-
-  EXPECT_EQ(store->ReadMatrix("structure").status().code(),
-            StatusCode::kNotFound);
+  ASSERT_TRUE(fs::remove(fs::path(dir_) / "MANIFEST.dpe"));
+  auto store = MatrixStore::OpenExisting(dir_);
+  ASSERT_TRUE(store.ok());
+  EXPECT_FALSE(store->HasSnapshot());
+  EXPECT_EQ(store->ReadSnapshot().status().code(), StatusCode::kNotFound);
+  auto report = store->Scrub();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->snapshot_chunks_checked, 0u);
+  EXPECT_FALSE(report->snapshot_unreadable);
+  EXPECT_FALSE(report->snapshot_rewritten);
+  EXPECT_TRUE(fs::exists(fs::path(dir_) / "snapshot.0.dpe"));
 }
 
-TEST_F(MatrixStoreTest, UpperTriangleHooksRoundTrip) {
-  distance::DistanceMatrix m(5);
-  double v = 0.0;
-  for (size_t i = 0; i < 5; ++i) {
-    for (size_t j = i + 1; j < 5; ++j) {
-      m.set(i, j, v += 0.1);
-    }
-  }
-  std::vector<double> upper = m.UpperTriangle();
-  EXPECT_EQ(upper.size(), 10u);
-  auto rebuilt = distance::DistanceMatrix::FromUpperTriangle(5, upper);
-  ASSERT_TRUE(rebuilt.ok());
-  auto diff = distance::DistanceMatrix::MaxAbsDifference(m, *rebuilt);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(*diff, 0.0);
+TEST_F(MatrixStoreTest, StrayOversizedGenerationFileIsLeftAlone) {
+  // A stray file whose generation overflows u64 is "not a generation
+  // file" on every directory scan — the sweep after each checkpoint and
+  // the corrupt-MANIFEST fallback — instead of aborting the process.
+  auto store = MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  const std::vector<fs::path> strays = {
+      fs::path(dir_) / "snapshot.99999999999999999999999.dpe",
+      fs::path(dir_) / "journal.99999999999999999999999.dpe"};
+  for (const fs::path& stray : strays) std::ofstream(stray) << "stray";
+  ASSERT_TRUE(store->WriteSnapshot(MakeSnapshot()).ok());
+  ASSERT_TRUE(store->WriteSnapshot(MakeSnapshot()).ok());
 
-  EXPECT_EQ(distance::DistanceMatrix::FromUpperTriangle(4, upper)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  std::ofstream(fs::path(dir_) / "MANIFEST.dpe", std::ios::trunc) << "bad";
+  auto reopened = MatrixStore::OpenExisting(dir_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened->generation(), 0u);
+  EXPECT_TRUE(reopened->ReadSnapshot().ok());
+  for (const fs::path& stray : strays) {
+    EXPECT_TRUE(fs::exists(stray)) << stray;
+  }
 }
 
 ShardManifest MakeManifest(uint32_t index, uint32_t count, uint64_t n) {
@@ -302,7 +303,7 @@ ShardManifest MakeManifest(uint32_t index, uint32_t count, uint64_t n) {
   m.shard_count = count;
   m.n = n;
   m.block = 4;
-  m.tile_begin = index;  // not cross-validated here; the coordinator does
+  m.tile_begin = index;  // not checked against a plan here; the driver does
   m.tile_end = index + 1;
   return m;
 }
@@ -355,7 +356,7 @@ TEST_F(MatrixStoreTest, ShardRoundTrip) {
 
 TEST_F(MatrixStoreTest, SparseShardFilesOmitUnownedCells) {
   // A shard owning one tile of a 32-query matrix must not pay for the full
-  // n(n-1)/2 upper triangle the dense v1 format carried.
+  // n(n-1)/2 upper triangle a dense payload would.
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   distance::DistanceMatrix partial(32);
@@ -371,29 +372,41 @@ TEST_F(MatrixStoreTest, SparseShardFilesOmitUnownedCells) {
   EXPECT_EQ(*count, 6u);
 }
 
-TEST_F(MatrixStoreTest, LegacyDenseV1ShardFrameStillReads) {
-  // Fabricate the exact bytes a pre-sparse build wrote: a version-1 "DPEH"
-  // frame holding manifest + dense upper triangle. ReadShard must decode it
-  // and surface the same owned cells a sparse write would.
+TEST_F(MatrixStoreTest, V1FramesAreParseErrors) {
+  // Every framed format has exactly one version. The bytes earlier builds
+  // wrote as version 1 — a dense shard (manifest + the full upper
+  // triangle) and a monolithic snapshot (core and entries in one run) —
+  // must fail typed, never decode.
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  Rng rng(23);
-  distance::DistanceMatrix partial(9);
-  for (size_t i = 0; i < 9; ++i) {
-    for (size_t j = i + 1; j < 9; ++j) partial.set(i, j, rng.NextDouble());
-  }
-  const ShardManifest manifest = MakeManifest(1, 3, 9);
-  Writer w;
-  EncodeShardManifest(manifest, &w);
-  EncodeMatrix(partial, &w);
-  const std::string path = (fs::path(dir_) / "shard-token-1of3.dpe").string();
+  Writer shard;
+  EncodeShardManifest(MakeManifest(1, 3, 9), &shard);
+  shard.PutU64(9);
+  for (size_t k = 0; k < 9 * 8 / 2; ++k) shard.PutDouble(0.5);
+  const std::string shard_path =
+      (fs::path(dir_) / "shard-token-1of3.dpe").string();
   ASSERT_TRUE(
-      WriteFramedFile(path, kShardMagic, w.buffer(), /*version=*/1).ok());
+      WriteFramedFile(shard_path, kShardMagic, shard.buffer(), /*version=*/1)
+          .ok());
+  EXPECT_EQ(store->ReadShard("token", 1, 3).status().code(),
+            StatusCode::kParseError);
 
-  auto read = store->ReadShard("token", 1, 3);
-  ASSERT_TRUE(read.ok()) << read.status();
-  EXPECT_EQ(read->manifest, manifest);
-  EXPECT_EQ(read->cells, OwnedCells(manifest, partial));
+  const Snapshot snapshot = MakeSnapshot();
+  ASSERT_TRUE(store->WriteSnapshot(snapshot).ok());
+  Writer v1;
+  EncodeSnapshotMeta(SnapshotMeta{snapshot.queries.size(),
+                                  {"structure", "token"}},
+                     &v1);
+  v1.PutU64(snapshot.queries.size());
+  for (const std::string& sql : snapshot.queries) v1.PutString(sql);
+  EncodeCacheEntries(snapshot.entries, &v1);
+  ASSERT_TRUE(WriteFramedFile((fs::path(dir_) / "snapshot.0.dpe").string(),
+                              kSnapshotMagic, v1.buffer(), /*version=*/1)
+                  .ok());
+  EXPECT_EQ(store->ReadSnapshot().status().code(), StatusCode::kParseError);
+  auto report = store->Scrub();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->snapshot_unreadable);
 }
 
 TEST_F(MatrixStoreTest, SparseShardCellCountMismatchIsParseError) {

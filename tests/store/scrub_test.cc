@@ -4,9 +4,9 @@
 // Whatever a byte flip destroys, the repaired store serves a value-correct
 // SUBSET of the reference — recovered cells match the reference exactly,
 // lost cells are counted as quarantined, and unsalvageable damage (the
-// query-log core, v1 monoliths) leaves strict loads failing typed rather
-// than producing a wrong matrix. The flip-every-byte sweep proves that for
-// every possible single-byte corruption of a v2 snapshot.
+// query-log core) leaves strict loads failing typed rather than producing
+// a wrong matrix. The flip-every-byte sweep proves that for every possible
+// single-byte corruption of a snapshot.
 
 #include <cstdint>
 #include <filesystem>
@@ -95,7 +95,7 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store->WriteSnapshot(reference).ok());
   }
-  const fs::path snapshot_path = fs::path(dir_) / "snapshot.dpe";
+  const fs::path snapshot_path = fs::path(dir_) / "snapshot.0.dpe";
   const std::string full = ReadAllBytes(snapshot_path);
   ASSERT_GT(full.size(), 16u);
 
@@ -164,7 +164,7 @@ TEST_F(ScrubTest, DamagedChunkIsQuarantinedAndTheRestSurvives) {
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store->WriteSnapshot(snap).ok());
   }
-  const fs::path path = fs::path(dir_) / "snapshot.dpe";
+  const fs::path path = fs::path(dir_) / "snapshot.0.dpe";
   std::string bytes = ReadAllBytes(path);
   // Last byte sits inside the final entry chunk's payload.
   bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0xff);
@@ -240,7 +240,7 @@ TEST_F(ScrubTest, MidStreamJournalCorruptionIsQuarantinedNotReplayed) {
     originals = *journal;
     ASSERT_EQ(originals.size(), 5u);
   }
-  const fs::path path = fs::path(dir_) / "journal.dpe";
+  const fs::path path = fs::path(dir_) / "journal.0.dpe";
   std::string bytes = ReadAllBytes(path);
   // Flip a byte inside an early record's payload (prologue is 8 bytes, each
   // record has an 8-byte header): mid-stream, not a torn tail.
@@ -282,7 +282,7 @@ TEST_F(ScrubTest, GarbageJournalPrologueQuarantinesTheWholeFile) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->WriteSnapshot(BaseSnapshot()).ok());
-  const fs::path path = fs::path(dir_) / "journal.dpe";
+  const fs::path path = fs::path(dir_) / "journal.0.dpe";
   WriteBytes(path, "this is not a journal at all");
 
   EXPECT_FALSE(store->ReadJournal().ok());
@@ -308,7 +308,7 @@ TEST_F(ScrubTest, TornTailRecoveryCountsDroppedWorkInMetrics) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->AppendQuery(0, "SELECT a FROM t0").ok());
   {
-    std::ofstream out(fs::path(dir_) / "journal.dpe",
+    std::ofstream out(fs::path(dir_) / "journal.0.dpe",
                       std::ios::binary | std::ios::app);
     out.write("\x40\x00\x00\x00half", 8);  // a half-flushed append
   }
