@@ -1,14 +1,20 @@
 // Checkpoint bench: cold-build vs restore-then-incremental, so the perf
 // trajectory captures restart cost. A provider that mined N queries, saved
 // a checkpoint and restarted with M new arrivals should pay only the new
-// rows — O(M * (N + M)) distances instead of O((N + M)^2) — plus the codec
-// round-trip.
+// rows — O(M * (N + M)) distances instead of O((N + M)^2) — plus reading
+// the snapshot's raw triangle rows and re-parsing the query log.
+//
+// Exits non-zero unless every restored matrix is bit-identical to its cold
+// build and the journal after the restart holds exactly M row records, all
+// at rows >= N (only the appended rows were computed).
 //
 //   $ ./build/bench/bench_checkpoint               # N = 256, M = 32
+//   $ ./build/bench/bench_checkpoint --smoke       # CI leg: N = 64, M = 8
 //   $ DPE_BENCH_N=96 DPE_BENCH_M=16 ./build/bench/bench_checkpoint
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
 #include "bench/bench_util.h"
@@ -17,9 +23,15 @@
 
 using namespace dpe;
 
-int main() {
+int main(int argc, char** argv) {
   size_t n = 256;
   size_t m = 32;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      n = 64;
+      m = 8;
+    }
+  }
   if (const char* env = std::getenv("DPE_BENCH_N")) {
     n = static_cast<size_t>(std::atoll(env));
   }
@@ -115,6 +127,13 @@ int main() {
     if (record.kind != store::JournalRecord::Kind::kRowComputed) continue;
     ++rows;
     min_row = std::min<size_t>(min_row, record.row);
+  }
+  if (rows != m || min_row < n) {
+    std::fprintf(stderr,
+                 "FATAL: journal after restart holds %zu row records (lowest "
+                 "row %zu); want exactly %zu, all >= %zu\n",
+                 rows, min_row, m, n);
+    return 1;
   }
   std::printf("\n(journal after restart: %zu row records, lowest row %zu — "
               "only appended\nrows were recomputed; every restored matrix was "

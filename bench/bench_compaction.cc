@@ -4,7 +4,11 @@
 // the last full checkpoint on every restart; with online compaction the
 // replay is O(journal tail since the last fold). The bench measures both
 // restarts over the same state, verifies them bit-identical, and records
-// the journal/snapshot byte footprints before and after the fold.
+// the journal/snapshot byte footprints before and after the fold. Snapshot
+// chunks and journal row records carry the same raw triangle rows, so a
+// fold only sheds per-record headers: the bench exits non-zero if the
+// folded checkpoint (snapshot + journal) is larger on disk than the
+// long-journal one.
 //
 //   $ ./build/bench/bench_compaction            # N = 192, M = 64
 //   $ ./build/bench/bench_compaction --smoke    # CI leg: N = 48, M = 16
@@ -142,6 +146,16 @@ int main(int argc, char** argv) {
   // fold consumed it and nothing was appended since.
   if (before.journal == 0 || before.snapshot == 0 || after.snapshot == 0) {
     std::fprintf(stderr, "FATAL: a checkpoint file read as 0 bytes\n");
+    return 1;
+  }
+  if (after.journal + after.snapshot > before.journal + before.snapshot) {
+    std::fprintf(stderr,
+                 "FATAL: the folded checkpoint (%llu B) is larger than the "
+                 "long-journal one (%llu B)\n",
+                 static_cast<unsigned long long>(after.journal +
+                                                 after.snapshot),
+                 static_cast<unsigned long long>(before.journal +
+                                                 before.snapshot));
     return 1;
   }
 

@@ -1,6 +1,7 @@
 // Checkpoint + restart walkthrough: a service provider mines an encrypted
-// query log that keeps growing, checkpoints the distance state, "crashes",
-// and resumes without recomputing the O(n^2) pairs it already paid for.
+// query log that keeps growing, checkpoints the distance state (the query
+// log plus one distance triangle per measure), "crashes", and resumes
+// without recomputing the O(n^2) pairs it already paid for.
 //
 //   $ ./build/examples/checkpoint_restart
 //
@@ -56,7 +57,8 @@ int main() {
   engine::Engine engine(scenario->Context(),
                         {.threads = 2, .cache_max_bytes = 1 << 20});
   if (!engine.LoadCheckpoint(dir).ok()) return 1;
-  std::printf("session 2: restored %zu queries, %zu cached distances\n",
+  std::printf("session 2: restored %zu queries, %zu distances in the "
+              "token triangle\n",
               engine.log_size(), engine.cache_size());
 
   for (size_t i = 40; i < log.size(); ++i) {
@@ -65,12 +67,13 @@ int main() {
   auto clusters = engine.RunKMedoids("token", {.k = 4});
   if (!clusters.ok()) return 1;
   auto stats = engine.cache_stats();
-  std::printf("session 2: re-mined %zu queries — %zu distances served from "
-              "the\n           checkpoint, only %zu computed fresh (the new "
-              "rows)\n",
+  std::printf("session 2: re-mined %zu queries — %zu distances copied from "
+              "the\n           restored triangle, only %zu computed fresh "
+              "(the new rows)\n",
               engine.log_size(), static_cast<size_t>(stats.hits),
               static_cast<size_t>(stats.misses));
-  std::printf("           cache footprint: %zu bytes (budget %zu)\n",
+  std::printf("           triangle footprint: %zu bytes, 8 per distance "
+              "(budget %zu)\n",
               engine.cache_bytes_used(), static_cast<size_t>(1 << 20));
 
   std::filesystem::remove_all(dir);

@@ -1,7 +1,7 @@
 // Crash-safe compaction + self-healing scrub walkthrough: a provider runs
 // with background checkpoint compaction on (bounded restart cost), then a
 // disk error flips a byte in the snapshot — and the next start quarantines
-// the damage and recomputes exactly the lost cells instead of dying.
+// the damaged rows and recomputes them instead of dying.
 //
 //   $ ./build/examples/compaction_scrub
 //
@@ -83,7 +83,7 @@ int main() {
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     in.close();
-    bytes[bytes.size() - 5] ^= 0x3c;  // lands in a cache-entry chunk
+    bytes[bytes.size() - 5] ^= 0x3c;  // lands in a triangle-row chunk
     std::ofstream out(snapshot_path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
@@ -102,34 +102,39 @@ int main() {
   }
 
   // --- Session 2: scrub_on_load quarantines + recomputes. -----------------
-  engine::EngineOptions healing = options;
-  healing.scrub_on_load = true;
-  engine::Engine engine(scenario->Context(), healing);
-  engine::CheckpointLoadReport report;
-  if (!engine.LoadCheckpoint(dir, &report).ok()) {
-    std::fprintf(stderr, "FATAL: self-healing load failed\n");
-    return 1;
-  }
-  std::printf("healing load: scrubbed=%s, %llu cells quarantined, %llu "
-              "recomputed\n",
-              report.scrubbed ? "yes" : "no",
-              static_cast<unsigned long long>(report.cells_quarantined),
-              static_cast<unsigned long long>(report.cells_recomputed));
-  if (!report.scrubbed || report.cells_quarantined == 0) {
-    std::fprintf(stderr, "FATAL: the scrub did not engage\n");
-    return 1;
-  }
+  // Scoped: the engine (and the background compaction its recompute
+  // triggers) must be gone before the directory is removed.
+  {
+    engine::EngineOptions healing = options;
+    healing.scrub_on_load = true;
+    engine::Engine engine(scenario->Context(), healing);
+    engine::CheckpointLoadReport report;
+    if (!engine.LoadCheckpoint(dir, &report).ok()) {
+      std::fprintf(stderr, "FATAL: self-healing load failed\n");
+      return 1;
+    }
+    std::printf("healing load: scrubbed=%s, %llu cells quarantined, %llu "
+                "recomputed\n",
+                report.scrubbed ? "yes" : "no",
+                static_cast<unsigned long long>(report.cells_quarantined),
+                static_cast<unsigned long long>(report.cells_recomputed));
+    if (!report.scrubbed || report.cells_quarantined == 0) {
+      std::fprintf(stderr, "FATAL: the scrub did not engage\n");
+      return 1;
+    }
 
-  auto rebuilt = engine.BuildMatrix("token");
-  if (!rebuilt.ok()) return 1;
-  auto delta = distance::DistanceMatrix::MaxAbsDifference(reference, *rebuilt);
-  if (!delta.ok() || *delta != 0.0) {
-    std::fprintf(stderr, "FATAL: recomputed matrix differs from the "
-                         "pre-corruption state\n");
-    return 1;
+    auto rebuilt = engine.BuildMatrix("token");
+    if (!rebuilt.ok()) return 1;
+    auto delta =
+        distance::DistanceMatrix::MaxAbsDifference(reference, *rebuilt);
+    if (!delta.ok() || *delta != 0.0) {
+      std::fprintf(stderr, "FATAL: recomputed matrix differs from the "
+                           "pre-corruption state\n");
+      return 1;
+    }
+    std::printf("verified: recomputed matrix is bit-identical to the "
+                "pre-corruption build\n");
   }
-  std::printf("verified: recomputed matrix is bit-identical to the "
-              "pre-corruption build\n");
 
   std::filesystem::remove_all(dir);
   return 0;

@@ -47,12 +47,21 @@ echo "== multi-host crash harness: forked workers, one injected kill =="
 (cd build && ./bench/bench_multihost --smoke)
 ls -l BENCH_multihost.json
 
+echo "== checkpoint bench: cold build vs restore + incremental =="
+# Restores a checkpoint of N queries, appends M and rebuilds, per measure;
+# hard-fails unless every restored matrix is bit-identical to its cold build
+# and the journal after the restart holds exactly M row records at rows
+# >= N. The JSON records cold/restore/incremental times.
+(cd build && ./bench/bench_checkpoint --smoke > /dev/null)
+ls -l BENCH_checkpoint.json
+
 echo "== compaction bench: restart cost, long journal vs folded =="
 # Restarts the same checkpoint twice — once replaying the full journal,
 # once after one compaction cycle folded it into the next snapshot
-# generation — and hard-fails unless both matrices are bit-identical. The
-# JSON records load/rebuild times, replayed record counts and the
-# journal/snapshot byte footprints for the perf trajectory.
+# generation — and hard-fails unless both matrices are bit-identical and
+# the folded checkpoint (snapshot + journal) is no larger on disk than the
+# long-journal one. The JSON records load/rebuild times, replayed record
+# counts and the journal/snapshot byte footprints for the perf trajectory.
 (cd build && ./bench/bench_compaction --smoke > /dev/null)
 ls -l BENCH_compaction.json
 
@@ -83,8 +92,9 @@ DPE_TRACE=1 ctest --test-dir build --output-on-failure \
 echo "== example smoke: observability export =="
 # Builds a 256-query matrix with tracing on; exits non-zero unless the
 # distance-call counters equal the upper-triangle cell count, the stage
-# timings sum to within 10% of the build's wall time, and the Chrome trace
-# export is well-formed. Artifacts land in observability_out/ for CI.
+# timings sum to within 10% of the build's wall time, the best of five cold
+# builds costs at most its compute stage + 10%, and the Chrome trace export
+# is well-formed. Artifacts land in observability_out/ for CI.
 (cd build && ./examples/observability ../observability_out)
 ls -l observability_out/metrics.prom observability_out/trace.json \
       observability_out/observability_report.json
@@ -137,15 +147,17 @@ ctest --test-dir build-asan --output-on-failure -R '^(engine|distance|store)$'
 echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # The lease protocol's value is exactly its behavior under concurrency:
 # heartbeat threads renewing while worker loops acquire, the driver's poll
-# loop racing worker threads, /stats snapshotting a live board. TSan the
-# suites that exercise those interleavings (plus the backoff/fault
-# primitives they are built from); the full matrix stays with ASan above.
+# loop racing worker threads, /stats snapshotting a live board. Async
+# builds share each measure's distance triangle, so EngineTest.Async* races
+# two builds of one measure against ClearCache. TSan the suites that
+# exercise those interleavings (plus the backoff/fault primitives they are
+# built from); the full matrix stays with ASan above.
 cmake -B build-tsan -S . -DDPE_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j"$JOBS" \
       --target dpe_engine_tests dpe_common_tests
 (cd build-tsan && ./dpe_engine_tests \
-      --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*')
+      --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*:EngineTest.Async*')
 (cd build-tsan && ./dpe_common_tests \
       --gtest_filter='BackoffTest.*:FaultInjectorTest.*')
 # Log-sink registry: concurrent emitters vs. sink swaps (the regression

@@ -1,5 +1,6 @@
 #include "distance/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -53,6 +54,58 @@ Result<DistanceMatrix> DistanceMatrix::Compute(
     }
   }
   return m;
+}
+
+Status DistanceTriangle::AppendRow(std::span<const double> row) {
+  if (row.size() != rows_) {
+    return Status::InvalidArgument(
+        "DistanceTriangle::AppendRow: row " + std::to_string(rows_) +
+        " needs " + std::to_string(rows_) + " cells, got " +
+        std::to_string(row.size()));
+  }
+  cells_.insert(cells_.end(), row.begin(), row.end());
+  ++rows_;
+  return Status::OK();
+}
+
+void DistanceTriangle::ExtendFrom(const DistanceMatrix& m) {
+  if (m.size() <= rows_) return;
+  // Exact on a first build; geometric when a few rows at a time arrive, so
+  // growing one row per build does not copy the whole triangle each time.
+  const size_t need = CellCount(m.size());
+  if (need > cells_.capacity()) {
+    cells_.reserve(std::max(need, cells_.capacity() + cells_.capacity() / 2));
+  }
+  for (size_t r = rows_; r < m.size(); ++r) {
+    const double* row = m.RowUnchecked(r);
+    cells_.insert(cells_.end(), row, row + r);
+  }
+  rows_ = m.size();
+}
+
+void DistanceTriangle::CopyTo(DistanceMatrix* m) const {
+  const size_t n = m->n_;
+  const size_t rows = std::min(rows_, n);
+  double* cells = m->cells_.data();
+  // Each row lands as one copy into the lower half; the upper half is then
+  // mirrored in kBlock x kBlock tiles, which keeps the strided side of that
+  // transpose within a few cache lines (a column-at-a-time mirror thrashes
+  // the cache when n is a power of two).
+  for (size_t r = 1; r < rows; ++r) {
+    std::copy_n(cells_.data() + CellCount(r), r, cells + r * n);
+  }
+  constexpr size_t kBlock = 32;
+  for (size_t rb = 0; rb < rows; rb += kBlock) {
+    const size_t r_end = std::min(rb + kBlock, rows);
+    for (size_t cb = 0; cb <= rb; cb += kBlock) {
+      const size_t c_end = std::min(cb + kBlock, rows);
+      for (size_t c = cb; c < c_end; ++c) {
+        for (size_t r = std::max(rb, c + 1); r < r_end; ++r) {
+          cells[c * n + r] = cells[r * n + c];
+        }
+      }
+    }
+  }
 }
 
 }  // namespace dpe::distance

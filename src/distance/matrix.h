@@ -1,10 +1,12 @@
 // Pairwise distance matrices: the interface between the distance layer and
-// the distance-based mining algorithms.
+// the distance-based mining algorithms, plus the one stored form of a
+// measure's distances (DistanceTriangle).
 
 #ifndef DPE_DISTANCE_MATRIX_H_
 #define DPE_DISTANCE_MATRIX_H_
 
 #include <cassert>
+#include <span>
 #include <vector>
 
 #include "distance/measure.h"
@@ -64,7 +66,56 @@ class DistanceMatrix {
       const QueryDistanceMeasure& measure, const MeasureContext& context);
 
  private:
+  friend class DistanceTriangle;  // CopyTo writes whole rows at once
+
   size_t n_ = 0;
+  std::vector<double> cells_;
+};
+
+/// Row-growable lower triangle of a symmetric distance matrix: row r holds
+/// d(c, r) for every c < r, and rows [0, rows()) are complete. The engine's
+/// per-measure cache, a snapshot's per-measure payload and a journal row
+/// record all carry exactly these rows, so a warm build is a copy and save,
+/// load and fold move raw doubles. Every row lives in one vector: row r
+/// starts at offset r(r-1)/2, and row 0 has no cells.
+class DistanceTriangle {
+ public:
+  /// Cells held by the first `rows` rows: rows(rows-1)/2.
+  static size_t CellCount(size_t rows) {
+    return rows < 2 ? 0 : rows * (rows - 1) / 2;
+  }
+
+  size_t rows() const { return rows_; }
+  size_t cells() const { return cells_.size(); }
+  /// Real bytes held: 8 per cell.
+  size_t bytes() const { return cells_.size() * sizeof(double); }
+
+  /// Rows [first, end) as one contiguous run of cells; end must be <= rows().
+  std::span<const double> Rows(size_t first, size_t end) const {
+    assert(first <= end && end <= rows_ && "DistanceTriangle::Rows range");
+    return {cells_.data() + CellCount(first),
+            CellCount(end) - CellCount(first)};
+  }
+  /// Row r: d(c, r) for c < r. r must be < rows().
+  std::span<const double> Row(size_t r) const { return Rows(r, r + 1); }
+
+  /// Appends row rows(); InvalidArgument unless row.size() == rows().
+  Status AppendRow(std::span<const double> row);
+  /// Appends rows [rows(), m.size()) of `m`, one memcpy per row: the matrix
+  /// is row-major and symmetric, so triangle row r is the first r doubles
+  /// of m.RowUnchecked(r). No-op when `m` has no rows beyond rows().
+  void ExtendFrom(const DistanceMatrix& m);
+  /// Allocates room for `rows` rows up front (a decoder that knows the
+  /// final size appends without reallocating).
+  void Reserve(size_t rows) { cells_.reserve(CellCount(rows)); }
+  /// Writes rows [0, min(rows(), m->size())) into the leading block of `m`,
+  /// both halves.
+  void CopyTo(DistanceMatrix* m) const;
+
+  bool operator==(const DistanceTriangle&) const = default;
+
+ private:
+  size_t rows_ = 0;
   std::vector<double> cells_;
 };
 

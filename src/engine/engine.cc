@@ -1,9 +1,9 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <set>
 #include <string_view>
 #include <utility>
 
@@ -18,8 +18,7 @@ Engine::Engine(const distance::MeasureContext& context, EngineOptions options)
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &obs::MetricsRegistry::Default()),
       pool_(options.threads),
-      builder_(&pool_, MatrixBuilderOptions{options.block, metrics_, &trace_}),
-      cache_(DistanceCache::Options{options.cache_max_bytes}) {
+      builder_(&pool_, MatrixBuilderOptions{options.block, metrics_, &trace_}) {
   // The engine's backend choice rides in the context every build receives;
   // builders validate it (loudly) before computing anything. An explicit
   // engine option wins; options.kernel_backend == kAuto (the default)
@@ -98,18 +97,18 @@ Engine::~Engine() {
   // store that is about to be torn down (clean shutdown mid-compaction).
   compaction_stop_.store(true, std::memory_order_release);
   // Telemetry threads stop first: their callbacks walk the registry, the
-  // pool, the cache and the trace buffer — everything torn down below.
+  // pool, the triangles and the trace buffer — everything torn down below.
   pusher_.reset();
   telemetry_.reset();
   // Async build tasks capture `this`; members destruct in reverse
   // declaration order, so without this barrier a still-queued task could
-  // touch the cache/store after they are gone.
+  // touch the triangles/store after they are gone.
   pool_.Wait();
 }
 
 void Engine::SetLog(std::vector<sql::SelectQuery> log) {
   queries_ = std::move(log);
-  cache_.Clear();
+  ClearCache();
   MutexLock lock(store_mu_);
   store_.reset();
   journal_watermarks_.clear();
@@ -206,7 +205,7 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixOn(
   local.wall_ms = api_span.elapsed_ms();
   local.backend = common::simd::BackendName(
       common::simd::KernelsFor(context_.kernel_backend).backend);
-  local.cache = cache_.stats();
+  local.cache = cache_stats();
   {
     MutexLock lock(report_mu_);
     last_build_ = local;
@@ -235,116 +234,116 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
     return m;
   }
 
-  // Split the upper triangle into cached and missing pairs. The view
-  // resolves the measure's entry map once for the whole scan.
-  distance::DistanceMatrix m(n);
-  obs::TraceSpan scan_span("build.cache_scan", &trace_,
-                           &stage_hist("cache_scan"));
-  DistanceCache::MeasureView view = cache_.ViewFor(measure_name);
-  std::vector<std::pair<size_t, size_t>> missing;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (auto d = view.Lookup(static_cast<uint32_t>(i),
-                               static_cast<uint32_t>(j))) {
-        m.set(i, j, *d);
-      } else {
-        missing.emplace_back(i, j);
+  // Copy out the rows [0, r) the measure's triangle already holds.
+  obs::TraceSpan copy_out_span("build.copy", &trace_);
+  distance::DistanceMatrix m;
+  size_t r = 0;
+  {
+    MutexLock lock(cache_mu_);
+    if (auto it = triangles_.find(measure_name); it != triangles_.end()) {
+      r = std::min(it->second.rows(), n);
+      if (r > 1) {
+        m = distance::DistanceMatrix(n);
+        it->second.CopyTo(&m);
       }
     }
   }
-  scan_span.End();
-  report.stages.push_back({"cache_scan", scan_span.elapsed_ms()});
-  report.cells_computed = missing.size();
-  report.cells_cached = report.cells_total - missing.size();
+  copy_out_span.End();
+  report.cells_cached = distance::DistanceTriangle::CellCount(r);
+  report.cells_computed = report.cells_total - report.cells_cached;
 
-  if (missing.size() == n * (n - 1) / 2) {
-    // Cold cache: use the blocked full build, then memoize everything.
+  // Compute the rest: the blocked full build when the triangle covers no
+  // cells, otherwise only rows [r, n). A warm build computes nothing.
+  const bool warm = r > 1 && r == n;
+  if (!warm) {
     obs::TraceSpan compute_span("build.compute", &trace_,
                                 &stage_hist("compute"));
-    DPE_ASSIGN_OR_RETURN(m, builder.Build(queries, measure, context_));
+    if (r <= 1) {
+      DPE_ASSIGN_OR_RETURN(m, builder.Build(queries, measure, context_));
+    } else {
+      std::vector<std::pair<size_t, size_t>> pairs;
+      pairs.reserve(report.cells_computed);
+      for (size_t row = r; row < n; ++row) {
+        for (size_t c = 0; c < row; ++c) pairs.emplace_back(c, row);
+      }
+      DPE_ASSIGN_OR_RETURN(
+          std::vector<double> distances,
+          builder.ComputePairs(queries, pairs, measure, context_));
+      for (size_t p = 0; p < pairs.size(); ++p) {
+        m.SetUnchecked(pairs[p].first, pairs[p].second, distances[p]);
+      }
+    }
     compute_span.End();
     report.stages.push_back({"compute", compute_span.elapsed_ms()});
-
-    obs::TraceSpan insert_span("build.cache_insert", &trace_,
-                               &stage_hist("cache_insert"));
-    for (const auto& [i, j] : missing) {
-      cache_.Insert(measure_name, static_cast<uint32_t>(i),
-                    static_cast<uint32_t>(j), m.at(i, j));
-    }
-    insert_span.End();
-    report.stages.push_back({"cache_insert", insert_span.elapsed_ms()});
-
-    obs::TraceSpan journal_span("build.journal", &trace_,
-                                &stage_hist("journal"));
-    DPE_RETURN_NOT_OK(JournalComputedPairs(measure_name, missing, m));
-    journal_span.End();
-    report.stages.push_back({"journal", journal_span.elapsed_ms()});
-    return m;
   }
 
-  if (!missing.empty()) {
-    obs::TraceSpan compute_span("build.compute", &trace_,
-                                &stage_hist("compute"));
-    DPE_ASSIGN_OR_RETURN(
-        std::vector<double> distances,
-        builder.ComputePairs(queries, missing, measure, context_));
-    compute_span.End();
-    report.stages.push_back({"compute", compute_span.elapsed_ms()});
-
-    obs::TraceSpan insert_span("build.cache_insert", &trace_,
-                               &stage_hist("cache_insert"));
-    for (size_t p = 0; p < missing.size(); ++p) {
-      const auto [i, j] = missing[p];
-      m.set(i, j, distances[p]);
-      cache_.Insert(measure_name, static_cast<uint32_t>(i),
-                    static_cast<uint32_t>(j), distances[p]);
-    }
-    insert_span.End();
-    report.stages.push_back({"cache_insert", insert_span.elapsed_ms()});
-
-    obs::TraceSpan journal_span("build.journal", &trace_,
-                                &stage_hist("journal"));
-    DPE_RETURN_NOT_OK(JournalComputedPairs(measure_name, missing, m));
-    journal_span.End();
-    report.stages.push_back({"journal", journal_span.elapsed_ms()});
+  // Extend the triangle to n rows out of the result. Whatever happened to
+  // it meanwhile (a ClearCache, a concurrent build of the same measure), it
+  // ends up holding rows [0, n) with no gap.
+  obs::TraceSpan copy_in_span("build.copy", &trace_);
+  {
+    MutexLock lock(cache_mu_);
+    cache_stats_.hits += report.cells_cached;
+    cache_stats_.misses += report.cells_computed;
+    CacheRowsLocked(measure_name, m);
   }
+  copy_in_span.End();
+  const double copy_ms = copy_out_span.elapsed_ms() + copy_in_span.elapsed_ms();
+  stage_hist("copy").Observe(copy_ms);
+  report.stages.push_back({"copy", copy_ms});
+
+  obs::TraceSpan journal_span("build.journal", &trace_,
+                              &stage_hist("journal"));
+  DPE_RETURN_NOT_OK(JournalRows(measure_name, r, m));
+  journal_span.End();
+  report.stages.push_back({"journal", journal_span.elapsed_ms()});
   return m;
 }
 
-Status Engine::JournalComputedPairs(
-    const std::string& measure_name,
-    const std::vector<std::pair<size_t, size_t>>& pairs,
-    const distance::DistanceMatrix& m) {
-  if (pairs.empty()) return Status::OK();
+void Engine::CacheRowsLocked(const std::string& measure_name,
+                             const distance::DistanceMatrix& m) {
+  triangles_[measure_name].ExtendFrom(m);
+  std::erase(build_order_, measure_name);
+  build_order_.push_back(measure_name);
+  EvictToBudgetLocked();
+}
+
+void Engine::EvictToBudgetLocked() {
+  if (options_.cache_max_bytes == 0) return;
+  size_t bytes = 0;
+  for (const auto& [name, triangle] : triangles_) bytes += triangle.bytes();
+  while (bytes > options_.cache_max_bytes && !build_order_.empty()) {
+    auto it = triangles_.find(build_order_.front());
+    bytes -= it->second.bytes();
+    cache_stats_.evictions += it->second.cells();
+    triangles_.erase(it);
+    build_order_.erase(build_order_.begin());
+  }
+}
+
+Status Engine::JournalRows(const std::string& measure_name, size_t first,
+                           const distance::DistanceMatrix& m) {
+  const size_t n = m.size();
   MutexLock lock(store_mu_);  // also guards the store_ read
   if (store_ == nullptr) return Status::OK();
-  // Group by the larger index — the newer query's row — so the journal
-  // reads as "row r gained these columns". Rows below the high-water mark
-  // were already persisted (by the snapshot or an earlier journal record):
-  // re-journaling them here would grow the journal without bound whenever a
-  // byte-budgeted cache evicts and recomputes old pairs. Skipped rows are
-  // simply recomputed after a restart — correctness never depends on them.
+  // Rows below the watermark are already persisted (by the snapshot or an
+  // earlier record): journaling them again would grow the journal without
+  // bound whenever a byte budget evicts a measure and a build recomputes
+  // it. Row 0 journals as an empty record, so a measure first built after
+  // the checkpoint replays from row 0 without a gap.
   size_t& watermark = journal_watermarks_[measure_name];
-  std::map<uint32_t, std::vector<std::pair<uint32_t, double>>> rows;
-  for (const auto& [i, j] : pairs) {
-    const uint32_t row = static_cast<uint32_t>(std::max(i, j));
-    const uint32_t col = static_cast<uint32_t>(std::min(i, j));
-    if (row < watermark) continue;
-    rows[row].emplace_back(col, m.at(i, j));
-  }
-  if (rows.empty()) return Status::OK();
-  std::vector<store::JournalRecord> records;
-  records.reserve(rows.size());
-  for (auto& [row, cols] : rows) {
-    store::JournalRecord record;
+  const size_t begin = std::max(first, watermark);
+  if (begin >= n) return Status::OK();
+  std::vector<store::JournalRecord> records(n - begin);
+  for (size_t row = begin; row < n; ++row) {
+    store::JournalRecord& record = records[row - begin];
     record.kind = store::JournalRecord::Kind::kRowComputed;
     record.measure = measure_name;
-    record.row = row;
-    record.cols = std::move(cols);
-    records.push_back(std::move(record));
+    record.row = static_cast<uint32_t>(row);
+    record.values.assign(m.RowUnchecked(row), m.RowUnchecked(row) + row);
   }
   DPE_RETURN_NOT_OK(store_->AppendRecords(records));
-  watermark = std::max(watermark, records.back().row + 1ul);
+  watermark = n;
   MaybeScheduleCompactionLocked();
   return Status::OK();
 }
@@ -417,9 +416,9 @@ Status Engine::SaveCheckpoint(const std::string& dir,
   opened.set_fsync_policy(options_.fsync_policy);
   // store_mu_ is held across export + write + truncate + attach so journal
   // appends from in-flight async builds cannot interleave: they block, then
-  // land in the fresh (truncated) journal. Pairs such a build inserts after
-  // the Export() below miss this snapshot and are skipped by the watermark;
-  // they are recomputed after a restore — consistency is never at risk.
+  // land in the fresh (truncated) journal. A build extends its triangle
+  // before it journals, so rows it adds after the export below are
+  // journaled against the watermark this save sets.
   MutexLock lock(store_mu_);
   obs::TraceSpan export_span("checkpoint.export", &trace_);
   store::Snapshot snapshot;
@@ -427,11 +426,16 @@ Status Engine::SaveCheckpoint(const std::string& dir,
   for (const sql::SelectQuery& q : queries_) {
     snapshot.queries.push_back(sql::ToSql(q));
   }
-  snapshot.entries = cache_.Export();
+  {
+    MutexLock cache_lock(cache_mu_);
+    snapshot.triangles = triangles_;
+  }
   export_span.End();
   local.stages.push_back({"export", export_span.elapsed_ms()});
   local.queries = snapshot.queries.size();
-  local.cache_entries = snapshot.entries.size();
+  for (const auto& [name, triangle] : snapshot.triangles) {
+    local.cache_entries += triangle.cells();
+  }
 
   obs::TraceSpan write_span("checkpoint.write", &trace_);
   DPE_RETURN_NOT_OK(opened.WriteSnapshot(snapshot));
@@ -444,26 +448,16 @@ Status Engine::SaveCheckpoint(const std::string& dir,
   local.stages.push_back({"truncate", truncate_span.elapsed_ms()});
 
   store_ = std::make_shared<store::MatrixStore>(std::move(opened));
-  RebuildWatermarksLocked(snapshot.entries);
+  journal_watermarks_.clear();
+  for (const auto& [name, triangle] : snapshot.triangles) {
+    journal_watermarks_[name] = triangle.rows();
+  }
 
   api_span.End();
   local.wall_ms = api_span.elapsed_ms();
   metrics_->counter("checkpoint.saves").Increment();
   if (report != nullptr) *report = std::move(local);
   return Status::OK();
-}
-
-void Engine::RebuildWatermarksLocked(
-    const std::vector<store::CacheEntry>& entries) {
-  // Watermarks reflect what the snapshot actually covers per measure — the
-  // highest row with an exported entry — not the log size: rows queried
-  // but never built yet must still journal when they are first computed.
-  journal_watermarks_.clear();
-  for (const store::CacheEntry& e : entries) {
-    size_t& watermark = journal_watermarks_[e.measure];
-    watermark = std::max(watermark,
-                         static_cast<size_t>(std::max(e.i, e.j)) + 1);
-  }
 }
 
 Status Engine::LoadCheckpoint(const std::string& dir,
@@ -524,52 +518,17 @@ Status Engine::LoadCheckpoint(const std::string& dir,
   if (report != nullptr) {
     report->stages.push_back({"read", read_span.elapsed_ms()});
   }
-  obs::TraceSpan parse_span("checkpoint.parse", &trace_);
 
-  // Parse everything up front so a corrupt checkpoint leaves the engine
-  // untouched.
+  // Replay and parse everything up front so a corrupt checkpoint leaves the
+  // engine untouched.
+  obs::TraceSpan parse_span("checkpoint.parse", &trace_);
+  DPE_RETURN_NOT_OK(store::ApplyJournal(journal, &snapshot));
   std::vector<sql::SelectQuery> log;
   log.reserve(snapshot.queries.size());
   for (const std::string& text : snapshot.queries) {
     DPE_ASSIGN_OR_RETURN(sql::SelectQuery q, sql::Parse(text));
     log.push_back(std::move(q));
   }
-  std::vector<sql::SelectQuery> appended;
-  for (const store::JournalRecord& record : journal) {
-    if (record.kind != store::JournalRecord::Kind::kQueryAppended) continue;
-    // Records the snapshot already subsumes are skipped, not rejected: a
-    // crash between WriteSnapshot and TruncateJournal in SaveCheckpoint
-    // must not brick the checkpoint (the snapshot holds those queries and
-    // their distances already, at the same ids).
-    if (record.index < log.size()) continue;
-    const size_t expect = log.size() + appended.size();
-    if (record.index != expect) {
-      return Status::ParseError(
-          "checkpoint journal: query record has index " +
-          std::to_string(record.index) + ", expected " +
-          std::to_string(expect));
-    }
-    DPE_ASSIGN_OR_RETURN(sql::SelectQuery q, sql::Parse(record.sql));
-    appended.push_back(std::move(q));
-  }
-  const size_t total = log.size() + appended.size();
-  for (const store::JournalRecord& record : journal) {
-    if (record.kind != store::JournalRecord::Kind::kRowComputed) continue;
-    if (record.row >= total) {
-      return Status::ParseError("checkpoint journal: row " +
-                                std::to_string(record.row) + " outside log of " +
-                                std::to_string(total) + " queries");
-    }
-    for (const auto& col_d : record.cols) {
-      if (col_d.first >= record.row) {
-        return Status::ParseError(
-            "checkpoint journal: row " + std::to_string(record.row) +
-            " has column " + std::to_string(col_d.first) +
-            " (columns must be below their row)");
-      }
-    }
-  }
-
   parse_span.End();
   if (report != nullptr) {
     report->stages.push_back({"parse", parse_span.elapsed_ms()});
@@ -577,50 +536,35 @@ Status Engine::LoadCheckpoint(const std::string& dir,
 
   obs::TraceSpan restore_span("checkpoint.restore", &trace_);
   queries_ = std::move(log);
-  for (sql::SelectQuery& q : appended) queries_.push_back(std::move(q));
-  cache_.Clear();
-  cache_.Restore(snapshot.entries);
-  for (const store::JournalRecord& record : journal) {
-    if (record.kind != store::JournalRecord::Kind::kRowComputed) continue;
-    for (const auto& [col, d] : record.cols) {
-      cache_.Insert(record.measure, col, record.row, d);
-    }
-  }
+  std::vector<std::string> measures;
   {
     MutexLock lock(store_mu_);
     store_ = std::make_shared<store::MatrixStore>(std::move(opened));
-    // As in SaveCheckpoint, plus whatever the replayed journal covers on top.
-    RebuildWatermarksLocked(snapshot.entries);
-    for (const store::JournalRecord& record : journal) {
-      if (record.kind != store::JournalRecord::Kind::kRowComputed) continue;
-      size_t& watermark = journal_watermarks_[record.measure];
-      watermark = std::max(watermark, record.row + 1ul);
+    journal_watermarks_.clear();
+    for (const auto& [name, triangle] : snapshot.triangles) {
+      journal_watermarks_[name] = triangle.rows();
+      measures.push_back(name);
     }
+  }
+  {
+    // Recency is not persisted: the budget evicts restored measures in name
+    // order.
+    MutexLock lock(cache_mu_);
+    triangles_ = std::move(snapshot.triangles);
+    build_order_ = measures;
+    EvictToBudgetLocked();
   }
   restore_span.End();
 
   // Graceful degradation: what the scrub had to quarantine is rebuilt here
-  // through the normal build path — the quarantined pairs are exactly the
-  // cache misses of a fresh build over the restored log. Best effort: a
+  // through the normal build path — every row from a measure's first lost
+  // row on is a miss of a fresh build over the restored log. Best effort: a
   // measure this engine cannot build (custom, unregistered) leaves its
   // cells to the caller's next explicit BuildMatrix.
   uint64_t cells_recomputed = 0;
   if (scrubbed && (scrub.snapshot_rewritten || scrub.cells_quarantined > 0 ||
                    scrub.journal_rewritten)) {
     obs::TraceSpan recompute_span("checkpoint.recompute", &trace_);
-    std::set<std::string> measures;
-    // The snapshot core's metadata names every measure the checkpoint
-    // covered — including ones whose entries the quarantine took wholesale,
-    // which surviving entries/journal records alone would never mention.
-    measures.insert(snapshot.measures.begin(), snapshot.measures.end());
-    for (const store::CacheEntry& e : snapshot.entries) {
-      measures.insert(e.measure);
-    }
-    for (const store::JournalRecord& record : journal) {
-      if (record.kind == store::JournalRecord::Kind::kRowComputed) {
-        measures.insert(record.measure);
-      }
-    }
     for (const std::string& name : measures) {
       BuildReport build;
       if (BuildMatrix(name, &build).ok()) {
@@ -831,18 +775,37 @@ Result<DriveReport> Engine::DriveShards(const std::string& measure_name,
                                     context_, plan, *board));
 
   if (options_.enable_cache) {
-    // Warm the cache so mining over the merged matrix (or an incremental
+    // Warm the triangle so mining over the merged matrix (or an incremental
     // rebuild after AddQuery) reuses the shards' work. Not journaled: the
-    // shard files on disk already persist these pairs.
-    const size_t n = report.matrix.size();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        cache_.Insert(measure_name, static_cast<uint32_t>(i),
-                      static_cast<uint32_t>(j), report.matrix.at(i, j));
-      }
-    }
+    // shard files on disk already persist these rows.
+    MutexLock lock(cache_mu_);
+    CacheRowsLocked(measure_name, report.matrix);
   }
   return report;
+}
+
+// -- Cache introspection -----------------------------------------------------
+
+CacheStats Engine::cache_stats() const {
+  MutexLock lock(cache_mu_);
+  return cache_stats_;
+}
+
+size_t Engine::cache_size() const {
+  MutexLock lock(cache_mu_);
+  size_t cells = 0;
+  for (const auto& [name, triangle] : triangles_) cells += triangle.cells();
+  return cells;
+}
+
+size_t Engine::cache_bytes_used() const {
+  return cache_size() * sizeof(double);
+}
+
+void Engine::ClearCache() {
+  MutexLock lock(cache_mu_);
+  triangles_.clear();
+  build_order_.clear();
 }
 
 // -- Observability -----------------------------------------------------------
@@ -866,14 +829,13 @@ obs::StatsReport Engine::Stats() const {
       .Set(static_cast<double>(pool_stats.busy_ns) / 1e6);
   metrics_->gauge("threadpool.queue_depth")
       .Set(static_cast<double>(pool_.queue_depth()));
-  const DistanceCache::Stats cache_stats = cache_.stats();
-  metrics_->gauge("cache.hits").Set(static_cast<double>(cache_stats.hits));
-  metrics_->gauge("cache.misses").Set(static_cast<double>(cache_stats.misses));
-  metrics_->gauge("cache.evictions")
-      .Set(static_cast<double>(cache_stats.evictions));
-  metrics_->gauge("cache.entries").Set(static_cast<double>(cache_.size()));
+  const CacheStats cache = cache_stats();
+  metrics_->gauge("cache.hits").Set(static_cast<double>(cache.hits));
+  metrics_->gauge("cache.misses").Set(static_cast<double>(cache.misses));
+  metrics_->gauge("cache.evictions").Set(static_cast<double>(cache.evictions));
+  metrics_->gauge("cache.entries").Set(static_cast<double>(cache_size()));
   metrics_->gauge("cache.bytes_used")
-      .Set(static_cast<double>(cache_.bytes_used()));
+      .Set(static_cast<double>(cache_bytes_used()));
   {
     MutexLock lock(store_mu_);
     if (store_ != nullptr) {
@@ -893,13 +855,12 @@ obs::StatsReport Engine::Stats() const {
   }
   report.stages = last.stages;
 
-  const uint64_t lookups = cache_stats.hits + cache_stats.misses;
+  const uint64_t lookups = cache.hits + cache.misses;
   char hit_rate[32];
   std::snprintf(hit_rate, sizeof(hit_rate), "%.4f",
-                lookups == 0
-                    ? 0.0
-                    : static_cast<double>(cache_stats.hits) /
-                          static_cast<double>(lookups));
+                lookups == 0 ? 0.0
+                             : static_cast<double>(cache.hits) /
+                                   static_cast<double>(lookups));
   report.info = {
       {"kernel_backend",
        common::simd::BackendName(

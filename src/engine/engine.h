@@ -7,12 +7,17 @@
 //   e.AddQuery(q);                               // incremental: only the new
 //   auto m2  = e.BuildMatrix("token");           // row is recomputed
 //
-//   e.SaveCheckpoint("/var/lib/dpe/log-a");      // snapshot log + cache
+//   e.SaveCheckpoint("/var/lib/dpe/log-a");      // snapshot log + triangles
 //   // ... process restarts ...
 //   Engine e2(context);
-//   e2.LoadCheckpoint("/var/lib/dpe/log-a");     // resume: cached pairs back
+//   e2.LoadCheckpoint("/var/lib/dpe/log-a");     // resume: triangles back
 //   e2.AddQuery(q2);                             // journaled
 //   auto m3 = e2.BuildMatrix("token");           // only the new row costs
+//
+// The cache is one distance::DistanceTriangle per measure: rows [0, r) of
+// the matrix that measure last built. A warm build copies those rows out,
+// an incremental build computes only rows [r, n), and the same rows are
+// what a checkpoint snapshots and the journal appends.
 //
 // The engine works identically on the owner side (plaintext context) and the
 // provider side (encrypted artifacts in the context) — exactly like the
@@ -32,7 +37,6 @@
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "distance/matrix.h"
-#include "engine/distance_cache.h"
 #include "engine/driver.h"
 #include "engine/matrix_builder.h"
 #include "engine/measure_registry.h"
@@ -80,10 +84,14 @@ struct EngineOptions {
   /// MANIFEST/shard frames but not journal appends, kAlways also syncs every
   /// journal append. Applied to every store this engine opens.
   store::FsyncPolicy fsync_policy = store::FsyncPolicy::kOnCheckpoint;
-  /// Memoize distances across BuildMatrix / Run* calls and query insertions.
+  /// Memoize distances across BuildMatrix / Run* calls and query insertions
+  /// (one lower triangle per measure). Off: every build computes the full
+  /// matrix and nothing is journaled.
   bool enable_cache = true;
-  /// Distance-cache eviction budget in bytes (LRU); 0 = unbounded. See
-  /// DistanceCache::kEntryBytes for the per-pair cost.
+  /// Byte budget of the triangles (8 B per cell); 0 = unbounded. When a
+  /// build leaves them over budget, whole measures are evicted, least
+  /// recently built first; a measure larger than the budget on its own is
+  /// returned but not kept.
   size_t cache_max_bytes = 0;
   /// Background checkpoint compaction: when a checkpoint is attached and
   /// the on-disk journal exceeds compaction_trigger_bytes, a task on the
@@ -97,8 +105,8 @@ struct EngineOptions {
   /// LoadCheckpoint self-healing: when a strict load fails with ParseError
   /// and this is set, the engine runs MatrixStore::Scrub() — quarantining
   /// corrupt extents instead of failing — retries the load once, and
-  /// recomputes the quarantined cells through the normal build path. Off by
-  /// default: corruption stays a hard, inspectable error.
+  /// recomputes the lost triangle rows through the normal build path. Off
+  /// by default: corruption stays a hard, inspectable error.
   bool scrub_on_load = false;
   /// LoadCheckpoint tolerance for a torn journal tail (the half-flushed
   /// append of a killed process): true (default) drops the torn record,
@@ -138,25 +146,33 @@ struct EngineOptions {
   int telemetry_push_max_backoff_ms = 30000;
 };
 
+/// Lifetime counters of the engine's distance cache, in cells.
+struct CacheStats {
+  uint64_t hits = 0;       ///< copied out of a triangle
+  uint64_t misses = 0;     ///< computed
+  uint64_t evictions = 0;  ///< dropped by the byte budget
+};
+
 /// What one BuildMatrix call did and where its time went. `stages` covers
-/// the cache scan, the distance compute, the cache insert and the journal
-/// append — their sum tracks `wall_ms` closely (the remainder is bookkeeping).
+/// the distance compute, the copies between the matrix and the measure's
+/// triangle, and the journal append — their sum tracks `wall_ms` closely
+/// (the remainder is bookkeeping).
 struct BuildReport {
   std::string measure;
   size_t n = 0;                 ///< log size at build time
   uint64_t cells_total = 0;     ///< upper-triangle cells, n*(n-1)/2
-  uint64_t cells_cached = 0;    ///< served from the distance cache
+  uint64_t cells_cached = 0;    ///< copied out of the measure's triangle
   uint64_t cells_computed = 0;  ///< computed fresh this call
   std::string backend;          ///< resolved SIMD kernel backend name
   std::vector<obs::StageTiming> stages;
   double wall_ms = 0.0;
-  DistanceCache::Stats cache;   ///< cache lifetime stats after this build
+  CacheStats cache;             ///< cache lifetime stats after this build
 };
 
 /// What SaveCheckpoint wrote, and where its time went.
 struct CheckpointSaveReport {
   uint64_t queries = 0;        ///< log entries in the snapshot
-  uint64_t cache_entries = 0;  ///< cached distances exported
+  uint64_t cache_entries = 0;  ///< triangle cells written
   std::vector<obs::StageTiming> stages;  ///< export / write / truncate
   double wall_ms = 0.0;
 };
@@ -169,8 +185,9 @@ struct CheckpointLoadReport {
   uint64_t queries_restored = 0;        ///< snapshot + journaled queries
   uint64_t journal_records_replayed = 0;  ///< journal records applied
   /// Self-healing (EngineOptions::scrub_on_load) outcome: whether a scrub
-  /// pass ran, what it had to quarantine, and how many of the quarantined
-  /// cells the load rebuilt through the normal build path.
+  /// pass ran, what it had to quarantine, and how many cells the load then
+  /// rebuilt through the normal build path — every row from each measure's
+  /// first lost row on, so at least the quarantined cells.
   bool scrubbed = false;
   uint64_t cells_quarantined = 0;
   uint64_t journal_records_quarantined = 0;
@@ -194,7 +211,7 @@ class Engine {
   explicit Engine(const distance::MeasureContext& context,
                   EngineOptions options = {});
   /// Drains in-flight async builds before any member is torn down (the
-  /// pool outlives the cache/store only because of this barrier).
+  /// pool outlives the triangles/store only because of this barrier).
   ~Engine();
 
   /// Measure name -> factory table; custom measures register here.
@@ -215,8 +232,9 @@ class Engine {
 
   // -- Batch mining API ------------------------------------------------------
 
-  /// Pairwise matrix of the current log under the named measure. Cached
-  /// pairs are reused; missing pairs are computed in parallel. When
+  /// Pairwise matrix of the current log under the named measure. Rows the
+  /// measure's triangle holds are copied; the rest are computed in
+  /// parallel, and the triangle grows to cover them. When
   /// `report` is non-null it receives the build's stage timings and cell
   /// counts (also retrievable afterwards via last_build_report()).
   Result<distance::DistanceMatrix> BuildMatrix(const std::string& measure,
@@ -225,8 +243,9 @@ class Engine {
   /// Non-blocking BuildMatrix: the build is scheduled on the engine's pool
   /// and the caller overlaps other work (encryption I/O, another measure's
   /// build) with it. The task builds serially inside its pool slot (nested
-  /// ParallelFor on the same pool could starve), shares the distance cache,
-  /// and uses a private measure instance so overlapping builds never race.
+  /// ParallelFor on the same pool could starve), shares the measure's
+  /// triangle, and uses a private measure instance so overlapping builds
+  /// never race.
   /// The log must not be mutated while async builds are in flight.
   std::future<Result<distance::DistanceMatrix>> BuildMatrixAsync(
       const std::string& measure);
@@ -273,8 +292,8 @@ class Engine {
   /// The coordinator side: merges shards incrementally as they land
   /// (checking each manifest against the plan, discarding and recomputing
   /// a bad shard), reclaims expired leases, self-finishes abandoned ranges,
-  /// and warms the distance cache with the merged pairs (not journaled —
-  /// the shard files persist them). While a drive is active, Stats()/the
+  /// and warms the measure's triangle from the merged matrix (not journaled
+  /// — the shard files persist it). While a drive is active, Stats()/the
   /// /stats endpoint carry its live lease table. Completes even if every
   /// worker dies.
   Result<DriveReport> DriveShards(const std::string& measure,
@@ -284,7 +303,7 @@ class Engine {
   // -- Persistence -----------------------------------------------------------
 
   /// Checkpoints the full incremental-mining state (query log as canonical
-  /// SQL + every cached distance) into `dir`, truncates the journal, and
+  /// SQL + every measure's triangle) into `dir`, truncates the journal, and
   /// attaches the store: subsequent AddQuery calls and freshly computed
   /// matrix rows are journaled incrementally. `report` (optional) receives
   /// what was written and the per-stage timings.
@@ -292,12 +311,12 @@ class Engine {
                         CheckpointSaveReport* report = nullptr);
 
   /// Restores the state a SaveCheckpoint (plus any journal written since)
-  /// captured in `dir`: the query log is re-parsed, the distance cache is
-  /// repopulated, journal records are replayed in order, and the store
-  /// stays attached for further journaling. NotFound if `dir` holds no
-  /// committed checkpoint (no MANIFEST.dpe); ParseError on corruption
-  /// (never UB). A torn journal tail is
-  /// recovered or rejected per EngineOptions::tolerate_torn_journal; when
+  /// captured in `dir`: the journal is replayed over the snapshot
+  /// (store::ApplyJournal), the query log is re-parsed, the triangles
+  /// become the cache, and the store stays attached for further
+  /// journaling. NotFound if `dir` holds no committed checkpoint (no
+  /// MANIFEST.dpe); ParseError on corruption (never UB). A torn journal tail
+  /// is recovered or rejected per EngineOptions::tolerate_torn_journal; when
   /// `report` is non-null it receives what the recovery dropped.
   Status LoadCheckpoint(const std::string& dir,
                         CheckpointLoadReport* report = nullptr);
@@ -326,10 +345,13 @@ class Engine {
 
   // -- Cache introspection ---------------------------------------------------
 
-  DistanceCache::Stats cache_stats() const { return cache_.stats(); }
-  size_t cache_size() const { return cache_.size(); }
-  size_t cache_bytes_used() const { return cache_.bytes_used(); }
-  void ClearCache() { cache_.Clear(); }
+  CacheStats cache_stats() const EXCLUDES(cache_mu_);
+  /// Cells held across every measure's triangle.
+  size_t cache_size() const EXCLUDES(cache_mu_);
+  /// Real bytes the triangles hold: 8 per cell.
+  size_t cache_bytes_used() const EXCLUDES(cache_mu_);
+  /// Drops every triangle; the lifetime counters keep counting.
+  void ClearCache() EXCLUDES(cache_mu_);
 
   // -- Observability ---------------------------------------------------------
 
@@ -385,27 +407,29 @@ class Engine {
       const distance::QueryDistanceMeasure& measure,
       const std::string& measure_name, BuildReport* report = nullptr);
 
-  /// The staged body of BuildMatrixOn: cache scan, compute, cache insert,
-  /// journal — each stage timed into `report.stages` (and the build.stage_ms
-  /// histograms / trace buffer).
+  /// The staged body of BuildMatrixOn: copy the triangle's rows out,
+  /// compute the rest, extend the triangle, journal — each stage timed into
+  /// `report.stages` (and the build.stage_ms histograms / trace buffer).
   Result<distance::DistanceMatrix> BuildMatrixStaged(
       const MatrixBuilder& builder,
       const std::vector<sql::SelectQuery>& queries,
       const distance::QueryDistanceMeasure& measure,
       const std::string& measure_name, BuildReport& report);
 
-  /// Journals freshly computed pairs as per-row records (grouped by the
-  /// larger index — the newer query), reading the values out of `m`.
-  /// No-op when no store is attached.
-  Status JournalComputedPairs(
-      const std::string& measure_name,
-      const std::vector<std::pair<size_t, size_t>>& pairs,
-      const distance::DistanceMatrix& m) EXCLUDES(store_mu_);
+  /// Journals rows [max(first, watermark), m.size()) of `m` as row records
+  /// and raises the measure's watermark to m.size(). No-op when no store is
+  /// attached.
+  Status JournalRows(const std::string& measure_name, size_t first,
+                     const distance::DistanceMatrix& m) EXCLUDES(store_mu_);
 
-  /// Resets the per-measure watermarks to what `entries` (a snapshot's
-  /// cache export) actually covers: the highest row seen per measure.
-  void RebuildWatermarksLocked(const std::vector<store::CacheEntry>& entries)
-      REQUIRES(store_mu_);
+  /// Extends `measure_name`'s triangle to m.size() rows out of `m`, marks
+  /// it the most recently built, and applies the byte budget.
+  void CacheRowsLocked(const std::string& measure_name,
+                       const distance::DistanceMatrix& m) REQUIRES(cache_mu_);
+
+  /// Evicts whole triangles, least recently built first, until they fit
+  /// cache_max_bytes (no-op when unbounded).
+  void EvictToBudgetLocked() REQUIRES(cache_mu_);
 
   /// Schedules a background compaction cycle on the pool when one is due
   /// (compaction enabled, store attached, journal past the trigger, no
@@ -424,7 +448,14 @@ class Engine {
   MeasureRegistry registry_ = MeasureRegistry::WithBuiltins();
   common::ThreadPool pool_;
   MatrixBuilder builder_;
-  DistanceCache cache_;
+  /// The distance cache: one triangle per measure, the order they were
+  /// last built in (least recent first — what the byte budget evicts), and
+  /// the lifetime counters.
+  mutable Mutex cache_mu_;
+  std::map<std::string, distance::DistanceTriangle> triangles_
+      GUARDED_BY(cache_mu_);
+  std::vector<std::string> build_order_ GUARDED_BY(cache_mu_);
+  CacheStats cache_stats_ GUARDED_BY(cache_mu_);
   mutable Mutex report_mu_;
   BuildReport last_build_ GUARDED_BY(report_mu_);
   std::vector<sql::SelectQuery> queries_;
@@ -440,10 +471,11 @@ class Engine {
   /// the lock and aborts if the store changed).
   std::shared_ptr<store::MatrixStore> store_ GUARDED_BY(store_mu_);
   /// Per-measure high-water mark: rows below it are already persisted
-  /// (snapshot or journal) for that measure, so recomputes of evicted
-  /// pairs are never re-journaled (bounded journal growth). A measure
-  /// first built after the checkpoint starts at 0 and journals its full
-  /// matrix exactly once.
+  /// (snapshot or journal) for that measure. Save and load set it to each
+  /// triangle's rows(); without a byte budget it always equals rows(), and
+  /// after a budget eviction it keeps recomputed rows from being journaled
+  /// again. A measure first built after the checkpoint starts at 0 and
+  /// journals its full triangle exactly once.
   std::map<std::string, size_t> journal_watermarks_ GUARDED_BY(store_mu_);
   /// The lease board of the drive (or worker loop) currently running, if
   /// any — what the /stats lease table snapshots. shared_ptr because the

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
@@ -113,6 +114,15 @@ void Writer::PutU64(uint64_t v) {
 
 void Writer::PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
 
+void Writer::PutDoubles(std::span<const double> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    buffer_.append(reinterpret_cast<const char*>(values.data()),
+                   values.size() * sizeof(double));
+  } else {
+    for (double v : values) PutDouble(v);
+  }
+}
+
 void Writer::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
   buffer_.append(s);
@@ -161,6 +171,24 @@ Result<double> Reader::ReadDouble() {
   return std::bit_cast<double>(bits);
 }
 
+Result<std::vector<double>> Reader::ReadDoubles(size_t count) {
+  if (count > remaining() / sizeof(double)) {
+    return Corrupt("double run of " + std::to_string(count) +
+                   " values exceeds remaining input (" +
+                   std::to_string(remaining()) + " bytes)");
+  }
+  std::vector<double> values(count);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(values.data(), data_.data() + pos_, count * sizeof(double));
+    pos_ += count * sizeof(double);
+  } else {
+    for (double& v : values) {
+      DPE_ASSIGN_OR_RETURN(v, ReadDouble());
+    }
+  }
+  return values;
+}
+
 Result<std::string> Reader::ReadString() {
   DPE_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
   return ReadBytes(len);
@@ -181,90 +209,6 @@ Status Reader::ExpectEnd() const {
 }
 
 // -- Value codecs ------------------------------------------------------------
-
-void EncodeCacheEntries(const std::vector<CacheEntry>& entries, Writer* w) {
-  // Name table in first-appearance order; entries reference it by index, so
-  // repeated measure names cost 4 bytes instead of a full string each. The
-  // table is discovered while encoding the entry body, then written first.
-  std::vector<std::string> names;
-  auto index_of = [&names](const std::string& name) -> uint32_t {
-    for (uint32_t k = 0; k < names.size(); ++k) {
-      if (names[k] == name) return k;
-    }
-    names.push_back(name);
-    return static_cast<uint32_t>(names.size() - 1);
-  };
-  Writer body;
-  body.PutU64(entries.size());
-  for (const CacheEntry& e : entries) {
-    body.PutU32(index_of(e.measure));
-    body.PutU32(e.i);
-    body.PutU32(e.j);
-    body.PutDouble(e.d);
-  }
-  w->PutU32(static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) w->PutString(name);
-  w->PutRaw(body.buffer());
-}
-
-Result<std::vector<CacheEntry>> DecodeCacheEntries(Reader* r) {
-  DPE_ASSIGN_OR_RETURN(uint32_t name_count, r->ReadU32());
-  if (name_count > r->remaining() / 4) {  // >= 4 bytes per name
-    return Corrupt("measure name count " + std::to_string(name_count) +
-                   " exceeds remaining input");
-  }
-  std::vector<std::string> names;
-  names.reserve(name_count);
-  for (uint32_t k = 0; k < name_count; ++k) {
-    DPE_ASSIGN_OR_RETURN(std::string name, r->ReadString());
-    names.push_back(std::move(name));
-  }
-  DPE_ASSIGN_OR_RETURN(uint64_t count, r->ReadU64());
-  // Each entry is 20 bytes; reject counts the input cannot hold.
-  if (count > r->remaining() / 20) {
-    return Corrupt("cache entry count " + std::to_string(count) +
-                   " exceeds remaining input");
-  }
-  std::vector<CacheEntry> entries;
-  entries.reserve(count);
-  for (uint64_t k = 0; k < count; ++k) {
-    CacheEntry e;
-    DPE_ASSIGN_OR_RETURN(uint32_t name_idx, r->ReadU32());
-    if (name_idx >= names.size()) {
-      return Corrupt("cache entry references measure #" +
-                     std::to_string(name_idx) + " of " +
-                     std::to_string(names.size()));
-    }
-    e.measure = names[name_idx];
-    DPE_ASSIGN_OR_RETURN(e.i, r->ReadU32());
-    DPE_ASSIGN_OR_RETURN(e.j, r->ReadU32());
-    DPE_ASSIGN_OR_RETURN(e.d, r->ReadDouble());
-    entries.push_back(std::move(e));
-  }
-  return entries;
-}
-
-void EncodeSnapshotMeta(const SnapshotMeta& meta, Writer* w) {
-  w->PutU64(meta.query_count);
-  w->PutU32(static_cast<uint32_t>(meta.measures.size()));
-  for (const std::string& m : meta.measures) w->PutString(m);
-}
-
-Result<SnapshotMeta> DecodeSnapshotMeta(Reader* r) {
-  SnapshotMeta meta;
-  DPE_ASSIGN_OR_RETURN(meta.query_count, r->ReadU64());
-  DPE_ASSIGN_OR_RETURN(uint32_t count, r->ReadU32());
-  if (count > r->remaining() / 4) {
-    return Corrupt("measure count " + std::to_string(count) +
-                   " exceeds remaining input");
-  }
-  meta.measures.reserve(count);
-  for (uint32_t k = 0; k < count; ++k) {
-    DPE_ASSIGN_OR_RETURN(std::string m, r->ReadString());
-    meta.measures.push_back(std::move(m));
-  }
-  return meta;
-}
 
 void EncodeShardManifest(const ShardManifest& manifest, Writer* w) {
   w->PutString(manifest.matrix);
@@ -386,14 +330,21 @@ Status WriteFramedFile(const std::string& path, uint32_t magic,
   return SyncPath(parent.empty() ? "." : parent);
 }
 
-Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
-                                            uint32_t magic, uint32_t version) {
-  std::ifstream in(path, std::ios::binary);
+Result<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return Status::NotFound("store codec: " + path + " does not exist");
   }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  std::string data(static_cast<size_t>(in.tellg()), '\0');
+  in.seekg(0);
+  in.read(data.data(), static_cast<std::streamsize>(data.size()));
+  if (!in) return Status::Internal("store codec: short read of " + path);
+  return data;
+}
+
+Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
+                                            uint32_t magic, uint32_t version) {
+  DPE_ASSIGN_OR_RETURN(std::string data, ReadFileBytes(path));
   BytesReadCounter().Increment(data.size());
   if (data.empty()) {
     return Corrupt("zero-length frame file " + path +
@@ -418,7 +369,8 @@ Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
                    std::to_string(r.remaining()) + ")");
   }
   SalvagedFrame frame;
-  frame.payload = data.substr(data.size() - payload_len);
+  data.erase(0, data.size() - payload_len);
+  frame.payload = std::move(data);
   CrcValidationCounter().Increment();
   frame.crc_ok = Crc32(frame.payload) == crc;
   return frame;

@@ -10,9 +10,8 @@
 // the bytes actually present *before* allocating, so a corrupted header
 // cannot trigger a multi-gigabyte allocation.
 //
-// On top of the primitives sit the value codecs for the store's core types
-// (distance-cache entries, snapshot metadata, shard and generation
-// manifests) and two framing schemes:
+// On top of the primitives sit the value codecs for the store's manifests
+// (shard and generation) and two framing schemes:
 //
 //   whole-file:  [magic u32][version u32][payload_len u64][crc32 u32][payload]
 //   record:      [payload_len u32][crc32 u32][payload]        (journals)
@@ -20,12 +19,16 @@
 // The whole-file frame is checksummed once over the payload and written
 // atomically (tmp + rename); the record frame is checksummed per record so
 // an append-only journal detects torn tails. Every framed format has
-// exactly one version, and readers accept only that version.
+// exactly one version, and readers accept only that version. Distances
+// travel as runs of raw doubles (Writer::PutDoubles): the rows of a
+// distance::DistanceTriangle, whether in a snapshot chunk or a journal row
+// record.
 
 #ifndef DPE_STORE_CODEC_H_
 #define DPE_STORE_CODEC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,17 +37,22 @@
 
 namespace dpe::store {
 
-/// Format version of journal and MANIFEST files.
+/// Format version of MANIFEST files.
 inline constexpr uint32_t kFormatVersion = 1;
+
+/// Format version of journal files: a row record carries its row as dense
+/// raw doubles.
+inline constexpr uint32_t kJournalFormatVersion = 2;
 
 /// Format version of shard files: the manifest plus only the cells its
 /// tile range owns.
 inline constexpr uint32_t kShardFormatVersion = 2;
 
-/// Format version of snapshot files: a CRC'd core plus fixed-size CRC'd
-/// cache-entry chunks, so a byte flip quarantines one chunk instead of
-/// condemning the whole file.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// Format version of snapshot files: a CRC'd core (query log plus each
+/// measure's name and row count) and CRC'd chunks of whole triangle rows,
+/// so a byte flip quarantines one chunk instead of condemning the whole
+/// file.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// File magics ("DPES"/"DPEJ"/"DPEH"/"DPEC" as little-endian u32).
 inline constexpr uint32_t kSnapshotMagic = 0x53455044;  // "DPES"
@@ -77,6 +85,9 @@ class Writer {
   void PutU64(uint64_t v);
   /// IEEE-754 bit pattern in a u64: decoding returns the exact same double.
   void PutDouble(double v);
+  /// Each value as PutDouble would write it, one block copy on
+  /// little-endian hosts.
+  void PutDoubles(std::span<const double> values);
   /// u32 length prefix + raw bytes (embedded NULs are preserved).
   void PutString(std::string_view s);
   /// Raw bytes with no prefix — for splicing pre-encoded sections.
@@ -99,6 +110,9 @@ class Reader {
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();
   Result<double> ReadDouble();
+  /// `count` doubles written by PutDoubles; the count is checked against
+  /// the bytes present before anything is allocated.
+  Result<std::vector<double>> ReadDoubles(size_t count);
   Result<std::string> ReadString();
   /// `len` raw bytes (no length prefix) — the block-copy counterpart of
   /// Writer::PutRaw.
@@ -117,32 +131,6 @@ class Reader {
 };
 
 // -- Value codecs ------------------------------------------------------------
-
-/// One memoized pairwise distance: d(i, j) under `measure`. The exchange
-/// type between the engine's DistanceCache and the persistent store.
-struct CacheEntry {
-  std::string measure;
-  uint32_t i = 0;
-  uint32_t j = 0;
-  double d = 0.0;
-
-  bool operator==(const CacheEntry&) const = default;
-};
-
-/// Measure/config metadata stored alongside a snapshot.
-struct SnapshotMeta {
-  uint64_t query_count = 0;
-  std::vector<std::string> measures;  ///< measure names present, sorted
-
-  bool operator==(const SnapshotMeta&) const = default;
-};
-
-/// Entries with a measure-name table so repeated names cost 4 bytes each.
-void EncodeCacheEntries(const std::vector<CacheEntry>& entries, Writer* w);
-Result<std::vector<CacheEntry>> DecodeCacheEntries(Reader* r);
-
-void EncodeSnapshotMeta(const SnapshotMeta& meta, Writer* w);
-Result<SnapshotMeta> DecodeSnapshotMeta(Reader* r);
 
 /// Identity of one shard of a sharded matrix build: which logical matrix it
 /// belongs to and which contiguous range of the deterministic upper-triangle
@@ -200,6 +188,9 @@ Status WriteFramedFile(const std::string& path, uint32_t magic,
 /// fsync `path` (a file or a directory). Exposed for the journal's
 /// FsyncPolicy::kAlways path.
 Status SyncPath(const std::string& path);
+
+/// The whole file at `path`, in one read; NotFound if it cannot be opened.
+Result<std::string> ReadFileBytes(const std::string& path);
 
 /// Reads a framed file back, validating magic, version (== `version`),
 /// length and checksum. NotFound if the file does not exist; ParseError on

@@ -5,9 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string_view>
-#include <tuple>
 #include <unistd.h>
 
 #include "common/fault.h"
@@ -96,11 +94,8 @@ void EncodeJournalRecord(const JournalRecord& record, Writer* w) {
     case JournalRecord::Kind::kRowComputed:
       w->PutString(record.measure);
       w->PutU32(record.row);
-      w->PutU32(static_cast<uint32_t>(record.cols.size()));
-      for (const auto& [col, d] : record.cols) {
-        w->PutU32(col);
-        w->PutDouble(d);
-      }
+      w->PutU32(static_cast<uint32_t>(record.values.size()));
+      w->PutDoubles(record.values);
       break;
   }
 }
@@ -121,16 +116,12 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view payload) {
       DPE_ASSIGN_OR_RETURN(record.measure, r.ReadString());
       DPE_ASSIGN_OR_RETURN(record.row, r.ReadU32());
       DPE_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
-      if (count > r.remaining() / 12) {  // 12 bytes per (col, distance)
-        return Corrupt("row record column count " + std::to_string(count) +
-                       " exceeds record size");
+      if (count != record.row) {
+        return Corrupt("row record " + std::to_string(record.row) +
+                       " carries " + std::to_string(count) +
+                       " values (a row holds one per lower row)");
       }
-      record.cols.reserve(count);
-      for (uint32_t k = 0; k < count; ++k) {
-        DPE_ASSIGN_OR_RETURN(uint32_t col, r.ReadU32());
-        DPE_ASSIGN_OR_RETURN(double d, r.ReadDouble());
-        record.cols.emplace_back(col, d);
-      }
+      DPE_ASSIGN_OR_RETURN(record.values, r.ReadDoubles(count));
       break;
     }
     default:
@@ -140,100 +131,205 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view payload) {
   return record;
 }
 
-// -- Snapshot payload codec ----------------------------------------------------
-
-/// Entries per snapshot chunk. Each chunk is a self-contained
-/// EncodeCacheEntries block with its own CRC, so a byte flip quarantines
-/// ~4096 cells instead of the whole checkpoint.
-constexpr size_t kSnapshotChunkEntries = 4096;
-
-SnapshotMeta MetaFor(const Snapshot& snapshot) {
-  SnapshotMeta meta;
-  meta.query_count = snapshot.queries.size();
-  // Union of the entries present and the names the snapshot already carried
-  // (a scrub rewrite may have quarantined every entry of a measure — its
-  // name must survive so the engine knows what to recompute).
-  std::set<std::string> measures(snapshot.measures.begin(),
-                                 snapshot.measures.end());
-  for (const CacheEntry& e : snapshot.entries) measures.insert(e.measure);
-  meta.measures.assign(measures.begin(), measures.end());
-  return meta;
-}
-
-void EncodeSnapshotCore(const Snapshot& snapshot, Writer* w) {
-  EncodeSnapshotMeta(MetaFor(snapshot), w);
-  w->PutU64(snapshot.queries.size());
-  for (const std::string& sql : snapshot.queries) w->PutString(sql);
-}
-
-/// Core = meta + query log; entries are decoded separately (per layout).
-Result<Snapshot> DecodeSnapshotCore(Reader* r) {
-  DPE_ASSIGN_OR_RETURN(SnapshotMeta meta, DecodeSnapshotMeta(r));
-  DPE_ASSIGN_OR_RETURN(uint64_t query_count, r->ReadU64());
-  if (query_count != meta.query_count) {
-    return Corrupt("snapshot metadata declares " +
-                   std::to_string(meta.query_count) + " queries but " +
-                   std::to_string(query_count) + " are present");
+/// The records of one journal file's bytes: checks the magic/version
+/// prologue, then scans the record stream (a torn tail is reported in the
+/// scan, not failed).
+Result<RecordScan> ScanJournal(std::string_view data, const std::string& path) {
+  Reader header(data);
+  DPE_ASSIGN_OR_RETURN(uint32_t magic, header.ReadU32());
+  if (magic != kJournalMagic) {
+    return Corrupt("bad journal magic in " + path);
   }
-  if (query_count > r->remaining() / 4) {  // >= 4 bytes per string
+  DPE_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
+  if (version != kJournalFormatVersion) {
+    return Corrupt("unsupported journal version " + std::to_string(version) +
+                   " in " + path);
+  }
+  return ScanRecords(data.substr(8));
+}
+
+std::string JournalPrologue() {
+  Writer w;
+  w.PutU32(kJournalMagic);
+  w.PutU32(kJournalFormatVersion);
+  return w.TakeBuffer();
+}
+
+// -- Snapshot payload codec ---------------------------------------------------
+//
+//   [core_len u64][core_crc u32][core]
+//   [chunk_count u32]
+//   chunk*: [chunk_len u64][chunk_crc u32][chunk]
+//
+//   core  = [query_count u64] [sql string]*
+//           [measure_count u32] ([name string][rows u64])*
+//   chunk = [measure index u32][first row u32][row count u32][raw doubles]
+//
+// Each chunk holds whole rows of one measure's triangle, and a measure's
+// chunks follow each other in row order.
+
+/// Cells per snapshot chunk (a chunk closes once it holds at least this
+/// many): a byte flip quarantines about this much work, not the checkpoint.
+constexpr size_t kSnapshotChunkCells = 4096;
+
+/// The decoded core: the query log plus each measure's declared rows, in
+/// the order chunks index them.
+struct SnapshotCore {
+  std::vector<std::string> queries;
+  std::vector<std::pair<std::string, uint64_t>> measures;
+};
+
+Result<SnapshotCore> DecodeSnapshotCore(std::string_view bytes) {
+  Reader r(bytes);
+  SnapshotCore core;
+  DPE_ASSIGN_OR_RETURN(uint64_t query_count, r.ReadU64());
+  if (query_count > r.remaining() / 4) {  // >= 4 bytes per string
     return Corrupt("snapshot query count " + std::to_string(query_count) +
                    " exceeds remaining input");
   }
-  Snapshot snapshot;
-  snapshot.measures = std::move(meta.measures);
-  snapshot.queries.reserve(query_count);
+  core.queries.reserve(query_count);
   for (uint64_t k = 0; k < query_count; ++k) {
-    DPE_ASSIGN_OR_RETURN(std::string sql, r->ReadString());
-    snapshot.queries.push_back(std::move(sql));
+    DPE_ASSIGN_OR_RETURN(std::string sql, r.ReadString());
+    core.queries.push_back(std::move(sql));
   }
-  return snapshot;
+  DPE_ASSIGN_OR_RETURN(uint32_t measure_count, r.ReadU32());
+  if (measure_count > r.remaining() / 12) {  // >= 12 bytes per measure
+    return Corrupt("snapshot measure count " + std::to_string(measure_count) +
+                   " exceeds remaining input");
+  }
+  for (uint32_t k = 0; k < measure_count; ++k) {
+    DPE_ASSIGN_OR_RETURN(std::string name, r.ReadString());
+    DPE_ASSIGN_OR_RETURN(uint64_t rows, r.ReadU64());
+    if (rows > query_count) {
+      return Corrupt("snapshot measure '" + name + "' declares " +
+                     std::to_string(rows) + " rows over " +
+                     std::to_string(query_count) + " queries");
+    }
+    for (const auto& [seen, unused] : core.measures) {
+      if (seen == name) return Corrupt("snapshot measure '" + name + "' twice");
+    }
+    core.measures.emplace_back(std::move(name), rows);
+  }
+  DPE_RETURN_NOT_OK(r.ExpectEnd());
+  return core;
 }
 
-/// Layout:
-///   [core_len u64][core_crc u32][core]
-///   [entries_total u64][chunk_count u32]
-///   chunk*: [chunk_len u64][chunk_crc u32][chunk]
-/// where core = EncodeSnapshotCore and chunk = EncodeCacheEntries over at
-/// most kSnapshotChunkEntries entries.
 std::string EncodeSnapshotPayload(const Snapshot& snapshot) {
   Writer core;
-  EncodeSnapshotCore(snapshot, &core);
+  core.PutU64(snapshot.queries.size());
+  for (const std::string& sql : snapshot.queries) core.PutString(sql);
+  core.PutU32(static_cast<uint32_t>(snapshot.triangles.size()));
+  for (const auto& [name, triangle] : snapshot.triangles) {
+    core.PutString(name);
+    core.PutU64(triangle.rows());
+  }
+
+  Writer chunks;
+  uint32_t chunk_count = 0;
+  uint32_t measure_index = 0;
+  for (const auto& [name, triangle] : snapshot.triangles) {
+    for (size_t first = 0; first < triangle.rows();) {
+      size_t end = first;
+      size_t cells = 0;
+      while (end < triangle.rows() && cells < kSnapshotChunkCells) {
+        cells += end++;
+      }
+      Writer chunk;
+      chunk.PutU32(measure_index);
+      chunk.PutU32(static_cast<uint32_t>(first));
+      chunk.PutU32(static_cast<uint32_t>(end - first));
+      chunk.PutDoubles(triangle.Rows(first, end));
+      chunks.PutU64(chunk.buffer().size());
+      chunks.PutU32(Crc32(chunk.buffer()));
+      chunks.PutRaw(chunk.buffer());
+      ++chunk_count;
+      first = end;
+    }
+    ++measure_index;
+  }
+
   Writer w;
   w.PutU64(core.buffer().size());
   w.PutU32(Crc32(core.buffer()));
   w.PutRaw(core.buffer());
-  w.PutU64(snapshot.entries.size());
-  const size_t chunk_count =
-      (snapshot.entries.size() + kSnapshotChunkEntries - 1) /
-      kSnapshotChunkEntries;
-  w.PutU32(static_cast<uint32_t>(chunk_count));
-  for (size_t c = 0; c < chunk_count; ++c) {
-    const size_t begin = c * kSnapshotChunkEntries;
-    const size_t end =
-        std::min(begin + kSnapshotChunkEntries, snapshot.entries.size());
-    std::vector<CacheEntry> slice(snapshot.entries.begin() + begin,
-                                  snapshot.entries.begin() + end);
-    Writer cw;
-    EncodeCacheEntries(slice, &cw);
-    w.PutU64(cw.buffer().size());
-    w.PutU32(Crc32(cw.buffer()));
-    w.PutRaw(cw.buffer());
-  }
+  w.PutU32(chunk_count);
+  w.PutRaw(chunks.buffer());
   return w.TakeBuffer();
 }
 
+/// Appends one chunk's rows to its measure's triangle. ParseError unless
+/// the chunk names a declared measure, continues that triangle exactly at
+/// its rows(), stays within the declared rows and carries exactly their
+/// cells.
+Status ApplySnapshotChunk(std::string_view chunk, const SnapshotCore& core,
+                          std::vector<distance::DistanceTriangle>* triangles) {
+  Reader r(chunk);
+  DPE_ASSIGN_OR_RETURN(uint32_t measure_index, r.ReadU32());
+  DPE_ASSIGN_OR_RETURN(uint32_t first, r.ReadU32());
+  DPE_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
+  if (measure_index >= core.measures.size()) {
+    return Corrupt("snapshot chunk names measure #" +
+                   std::to_string(measure_index) + " of " +
+                   std::to_string(core.measures.size()));
+  }
+  distance::DistanceTriangle& triangle = (*triangles)[measure_index];
+  const uint64_t end = uint64_t{first} + count;
+  if (count == 0 || first != triangle.rows() ||
+      end > core.measures[measure_index].second) {
+    return Corrupt("snapshot chunk rows [" + std::to_string(first) + ", " +
+                   std::to_string(end) + ") do not continue measure '" +
+                   core.measures[measure_index].first + "' at row " +
+                   std::to_string(triangle.rows()));
+  }
+  const size_t cells = distance::DistanceTriangle::CellCount(end) -
+                       distance::DistanceTriangle::CellCount(first);
+  if (r.remaining() != cells * sizeof(double)) {
+    return Corrupt("snapshot chunk carries " + std::to_string(r.remaining()) +
+                   " bytes for " + std::to_string(cells) + " cells");
+  }
+  DPE_ASSIGN_OR_RETURN(std::vector<double> values, r.ReadDoubles(cells));
+  for (size_t row = first, offset = 0; row < end; offset += row++) {
+    DPE_RETURN_NOT_OK(triangle.AppendRow(
+        std::span<const double>(values).subspan(offset, row)));
+  }
+  return Status::OK();
+}
+
+Snapshot AssembleSnapshot(SnapshotCore core,
+                          std::vector<distance::DistanceTriangle> triangles) {
+  Snapshot snapshot;
+  snapshot.queries = std::move(core.queries);
+  for (size_t k = 0; k < core.measures.size(); ++k) {
+    snapshot.triangles.emplace(std::move(core.measures[k].first),
+                               std::move(triangles[k]));
+  }
+  return snapshot;
+}
+
+/// Strict decode of a payload whose frame CRC already matched: that CRC
+/// covers every byte, so the core and chunk CRCs are skipped here. They
+/// exist for Scrub, which localizes damage once the frame CRC has failed.
 Result<Snapshot> DecodeSnapshotPayload(std::string_view payload) {
   Reader r(payload);
   DPE_ASSIGN_OR_RETURN(uint64_t core_len, r.ReadU64());
-  DPE_ASSIGN_OR_RETURN(uint32_t core_crc, r.ReadU32());
-  DPE_ASSIGN_OR_RETURN(std::string core, r.ReadBytes(core_len));
-  if (Crc32(core) != core_crc) {
-    return Corrupt("snapshot core checksum mismatch");
+  DPE_RETURN_NOT_OK(r.ReadU32().status());  // core CRC
+  DPE_ASSIGN_OR_RETURN(std::string core_bytes, r.ReadBytes(core_len));
+  DPE_ASSIGN_OR_RETURN(SnapshotCore core, DecodeSnapshotCore(core_bytes));
+  std::vector<distance::DistanceTriangle> triangles(core.measures.size());
+  // The chunks carry every declared cell as 8 raw bytes, so the declared
+  // rows are checked against the bytes present before any is allocated.
+  uint64_t declared_cells = 0;
+  for (const auto& [name, rows] : core.measures) {
+    declared_cells += distance::DistanceTriangle::CellCount(rows);
   }
-  Reader core_r(core);
-  DPE_ASSIGN_OR_RETURN(Snapshot snapshot, DecodeSnapshotCore(&core_r));
-  DPE_RETURN_NOT_OK(core_r.ExpectEnd());
-  DPE_ASSIGN_OR_RETURN(uint64_t entries_total, r.ReadU64());
+  if (declared_cells > r.remaining() / sizeof(double)) {
+    return Corrupt("snapshot declares " + std::to_string(declared_cells) +
+                   " cells but holds " + std::to_string(r.remaining()) +
+                   " payload bytes");
+  }
+  for (size_t k = 0; k < triangles.size(); ++k) {
+    triangles[k].Reserve(core.measures[k].second);
+  }
   DPE_ASSIGN_OR_RETURN(uint32_t chunk_count, r.ReadU32());
   if (chunk_count > r.remaining() / 12) {  // >= 12 header bytes per chunk
     return Corrupt("snapshot chunk count " + std::to_string(chunk_count) +
@@ -241,32 +337,26 @@ Result<Snapshot> DecodeSnapshotPayload(std::string_view payload) {
   }
   for (uint32_t c = 0; c < chunk_count; ++c) {
     DPE_ASSIGN_OR_RETURN(uint64_t chunk_len, r.ReadU64());
-    DPE_ASSIGN_OR_RETURN(uint32_t chunk_crc, r.ReadU32());
+    DPE_RETURN_NOT_OK(r.ReadU32().status());  // chunk CRC
     DPE_ASSIGN_OR_RETURN(std::string chunk, r.ReadBytes(chunk_len));
-    if (Crc32(chunk) != chunk_crc) {
-      return Corrupt("snapshot chunk " + std::to_string(c) +
-                     " checksum mismatch");
-    }
-    Reader cr(chunk);
-    DPE_ASSIGN_OR_RETURN(std::vector<CacheEntry> entries,
-                         DecodeCacheEntries(&cr));
-    DPE_RETURN_NOT_OK(cr.ExpectEnd());
-    snapshot.entries.insert(snapshot.entries.end(),
-                            std::make_move_iterator(entries.begin()),
-                            std::make_move_iterator(entries.end()));
+    DPE_RETURN_NOT_OK(ApplySnapshotChunk(chunk, core, &triangles));
   }
   DPE_RETURN_NOT_OK(r.ExpectEnd());
-  if (snapshot.entries.size() != entries_total) {
-    return Corrupt("snapshot declares " + std::to_string(entries_total) +
-                   " cache entries but chunks carry " +
-                   std::to_string(snapshot.entries.size()));
+  for (size_t k = 0; k < core.measures.size(); ++k) {
+    if (triangles[k].rows() != core.measures[k].second) {
+      return Corrupt("snapshot measure '" + core.measures[k].first +
+                     "' declares " + std::to_string(core.measures[k].second) +
+                     " rows but its chunks carry " +
+                     std::to_string(triangles[k].rows()));
+    }
   }
-  return snapshot;
+  return AssembleSnapshot(std::move(core), std::move(triangles));
 }
 
 /// Tolerant parse for the scrubber: the core must decode (queries are
-/// source data and cannot be recomputed), but a damaged chunk is skipped
-/// and counted instead of failing the parse.
+/// source data and cannot be recomputed), but a chunk that fails its CRC or
+/// does not continue its measure is skipped and counted. Each triangle
+/// keeps the prefix of rows its intact, in-order chunks carry.
 struct SnapshotSalvageResult {
   Snapshot snapshot;
   bool core_ok = false;
@@ -281,46 +371,37 @@ SnapshotSalvageResult SalvageSnapshotPayload(std::string_view payload) {
   Result<uint64_t> core_len = r.ReadU64();
   Result<uint32_t> core_crc = r.ReadU32();
   if (!core_len.ok() || !core_crc.ok()) return out;
-  Result<std::string> core = r.ReadBytes(*core_len);
-  if (!core.ok() || Crc32(*core) != *core_crc) return out;
-  Reader core_r(*core);
-  Result<Snapshot> decoded = DecodeSnapshotCore(&core_r);
-  if (!decoded.ok() || !core_r.AtEnd()) return out;
-  out.snapshot = std::move(*decoded);
+  Result<std::string> core_bytes = r.ReadBytes(*core_len);
+  if (!core_bytes.ok() || Crc32(*core_bytes) != *core_crc) return out;
+  Result<SnapshotCore> core = DecodeSnapshotCore(*core_bytes);
+  if (!core.ok()) return out;
   out.core_ok = true;
-  Result<uint64_t> entries_total = r.ReadU64();
+  std::vector<distance::DistanceTriangle> triangles(core->measures.size());
   Result<uint32_t> chunk_count = r.ReadU32();
-  if (!entries_total.ok() || !chunk_count.ok()) return out;
-  out.chunks_checked = *chunk_count;
-  for (uint32_t c = 0; c < *chunk_count; ++c) {
-    Result<uint64_t> chunk_len = r.ReadU64();
-    Result<uint32_t> chunk_crc = r.ReadU32();
-    if (!chunk_len.ok() || !chunk_crc.ok() || *chunk_len > r.remaining()) {
-      // Structural damage: nothing past this point can be framed, so the
-      // rest of the chunk stream is quarantined wholesale.
-      out.chunks_quarantined += *chunk_count - c;
-      break;
+  if (chunk_count.ok()) {
+    out.chunks_checked = *chunk_count;
+    for (uint32_t c = 0; c < *chunk_count; ++c) {
+      Result<uint64_t> chunk_len = r.ReadU64();
+      Result<uint32_t> chunk_crc = r.ReadU32();
+      if (!chunk_len.ok() || !chunk_crc.ok() || *chunk_len > r.remaining()) {
+        // Structural damage: nothing past this point can be framed, so the
+        // rest of the chunk stream is quarantined wholesale.
+        out.chunks_quarantined += *chunk_count - c;
+        break;
+      }
+      Result<std::string> chunk = r.ReadBytes(*chunk_len);
+      if (!chunk.ok() || Crc32(*chunk) != *chunk_crc ||
+          !ApplySnapshotChunk(*chunk, *core, &triangles).ok()) {
+        out.chunks_quarantined += 1;
+      }
     }
-    Result<std::string> chunk = r.ReadBytes(*chunk_len);
-    if (!chunk.ok() || Crc32(*chunk) != *chunk_crc) {
-      out.chunks_quarantined += 1;
-      continue;
-    }
-    Reader cr(*chunk);
-    Result<std::vector<CacheEntry>> entries = DecodeCacheEntries(&cr);
-    if (!entries.ok() || !cr.AtEnd()) {  // CRC passed but content malformed
-      out.chunks_quarantined += 1;
-      continue;
-    }
-    out.snapshot.entries.insert(out.snapshot.entries.end(),
-                                std::make_move_iterator(entries->begin()),
-                                std::make_move_iterator(entries->end()));
   }
-  const uint64_t recovered = out.snapshot.entries.size();
-  out.cells_quarantined =
-      (entries_total.ok() && *entries_total > recovered)
-          ? *entries_total - recovered
-          : 0;
+  for (size_t k = 0; k < core->measures.size(); ++k) {
+    out.cells_quarantined +=
+        distance::DistanceTriangle::CellCount(core->measures[k].second) -
+        triangles[k].cells();
+  }
+  out.snapshot = AssembleSnapshot(std::move(*core), std::move(triangles));
   return out;
 }
 
@@ -566,12 +647,7 @@ Status MatrixStore::AppendRecords(const std::vector<JournalRecord>& records) {
     old_size = fs::file_size(JournalPath(), ec);
     if (ec) old_size = kUnknownSize;  // unknown: rollback must not "grow"
   }
-  if (!existed) {
-    Writer header;
-    header.PutU32(kJournalMagic);
-    header.PutU32(kFormatVersion);
-    frame = header.TakeBuffer();
-  }
+  if (!existed) frame = JournalPrologue();
   for (const JournalRecord& record : records) {
     Writer payload;
     EncodeJournalRecord(record, &payload);
@@ -623,25 +699,24 @@ Status MatrixStore::AppendQuery(uint32_t index, const std::string& sql) {
   return AppendRecords({std::move(record)});
 }
 
-Status MatrixStore::AppendRow(
-    const std::string& measure, uint32_t row,
-    const std::vector<std::pair<uint32_t, double>>& cols) {
+Status MatrixStore::AppendRow(const std::string& measure, uint32_t row,
+                              std::span<const double> values) {
   JournalRecord record;
   record.kind = JournalRecord::Kind::kRowComputed;
   record.measure = measure;
   record.row = row;
-  record.cols = cols;
+  record.values.assign(values.begin(), values.end());
   return AppendRecords({std::move(record)});
 }
 
 Status MatrixStore::ReadJournalFile(const std::string& path,
                                     bool recover_torn_tail,
                                     JournalRecovery* recovery) const {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::OK();  // no journal = no records
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
+  Result<std::string> read = ReadFileBytes(path);
+  if (read.status().code() == StatusCode::kNotFound) {
+    return Status::OK();  // no journal = no records
+  }
+  DPE_ASSIGN_OR_RETURN(std::string data, std::move(read));
   JournalBytesRead().Increment(data.size());
   if (data.size() < 8 && recover_torn_tail) {
     // A crash can die inside the very first buffered write, before even the
@@ -659,17 +734,7 @@ Status MatrixStore::ReadJournalFile(const std::string& path,
     JournalDroppedBytes().Increment(data.size());
     return Status::OK();
   }
-  Reader header(data);
-  DPE_ASSIGN_OR_RETURN(uint32_t magic, header.ReadU32());
-  if (magic != kJournalMagic) {
-    return Corrupt("bad journal magic in " + path);
-  }
-  DPE_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
-  if (version != kFormatVersion) {
-    return Corrupt("unsupported journal version " + std::to_string(version));
-  }
-  DPE_ASSIGN_OR_RETURN(RecordScan scan,
-                       ScanRecords(std::string_view(data).substr(8)));
+  DPE_ASSIGN_OR_RETURN(RecordScan scan, ScanJournal(data, path));
   if (scan.torn_tail) {
     if (!recover_torn_tail) {
       return Corrupt("torn journal tail in " + path + " (crash mid-append?)");
@@ -780,73 +845,20 @@ Result<Snapshot> MatrixStore::FoldFrozen(const CompactionPlan& plan) const {
   // this runs off-lock while appends continue elsewhere. A torn tail is
   // dropped silently: those bytes belong to an append that never
   // acknowledged, and the fold's output supersedes the frozen file anyway.
+  const std::string path = JournalPathForGen(plan.from_gen);
+  Result<std::string> read = ReadFileBytes(path);
+  if (read.status().code() == StatusCode::kNotFound) return folded;
+  DPE_ASSIGN_OR_RETURN(const std::string data, std::move(read));
+  JournalBytesRead().Increment(data.size());
+  if (data.size() < 8) return folded;
+  DPE_ASSIGN_OR_RETURN(RecordScan scan, ScanJournal(data, path));
   std::vector<JournalRecord> records;
-  {
-    std::ifstream in(JournalPathForGen(plan.from_gen), std::ios::binary);
-    if (in) {
-      std::string data((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      in.close();
-      JournalBytesRead().Increment(data.size());
-      if (data.size() >= 8) {
-        Reader header(data);
-        DPE_ASSIGN_OR_RETURN(uint32_t magic, header.ReadU32());
-        if (magic != kJournalMagic) {
-          return Corrupt("bad journal magic in " +
-                         JournalPathForGen(plan.from_gen));
-        }
-        DPE_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
-        if (version != kFormatVersion) {
-          return Corrupt("unsupported journal version " +
-                         std::to_string(version));
-        }
-        DPE_ASSIGN_OR_RETURN(RecordScan scan,
-                             ScanRecords(std::string_view(data).substr(8)));
-        records.reserve(scan.records.size());
-        for (const std::string& payload : scan.records) {
-          DPE_ASSIGN_OR_RETURN(JournalRecord record,
-                               DecodeJournalRecord(payload));
-          records.push_back(std::move(record));
-        }
-      }
-    }
+  records.reserve(scan.records.size());
+  for (const std::string& payload : scan.records) {
+    DPE_ASSIGN_OR_RETURN(JournalRecord record, DecodeJournalRecord(payload));
+    records.push_back(std::move(record));
   }
-
-  for (const JournalRecord& record : records) {
-    switch (record.kind) {
-      case JournalRecord::Kind::kQueryAppended:
-        if (record.index < folded.queries.size()) break;  // replayed duplicate
-        if (record.index > folded.queries.size()) {
-          return Corrupt("journal query index " +
-                         std::to_string(record.index) + " leaves a gap over " +
-                         std::to_string(folded.queries.size()) +
-                         " snapshot queries");
-        }
-        folded.queries.push_back(record.sql);
-        break;
-      case JournalRecord::Kind::kRowComputed:
-        for (const auto& [col, d] : record.cols) {
-          folded.entries.push_back(CacheEntry{record.measure, col, record.row,
-                                              d});
-        }
-        break;
-    }
-  }
-
-  // Deduplicate cells keeping the LAST occurrence: journal rows are warmer
-  // than snapshot entries, and restoring the deduped list in order
-  // reproduces the cache's LRU recency (snapshot ordering invariant).
-  std::set<std::tuple<std::string, uint32_t, uint32_t>> seen;
-  std::vector<CacheEntry> deduped;
-  deduped.reserve(folded.entries.size());
-  for (auto it = folded.entries.rbegin(); it != folded.entries.rend(); ++it) {
-    auto key = std::make_tuple(it->measure, std::min(it->i, it->j),
-                               std::max(it->i, it->j));
-    if (!seen.insert(std::move(key)).second) continue;
-    deduped.push_back(*it);
-  }
-  std::reverse(deduped.begin(), deduped.end());
-  folded.entries = std::move(deduped);
+  DPE_RETURN_NOT_OK(ApplyJournal(records, &folded));
   return folded;
 }
 
@@ -931,21 +943,11 @@ Result<ScrubReport> MatrixStore::Scrub() {
 
   for (uint64_t g = gen_; g <= journal_gen_; ++g) {
     const std::string path = JournalPathForGen(g);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
+    Result<std::string> read = ReadFileBytes(path);
+    if (!read.ok()) continue;
+    std::string data = std::move(read).value();
     JournalBytesRead().Increment(data.size());
-    bool prologue_ok = data.size() >= 8;
-    if (prologue_ok) {
-      Reader header(data);
-      Result<uint32_t> magic = header.ReadU32();
-      Result<uint32_t> version = header.ReadU32();
-      prologue_ok = magic.ok() && *magic == kJournalMagic && version.ok() &&
-                    *version == kFormatVersion;
-    }
-    if (!prologue_ok) {
+    if (!data.starts_with(JournalPrologue())) {
       // With a corrupt prologue the record framing cannot be trusted at
       // all; the whole file is quarantined. Its records were deltas on top
       // of the snapshot — losing them degrades, replaying garbage corrupts.
@@ -974,10 +976,7 @@ Result<ScrubReport> MatrixStore::Scrub() {
     }
     report.journal_records_checked += keep.size() + quarantined_records;
     if (quarantined_records == 0 && !scan.torn_tail) continue;  // clean file
-    Writer prologue;
-    prologue.PutU32(kJournalMagic);
-    prologue.PutU32(kFormatVersion);
-    std::string rewritten = prologue.TakeBuffer();
+    std::string rewritten = JournalPrologue();
     for (const std::string& payload : keep) AppendRecord(payload, &rewritten);
     DPE_RETURN_NOT_OK(WriteFileAtomic(path, rewritten,
                                       fsync_policy_ != FsyncPolicy::kNever));
@@ -992,6 +991,39 @@ Result<ScrubReport> MatrixStore::Scrub() {
     ++mutation_epoch_;  // the rewritten snapshot supersedes in-flight folds
   }
   return report;
+}
+
+// -- Journal replay -----------------------------------------------------------
+
+Status ApplyJournal(const std::vector<JournalRecord>& records,
+                    Snapshot* snapshot) {
+  for (const JournalRecord& record : records) {
+    const size_t log_size = snapshot->queries.size();
+    switch (record.kind) {
+      case JournalRecord::Kind::kQueryAppended:
+        if (record.index < log_size) break;
+        if (record.index > log_size) {
+          return Corrupt("journal query index " +
+                         std::to_string(record.index) + " leaves a gap over " +
+                         std::to_string(log_size) + " queries");
+        }
+        snapshot->queries.push_back(record.sql);
+        break;
+      case JournalRecord::Kind::kRowComputed: {
+        if (record.row >= log_size) {
+          return Corrupt("journal row " + std::to_string(record.row) +
+                         " of '" + record.measure + "' outside log of " +
+                         std::to_string(log_size) + " queries");
+        }
+        distance::DistanceTriangle& triangle =
+            snapshot->triangles[record.measure];
+        if (record.row != triangle.rows()) break;
+        DPE_RETURN_NOT_OK(triangle.AppendRow(record.values));
+        break;
+      }
+    }
+  }
+  return Status::OK();
 }
 
 // -- Shards ------------------------------------------------------------------

@@ -6,11 +6,11 @@
 //                            atomic rename commits every checkpoint; a
 //                            directory without one holds no checkpoint.
 //   <dir>/snapshot.<g>.dpe   full checkpoint of generation g: query log
-//                            (canonical SQL), memoized cache entries,
-//                            measure metadata
+//                            (canonical SQL) plus each measure's distance
+//                            triangle, in CRC'd chunks of whole rows
 //   <dir>/journal.<g>.dpe    append-only log of work done *after*
 //                            snapshot.<g>: appended queries and computed
-//                            rows
+//                            triangle rows
 //   <dir>/shard-<name>-<i>of<k>.dpe
 //                            one shard of a sharded matrix build: a
 //                            ShardManifest (which tile range of which
@@ -22,10 +22,10 @@
 // A checkpoint writes its snapshot atomically (tmp + rename), commits it
 // with the MANIFEST, and replaces the journal; the journal is the cheap hot
 // path — one small checksummed record per appended query or computed
-// matrix row. Recovery = read snapshot, then replay journal records in
-// order. Every read path returns common::Status on corruption (bad magic,
-// bad checksum, truncated tail) instead of crashing; see store/codec.h for
-// the byte-level format.
+// triangle row. Recovery = read snapshot, then ApplyJournal over it. Every
+// read path returns common::Status on corruption (bad magic, bad checksum,
+// truncated tail) instead of crashing; see store/codec.h for the
+// byte-level format.
 //
 // Online compaction folds a long journal into the next snapshot generation
 // without pausing appends (BeginCompaction / FoldFrozen / PublishCompaction
@@ -38,6 +38,8 @@
 #define DPE_STORE_MATRIX_STORE_H_
 
 #include <cstdint>
+#include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,22 +56,17 @@ struct Snapshot {
   /// Restores via sql::Parse — the printer/parser round-trip is a tested
   /// property of the sql layer.
   std::vector<std::string> queries;
-  /// Memoized distances, coldest-first, so restoring in order reproduces
-  /// the cache's LRU recency as well as its contents.
-  std::vector<CacheEntry> entries;
-  /// Measure names the snapshot covered, from the core's SnapshotMeta on
-  /// read (write paths derive it from `entries`). The core survives chunk
-  /// quarantine, so after a scrub this still names the measures whose
-  /// cells were lost — what the engine's recompute pass needs when the
-  /// quarantine took every entry of a measure with it.
-  std::vector<std::string> measures;
+  /// Each measure's distance triangle; rows() never exceeds the query
+  /// count. A measure a scrub quarantined keeps its (truncated) entry, so
+  /// the engine still knows what to recompute.
+  std::map<std::string, distance::DistanceTriangle> triangles;
 };
 
 /// One replayable journal record.
 struct JournalRecord {
   enum class Kind : uint8_t {
     kQueryAppended = 1,  ///< a query was appended to the log
-    kRowComputed = 2,    ///< one matrix row's distances were computed
+    kRowComputed = 2,    ///< one triangle row was computed
   };
 
   Kind kind = Kind::kQueryAppended;
@@ -78,12 +75,24 @@ struct JournalRecord {
   uint32_t index = 0;
   std::string sql;
 
-  // kRowComputed: d(col, row) for every freshly computed column of `row`
-  // under `measure` (cols < row; previously cached columns are absent).
+  // kRowComputed: row `row` of `measure`'s triangle — d(c, row) for every
+  // c < row, so exactly `row` values.
   std::string measure;
   uint32_t row = 0;
-  std::vector<std::pair<uint32_t, double>> cols;
+  std::vector<double> values;
 };
+
+/// Replays `records` over `snapshot` in order — the one replay rule that
+/// both a restore (Engine::LoadCheckpoint) and a compaction fold use:
+///   - a query record below the log size is skipped (the snapshot already
+///     holds it), one equal to it is appended, one above it is a
+///     ParseError (a gap);
+///   - a row record outside the log is a ParseError;
+///   - a row record below its triangle's rows() is skipped (already held),
+///     one equal to rows() is appended, one above it is skipped: such a gap
+///     only follows a scrub quarantine, and the next build recomputes it.
+Status ApplyJournal(const std::vector<JournalRecord>& records,
+                    Snapshot* snapshot);
 
 /// What a crash-tolerant journal read recovered — the intact prefix plus an
 /// account of what the torn tail cost, so operators can tell a clean
@@ -132,7 +141,7 @@ struct ScrubReport {
                                     ///< strict loads keep failing typed
   uint64_t snapshot_chunks_checked = 0;
   uint64_t snapshot_chunks_quarantined = 0;
-  uint64_t cells_quarantined = 0;   ///< cache entries lost to quarantine
+  uint64_t cells_quarantined = 0;   ///< declared minus recovered cells
   bool journal_rewritten = false;   ///< damaged records quarantined + rewritten
   uint64_t journal_records_checked = 0;
   uint64_t journal_records_quarantined = 0;
@@ -198,9 +207,9 @@ class MatrixStore {
 
   /// Appends a kQueryAppended record.
   Status AppendQuery(uint32_t index, const std::string& sql);
-  /// Appends a kRowComputed record; `cols` holds (col, distance) pairs.
+  /// Appends a kRowComputed record: `values` is triangle row `row`.
   Status AppendRow(const std::string& measure, uint32_t row,
-                   const std::vector<std::pair<uint32_t, double>>& cols);
+                   std::span<const double> values);
   /// Appends a batch of records in one open/write/flush cycle — the bulk
   /// path for journaling a whole build's rows.
   Status AppendRecords(const std::vector<JournalRecord>& records);
@@ -246,10 +255,11 @@ class MatrixStore {
   /// (an existing gen+1 journal is simply kept as the active one).
   Result<CompactionPlan> BeginCompaction();
 
-  /// Reads snapshot.<from_gen> plus the frozen journal and merges them into
-  /// the folded snapshot. Touches only plan fields and immutable state, so
-  /// it is safe to run concurrently with appends (which go to to_gen's
-  /// journal). A torn frozen-journal tail is dropped (its records were
+  /// Reads snapshot.<from_gen> plus the frozen journal and folds them with
+  /// ApplyJournal (so a record a restore would reject fails the fold too,
+  /// and nothing is published). Touches only plan fields and immutable
+  /// state, so it is safe to run concurrently with appends (which go to
+  /// to_gen's journal). A torn frozen-journal tail is dropped (its records were
   /// never acknowledged); mid-stream corruption is a ParseError — run
   /// Scrub() first.
   Result<Snapshot> FoldFrozen(const CompactionPlan& plan) const;
@@ -267,7 +277,9 @@ class MatrixStore {
   /// Verifies every snapshot chunk and journal record of the current
   /// generation, quarantines damaged extents, and rewrites the damaged
   /// files without them (atomic tmp + rename), so a following strict load
-  /// succeeds with the surviving state. A corrupt MANIFEST is rebuilt from
+  /// succeeds with the surviving state. A triangle is a prefix of rows, so
+  /// a damaged chunk truncates its measure to the rows before it and the
+  /// measure's later chunks are dropped too. A corrupt MANIFEST is rebuilt from
   /// the highest readable snapshot generation; without a MANIFEST there is
   /// no checkpoint, so only the journal is checked. Core snapshot damage
   /// (the query log) cannot be partially salvaged: it is left untouched

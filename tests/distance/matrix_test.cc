@@ -1,6 +1,7 @@
-// Regression tests for the bounds-checked DistanceMatrix accessors: at/set
+// Regression tests for the bounds-checked DistanceMatrix accessors (at/set
 // used to silently read/write out of bounds for any caller other than
-// MaxAbsDifference.
+// MaxAbsDifference), plus the DistanceTriangle row layout and its round
+// trips through a matrix.
 
 #include "distance/matrix.h"
 
@@ -55,6 +56,95 @@ TEST(DistanceMatrixTest, MaxAbsDifferenceSizeMismatch) {
   DistanceMatrix a(2), b(3);
   EXPECT_EQ(DistanceMatrix::MaxAbsDifference(a, b).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// A symmetric n x n matrix with distinct cells: d(i, j) = i + j / 64.
+DistanceMatrix Distinct(size_t n) {
+  DistanceMatrix m(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      m.set(i, j, static_cast<double>(i) + static_cast<double>(j) / 64.0);
+    }
+  }
+  return m;
+}
+
+DistanceTriangle TriangleOf(const DistanceMatrix& m) {
+  DistanceTriangle t;
+  t.ExtendFrom(m);
+  return t;
+}
+
+TEST(DistanceTriangleTest, RowsAreContiguousPrefixesOfTheMatrixRows) {
+  const DistanceMatrix m = Distinct(6);
+  const DistanceTriangle t = TriangleOf(m);
+  EXPECT_EQ(t.rows(), 6u);
+  EXPECT_EQ(t.cells(), 15u);
+  EXPECT_EQ(t.bytes(), 15 * sizeof(double));
+  EXPECT_TRUE(t.Row(0).empty());
+  for (size_t r = 0; r < 6; ++r) {
+    ASSERT_EQ(t.Row(r).size(), r);
+    for (size_t c = 0; c < r; ++c) EXPECT_EQ(t.Row(r)[c], m.at(c, r));
+  }
+  // Rows [2, 5) are one run: row 2's cells, then row 3's, then row 4's.
+  const std::span<const double> run = t.Rows(2, 5);
+  ASSERT_EQ(run.size(), 2u + 3 + 4);
+  EXPECT_EQ(run[0], m.at(0, 2));
+  EXPECT_EQ(run[2], m.at(0, 3));
+  EXPECT_EQ(run[8], m.at(3, 4));
+}
+
+TEST(DistanceTriangleTest, AppendRowRequiresExactlyRowsCells) {
+  DistanceTriangle t;
+  ASSERT_TRUE(t.AppendRow({}).ok());  // row 0 holds no cells
+  const std::vector<double> one = {0.5};
+  ASSERT_TRUE(t.AppendRow(one).ok());
+  EXPECT_EQ(t.AppendRow(one).code(), StatusCode::kInvalidArgument);
+  const std::vector<double> three = {0.1, 0.2, 0.3};
+  EXPECT_EQ(t.AppendRow(three).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.rows(), 2u);  // failed appends leave the triangle as it was
+  ASSERT_TRUE(t.AppendRow(std::span<const double>(three).first(2)).ok());
+  EXPECT_EQ(t.rows(), 3u);
+  EXPECT_EQ(t.Row(2)[1], 0.2);
+}
+
+TEST(DistanceTriangleTest, ExtendFromAppendsOnlyTheMissingRows) {
+  const DistanceMatrix big = Distinct(7);
+  DistanceTriangle t = TriangleOf(Distinct(4));
+  DistanceMatrix other(7);  // all zeros: rows [0, 4) must not be re-read
+  t.ExtendFrom(other);
+  EXPECT_EQ(t.rows(), 7u);
+  EXPECT_EQ(t.Row(3)[2], big.at(2, 3));
+  EXPECT_EQ(t.Row(6)[0], 0.0);
+  // Extending from a matrix with no new rows is a no-op.
+  t.ExtendFrom(Distinct(5));
+  EXPECT_EQ(t.rows(), 7u);
+}
+
+TEST(DistanceTriangleTest, CopyToFillsTheLeadingBlockOfALargerMatrix) {
+  const DistanceMatrix m = Distinct(5);
+  const DistanceTriangle t = TriangleOf(m);
+
+  DistanceMatrix same(5);
+  t.CopyTo(&same);
+  auto diff = DistanceMatrix::MaxAbsDifference(m, same);
+  ASSERT_TRUE(diff.ok());
+  EXPECT_EQ(*diff, 0.0);
+
+  DistanceMatrix larger(8);
+  t.CopyTo(&larger);
+  for (size_t i = 0; i < 8; ++i) {
+    for (size_t j = 0; j < 8; ++j) {
+      EXPECT_EQ(larger.at(i, j), i < 5 && j < 5 ? m.at(i, j) : 0.0)
+          << i << "," << j;
+    }
+  }
+
+  // A smaller matrix receives the rows that fit.
+  DistanceMatrix smaller(3);
+  t.CopyTo(&smaller);
+  EXPECT_EQ(smaller.at(1, 2), m.at(1, 2));
+  EXPECT_EQ(smaller.at(2, 0), m.at(0, 2));
 }
 
 }  // namespace

@@ -199,8 +199,8 @@ TEST_F(CompactionTest, ScrubOnLoadRecomputesQuarantinedCells) {
     return std::move(m).value();
   }();
 
-  // Flip a byte in the snapshot's entry-chunk region (the tail of the
-  // file): cache cells are damaged, the query-log core stays intact.
+  // Flip a byte in the snapshot's chunk region (the tail of the file):
+  // triangle rows are damaged, the query-log core stays intact.
   const fs::path path = fs::path(dir_) / "snapshot.0.dpe";
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),

@@ -1,9 +1,13 @@
-// Engine facade: batch mining API, distance-cache correctness across
-// incremental insertions, and agreement with the direct mining calls.
+// Engine facade: batch mining API, distance-cache (per-measure triangle)
+// correctness across incremental insertions, and agreement with the direct
+// mining calls.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "distance/token_distance.h"
 #include "tests/scenario_test_util.h"
@@ -236,16 +240,55 @@ TEST(EngineTest, AsyncBuildOfUnknownMeasureFailsFast) {
   EXPECT_EQ(future.get().status().code(), StatusCode::kNotFound);
 }
 
+TEST(EngineTest, AsyncBuildsRacingClearCacheStayBitIdentical) {
+  // Two async builds of one measure share its triangle while another thread
+  // keeps dropping it: every result must still be bit-identical, and the
+  // triangle never holds a gap. Under TSan this is the race detector for
+  // the shared triangle map.
+  workload::Scenario s = Shop(25, 20);
+  Engine engine(s.Context(), {.threads = 2});
+  engine.SetLog(s.log);
+  distance::TokenDistance token;
+  auto serial = distance::DistanceMatrix::Compute(s.log, token, s.Context());
+  ASSERT_TRUE(serial.ok());
+
+  std::atomic<bool> stop{false};
+  std::thread clearer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      engine.ClearCache();
+      std::this_thread::yield();
+    }
+  });
+  for (int round = 0; round < 8; ++round) {
+    auto first = engine.BuildMatrixAsync("token");
+    auto second = engine.BuildMatrixAsync("token");
+    auto a = first.get();
+    auto b = second.get();
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    ExpectBitIdentical(*serial, *a);
+    ExpectBitIdentical(*serial, *b);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  clearer.join();
+
+  auto warm = engine.BuildMatrix("token");
+  ASSERT_TRUE(warm.ok());
+  ExpectBitIdentical(*serial, *warm);
+  EXPECT_EQ(engine.cache_size(), 20u * 19 / 2);
+}
+
 TEST(EngineTest, CacheByteBudgetIsEnforcedDuringBuilds) {
   workload::Scenario s = Shop(11, 16);
-  const size_t budget = 40 * DistanceCache::kEntryBytes;  // < 120 pairs
+  const size_t budget = 40 * sizeof(double);  // < 120 cells
   Engine engine(s.Context(), {.threads = 2, .cache_max_bytes = budget});
   engine.SetLog(s.log);
 
+  // A measure larger than the budget on its own is returned, not kept.
   auto built = engine.BuildMatrix("token");
   ASSERT_TRUE(built.ok());
   EXPECT_LE(engine.cache_bytes_used(), budget);
-  EXPECT_GT(engine.cache_stats().evictions, 0u);
+  EXPECT_EQ(engine.cache_stats().evictions, 16u * 15 / 2);
 
   // Evicted pairs recompute on demand — the result stays bit-identical.
   distance::TokenDistance token;
@@ -255,6 +298,31 @@ TEST(EngineTest, CacheByteBudgetIsEnforcedDuringBuilds) {
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_LE(engine.cache_bytes_used(), budget);
   ExpectBitIdentical(*serial, *rebuilt);
+}
+
+TEST(EngineTest, CacheByteBudgetEvictsTheLeastRecentlyBuiltMeasure) {
+  workload::Scenario s = Shop(15, 12);
+  const size_t one_measure = 12 * 11 / 2 * sizeof(double);
+  Engine engine(s.Context(),
+                {.threads = 2, .cache_max_bytes = 2 * one_measure});
+  engine.SetLog(s.log);
+
+  ASSERT_TRUE(engine.BuildMatrix("token").ok());
+  ASSERT_TRUE(engine.BuildMatrix("structure").ok());
+  EXPECT_EQ(engine.cache_bytes_used(), 2 * one_measure);
+  // A warm build of "token" makes "structure" the least recently built.
+  BuildReport warm;
+  ASSERT_TRUE(engine.BuildMatrix("token", &warm).ok());
+  EXPECT_EQ(warm.cells_computed, 0u);
+  ASSERT_TRUE(engine.BuildMatrix("levenshtein-token").ok());
+  EXPECT_EQ(engine.cache_bytes_used(), 2 * one_measure);
+  EXPECT_EQ(engine.cache_stats().evictions, 12u * 11 / 2);
+
+  BuildReport token, structure;
+  ASSERT_TRUE(engine.BuildMatrix("token", &token).ok());
+  EXPECT_EQ(token.cells_computed, 0u);  // kept
+  ASSERT_TRUE(engine.BuildMatrix("structure", &structure).ok());
+  EXPECT_EQ(structure.cells_computed, 12u * 11 / 2);  // evicted, recomputed
 }
 
 TEST(EngineTest, RegistryAcceptsCustomMeasure) {

@@ -52,9 +52,9 @@ TEST(ObservabilityTest, ColdBuildReportAccountsEveryCell) {
                          return st.name == name;
                        });
   };
-  EXPECT_TRUE(has_stage("cache_scan"));
   EXPECT_TRUE(has_stage("compute"));
-  EXPECT_TRUE(has_stage("cache_insert"));
+  EXPECT_TRUE(has_stage("copy"));
+  EXPECT_TRUE(has_stage("journal"));
 }
 
 TEST(ObservabilityTest, DistanceCallCounterEqualsUpperTriangle) {
@@ -124,7 +124,7 @@ TEST(ObservabilityTest, TraceCapturesSpansWhenEnabled) {
   };
   EXPECT_TRUE(has_span("engine.build_matrix"));
   EXPECT_TRUE(has_span("build.compute"));
-  EXPECT_TRUE(has_span("build.cache_scan"));
+  EXPECT_TRUE(has_span("build.copy"));
 
   const std::string json = engine.trace().ToChromeJson();
   EXPECT_NE(json.find("\"name\":\"engine.build_matrix\""), std::string::npos);

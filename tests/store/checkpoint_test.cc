@@ -2,9 +2,9 @@
 // persistent store): build a matrix for N logs, SaveCheckpoint, reload in a
 // fresh Engine, append M new logs, and the incrementally-completed matrix
 // must be bit-identical to a cold build over N+M logs — while the journal
-// shows only the new rows were computed and the LRU cache never exceeds its
-// byte budget. A second restart then replays the journal and rebuilds with
-// zero recomputation.
+// shows only the new rows were computed and the triangles never exceed
+// their byte budget. A second restart then replays the journal and rebuilds
+// with zero recomputation.
 
 #include <gtest/gtest.h>
 
@@ -46,14 +46,12 @@ class CheckpointTest : public ::testing::Test {
 
 TEST_F(CheckpointTest, KillRestartRoundTripIsBitIdenticalAndIncremental) {
   workload::Scenario s = Shop(42, kTotal);
-  // Budget with finite headroom: holds every pair of the full log (plus the
-  // second measure used below), but is a real LRU bound that the test
-  // checks is never exceeded.
+  // Budget with finite headroom: holds every cell of the full log, but is a
+  // real bound that the test checks is never exceeded.
   EngineOptions options;
   options.threads = 2;
   options.block = 8;
-  options.cache_max_bytes = 3 * (kTotal * (kTotal - 1) / 2) *
-                            DistanceCache::kEntryBytes;
+  options.cache_max_bytes = 3 * (kTotal * (kTotal - 1) / 2) * sizeof(double);
 
   // --- Session 1: build over N queries, checkpoint, "die". ---
   {
@@ -183,15 +181,13 @@ TEST_F(CheckpointTest, LoadWithoutManifestIsNotFound) {
 TEST_F(CheckpointTest, EvictedRecomputesAreNotReJournaled) {
   workload::Scenario s = Shop(37, 10);
   EngineOptions options;
-  options.cache_max_bytes = 20 * DistanceCache::kEntryBytes;  // < 45 pairs
+  // Exactly the 45 cells of a 10-query triangle: the checkpoint holds it,
+  // and the first row past it makes the measure too large to keep.
+  options.cache_max_bytes = 10 * 9 / 2 * sizeof(double);
   Engine engine(s.Context(), options);
   engine.SetLog(s.log);
   ASSERT_TRUE(engine.BuildMatrix("token").ok());
   ASSERT_TRUE(engine.SaveCheckpoint(dir_).ok());
-
-  // Each rebuild recomputes the evicted pairs; none of those rows are new,
-  // so the journal must stay empty instead of growing per rebuild.
-  ASSERT_TRUE(engine.BuildMatrix("token").ok());
   ASSERT_TRUE(engine.BuildMatrix("token").ok());
   auto store = store::MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -199,10 +195,17 @@ TEST_F(CheckpointTest, EvictedRecomputesAreNotReJournaled) {
   ASSERT_TRUE(journal.ok());
   EXPECT_TRUE(journal->empty());
 
-  // A genuinely new row still journals exactly once.
+  // A genuinely new row journals exactly once. The build that computes it
+  // leaves the triangle over budget, so it is evicted, and every rebuild
+  // after that recomputes all rows; none of them are new, so the journal
+  // must not grow per rebuild.
   workload::Scenario extra = Shop(38, 1);
   ASSERT_TRUE(engine.AddQuery(extra.log[0]).ok());
   ASSERT_TRUE(engine.BuildMatrix("token").ok());
+  EXPECT_EQ(engine.cache_size(), 0u);
+  BuildReport rebuild;
+  ASSERT_TRUE(engine.BuildMatrix("token", &rebuild).ok());
+  EXPECT_EQ(rebuild.cells_computed, 11u * 10 / 2);
   ASSERT_TRUE(engine.BuildMatrix("token").ok());
   journal = store->ReadJournal();
   ASSERT_TRUE(journal.ok());
@@ -271,7 +274,11 @@ TEST_F(CheckpointTest, LoadToleratesJournalSubsumedBySnapshot) {
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store->AppendQuery(8, sql::ToSql(s.log[8])).ok());
     ASSERT_TRUE(store->AppendQuery(9, sql::ToSql(s.log[9])).ok());
-    ASSERT_TRUE(store->AppendRow("token", 8, {{0, expect->at(0, 8)}}).ok());
+    ASSERT_TRUE(store
+                    ->AppendRow("token", 8,
+                                std::span<const double>(
+                                    expect->RowUnchecked(8), 8))
+                    .ok());
   }
 
   Engine restored(s.Context());
@@ -283,7 +290,7 @@ TEST_F(CheckpointTest, LoadToleratesJournalSubsumedBySnapshot) {
   ExpectBitIdentical(*expect, *got);
 }
 
-TEST_F(CheckpointTest, JournalRowWithColumnAboveRowIsParseError) {
+TEST_F(CheckpointTest, JournalRowWhoseValueCountIsNotItsRowIsParseError) {
   workload::Scenario s = Shop(31, 6);
   {
     Engine engine(s.Context());
@@ -293,11 +300,62 @@ TEST_F(CheckpointTest, JournalRowWithColumnAboveRowIsParseError) {
   {
     auto store = store::MatrixStore::Open(dir_);
     ASSERT_TRUE(store.ok());
-    // Valid CRC, nonsense content: column 4000000000 of row 5.
-    ASSERT_TRUE(store->AppendRow("token", 5, {{4000000000u, 0.3}}).ok());
+    // Valid CRC, nonsense content: one value for row 5, which holds five.
+    const std::vector<double> one = {0.3};
+    ASSERT_TRUE(store->AppendRow("token", 5, one).ok());
   }
   Engine engine(s.Context());
   EXPECT_EQ(engine.LoadCheckpoint(dir_).code(), StatusCode::kParseError);
+}
+
+TEST_F(CheckpointTest, CompactionRejectsAJournalRowOutsideTheLog) {
+  // A CRC-valid row record past the end of the log is rejected by a load;
+  // a fold must reject it the same way, or compaction would launder it into
+  // a snapshot the next load accepts and a later build serves as a
+  // distance.
+  workload::Scenario s = Shop(31, 6);
+  {
+    Engine engine(s.Context());
+    engine.SetLog(s.log);
+    ASSERT_TRUE(engine.SaveCheckpoint(dir_).ok());
+  }
+  {
+    auto store = store::MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    const std::vector<double> row(7, 0.3);
+    ASSERT_TRUE(store->AppendRow("token", 7, row).ok());
+  }
+  Engine engine(s.Context());
+  EXPECT_EQ(engine.LoadCheckpoint(dir_).code(), StatusCode::kParseError);
+
+  {
+    auto store = store::MatrixStore::OpenExisting(dir_);
+    ASSERT_TRUE(store.ok());
+    auto plan = store->BeginCompaction();
+    ASSERT_TRUE(plan.ok());
+    ASSERT_TRUE(plan->has_work);
+    EXPECT_EQ(store->FoldFrozen(*plan).status().code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(store->generation(), 0u);
+  }
+
+  // Through the engine: attach the checkpoint by saving the same 6-query
+  // state, re-append the record, and compact.
+  Engine saver(s.Context());
+  saver.SetLog(s.log);
+  ASSERT_TRUE(saver.SaveCheckpoint(dir_).ok());
+  {
+    auto store = store::MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    const std::vector<double> row(7, 0.3);
+    ASSERT_TRUE(store->AppendRow("token", 7, row).ok());
+  }
+  EXPECT_EQ(saver.CompactNow().status().code(), StatusCode::kParseError);
+  EXPECT_EQ(saver.checkpoint_generation(), 0u);  // nothing published
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "snapshot.1.dpe"));
+
+  Engine reloaded(s.Context());
+  EXPECT_EQ(reloaded.LoadCheckpoint(dir_).code(), StatusCode::kParseError);
 }
 
 TEST_F(CheckpointTest, TornJournalTailRecoversOnLoad) {

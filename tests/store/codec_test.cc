@@ -1,19 +1,19 @@
-// Store codec: primitive round-trips, property-style random cache
-// round-trips across all six built-in measures, and corruption tests — a
-// truncated file, a bad magic, or any single flipped byte must surface as a
-// Status error, never undefined behaviour.
+// Store codec: primitive round-trips, property-style random runs of raw
+// doubles (the payload of every snapshot chunk and journal row), and
+// corruption tests — a truncated file, a bad magic, or any single flipped
+// byte must surface as a Status error, never undefined behaviour.
 
 #include "store/codec.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 
 #include "common/rng.h"
-#include "engine/measure_registry.h"
 
 namespace dpe::store {
 namespace {
@@ -102,62 +102,51 @@ TEST(CodecTest, Crc32KnownVector) {
   EXPECT_EQ(Crc32(""), 0x00000000u);
 }
 
-TEST(CodecTest, CacheEntriesRoundTripAcrossAllSixMeasures) {
-  const std::vector<std::string> measures =
-      engine::MeasureRegistry::WithBuiltins().Names();
-  ASSERT_EQ(measures.size(), 6u);
-
+TEST(CodecTest, DoubleRunsRoundTripBitIdentically) {
   Rng rng(7);
-  std::vector<CacheEntry> entries;
-  for (const std::string& measure : measures) {
-    for (size_t k = 0; k < 40; ++k) {
-      CacheEntry e;
-      e.measure = measure;
-      e.i = static_cast<uint32_t>(rng.NextBelow(100));
-      e.j = static_cast<uint32_t>(rng.NextBelow(100));
-      e.d = rng.NextDouble();
-      entries.push_back(std::move(e));
-    }
-  }
+  std::vector<double> values = {0.0, -0.0,
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::bit_cast<double>(0x7ff8dead0000beefULL)};
+  for (size_t k = 0; k < 500; ++k) values.push_back(rng.NextDouble());
   Writer w;
-  EncodeCacheEntries(entries, &w);
+  w.PutU32(7);
+  w.PutDoubles(values);
+  w.PutDouble(0.25);
+  // PutDoubles writes exactly what PutDouble would, value by value.
+  Writer one_by_one;
+  one_by_one.PutU32(7);
+  for (double v : values) one_by_one.PutDouble(v);
+  one_by_one.PutDouble(0.25);
+  EXPECT_EQ(w.buffer(), one_by_one.buffer());
+
   Reader r(w.buffer());
-  auto decoded = DecodeCacheEntries(&r);
+  ASSERT_TRUE(r.ReadU32().ok());
+  auto decoded = r.ReadDoubles(values.size());
   ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->size(), values.size());
+  for (size_t k = 0; k < values.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>((*decoded)[k]),
+              std::bit_cast<uint64_t>(values[k]))
+        << "value " << k;
+  }
+  auto tail = r.ReadDouble();
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(*tail, 0.25);
   EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(*decoded, entries);
 }
 
-TEST(CodecTest, CacheEntriesHugeNameCountIsRejectedBeforeAllocating) {
+TEST(CodecTest, DoubleRunLongerThanTheInputIsRejectedBeforeAllocating) {
   Writer w;
-  w.PutU32(0xFFFFFFFFu);  // ~4 billion names in a 4-byte payload
+  w.PutDoubles(std::vector<double>{0.5, 0.75});
   Reader r(w.buffer());
-  EXPECT_EQ(DecodeCacheEntries(&r).status().code(), StatusCode::kParseError);
-}
-
-TEST(CodecTest, CacheEntriesBadNameIndexIsError) {
-  Writer w;
-  w.PutU32(1);          // one name
-  w.PutString("token");
-  w.PutU64(1);          // one entry
-  w.PutU32(5);          // ...referencing name #5
-  w.PutU32(0);
-  w.PutU32(1);
-  w.PutDouble(0.5);
-  Reader r(w.buffer());
-  EXPECT_EQ(DecodeCacheEntries(&r).status().code(), StatusCode::kParseError);
-}
-
-TEST(CodecTest, SnapshotMetaRoundTrip) {
-  SnapshotMeta meta;
-  meta.query_count = 123;
-  meta.measures = {"access-area", "token"};
-  Writer w;
-  EncodeSnapshotMeta(meta, &w);
-  Reader r(w.buffer());
-  auto decoded = DecodeSnapshotMeta(&r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, meta);
+  // ~2^61 doubles requested from a 16-byte input.
+  EXPECT_EQ(r.ReadDoubles(size_t{1} << 61).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(r.ReadDoubles(3).status().code(), StatusCode::kParseError);
+  auto two = r.ReadDoubles(2);
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(*two, (std::vector<double>{0.5, 0.75}));
 }
 
 TEST(CodecTest, FramedFileRoundTrip) {

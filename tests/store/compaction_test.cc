@@ -17,7 +17,6 @@
 #include <fstream>
 #include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,71 +40,58 @@ void WriteBytes(const fs::path& path, const std::string& bytes) {
 }
 
 /// Generation-independent view of a store directory: the query log plus
-/// every cached cell, after snapshot read + full journal replay. Two
-/// directories holding "the same state" compare equal here no matter which
-/// generation (or how much journal tail) each one carries it in.
+/// every measure's triangle, after snapshot read + ApplyJournal over the
+/// full journal. Two directories holding "the same state" compare equal
+/// here no matter which generation (or how much journal tail) each one
+/// carries it in.
 struct MaterializedState {
   std::vector<std::string> queries;
-  std::map<std::tuple<std::string, uint32_t, uint32_t>, double> cells;
+  std::map<std::string, distance::DistanceTriangle> triangles;
 
   bool operator==(const MaterializedState&) const = default;
 };
 
-std::tuple<std::string, uint32_t, uint32_t> CellKey(const std::string& measure,
-                                                    uint32_t a, uint32_t b) {
-  return {measure, std::min(a, b), std::max(a, b)};
-}
-
 Result<MaterializedState> Materialize(const std::string& dir) {
   auto store = MatrixStore::OpenExisting(dir);
   if (!store.ok()) return store.status();
-  MaterializedState state;
+  Snapshot state;
   auto snapshot = store->ReadSnapshot();
   if (snapshot.ok()) {
-    state.queries = snapshot->queries;
-    for (const CacheEntry& entry : snapshot->entries) {
-      state.cells[CellKey(entry.measure, entry.i, entry.j)] = entry.d;
-    }
+    state = std::move(*snapshot);
   } else if (snapshot.status().code() != StatusCode::kNotFound) {
     return snapshot.status();
   }
   auto journal = store->ReadJournal();
   if (!journal.ok()) return journal.status();
-  for (const JournalRecord& record : *journal) {
-    if (record.kind == JournalRecord::Kind::kQueryAppended) {
-      if (record.index < state.queries.size()) continue;  // replayed duplicate
-      if (record.index > state.queries.size()) {
-        return Status::Internal("journal query gap at index " +
-                                std::to_string(record.index));
-      }
-      state.queries.push_back(record.sql);
-    } else {
-      for (const auto& [col, d] : record.cols) {
-        state.cells[CellKey(record.measure, col, record.row)] = d;
-      }
-    }
+  DPE_RETURN_NOT_OK(ApplyJournal(*journal, &state));
+  return MaterializedState{std::move(state.queries),
+                           std::move(state.triangles)};
+}
+
+distance::DistanceTriangle Triangle(
+    const std::vector<std::vector<double>>& rows) {
+  distance::DistanceTriangle t;
+  for (const std::vector<double>& row : rows) {
+    EXPECT_TRUE(t.AppendRow(row).ok());
   }
-  return state;
+  return t;
 }
 
 Snapshot BaseSnapshot() {
   Snapshot snap;
   snap.queries = {"SELECT a FROM t0", "SELECT b FROM t1", "SELECT c FROM t2"};
-  snap.entries = {
-      CacheEntry{"token", 0, 1, 0.25},
-      CacheEntry{"token", 0, 2, 0.5},
-      CacheEntry{"token", 1, 2, 0.75},
-      CacheEntry{"structure", 0, 1, 0.125},
-  };
+  snap.triangles["token"] = Triangle({{}, {0.25}, {0.5, 0.75}});
+  snap.triangles["structure"] = Triangle({{}, {0.125}});
   return snap;
 }
 
-/// Journal tail on top of BaseSnapshot: one appended query plus its rows.
+/// Journal tail on top of BaseSnapshot: one appended query plus rows.
 void SeedJournal(MatrixStore& store) {
   ASSERT_TRUE(store.AppendQuery(3, "SELECT d FROM t3").ok());
   ASSERT_TRUE(
-      store.AppendRow("token", 3, {{0, 0.1}, {1, 0.2}, {2, 0.3}}).ok());
-  ASSERT_TRUE(store.AppendRow("structure", 3, {{0, 0.4}}).ok());
+      store.AppendRow("token", 3, std::vector<double>{0.1, 0.2, 0.3}).ok());
+  ASSERT_TRUE(
+      store.AppendRow("structure", 2, std::vector<double>{0.4, 0.45}).ok());
 }
 
 class CompactionTest : public ::testing::Test {
@@ -138,7 +124,9 @@ TEST_F(CompactionTest, ManualCycleFoldsJournalIntoNextGeneration) {
   // Appends keep landing while the fold runs — they go to the rotated
   // journal and must survive the publish untouched.
   ASSERT_TRUE(store->AppendQuery(4, "SELECT e FROM t4").ok());
-  ASSERT_TRUE(store->AppendRow("token", 4, {{0, 0.9}}).ok());
+  ASSERT_TRUE(
+      store->AppendRow("token", 4, std::vector<double>{0.9, 0.8, 0.7, 0.6})
+          .ok());
 
   auto folded = store->FoldFrozen(*plan);
   ASSERT_TRUE(folded.ok()) << folded.status();
@@ -162,9 +150,11 @@ TEST_F(CompactionTest, ManualCycleFoldsJournalIntoNextGeneration) {
   ASSERT_TRUE(state.ok()) << state.status();
   EXPECT_EQ(state->queries.size(), 5u);
   EXPECT_EQ(state->queries[4], "SELECT e FROM t4");
-  EXPECT_EQ(state->cells.at(CellKey("token", 0, 3)), 0.1);
-  EXPECT_EQ(state->cells.at(CellKey("token", 0, 4)), 0.9);
-  EXPECT_EQ(state->cells.size(), 9u);
+  const distance::DistanceTriangle& token = state->triangles.at("token");
+  ASSERT_EQ(token.rows(), 5u);
+  EXPECT_EQ(token.Row(3)[0], 0.1);
+  EXPECT_EQ(token.Row(4)[0], 0.9);
+  EXPECT_EQ(state->triangles.at("structure").rows(), 3u);
 }
 
 TEST_F(CompactionTest, BeginWithEmptyJournalHasNoWork) {
@@ -182,25 +172,41 @@ TEST_F(CompactionTest, BeginWithEmptyJournalHasNoWork) {
   EXPECT_FALSE(*published);
 }
 
-TEST_F(CompactionTest, FoldKeepsTheLatestValueForARecomputedCell) {
+TEST_F(CompactionTest, ARowTheSnapshotAlreadyHoldsIsFoldedOnce) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->WriteSnapshot(BaseSnapshot()).ok());
-  // The journal recomputes a cell the snapshot already holds (an evicted
-  // pair rebuilt later): the fold must keep the journal's value, once.
-  ASSERT_TRUE(store->AppendRow("token", 2, {{0, 0.625}}).ok());
+  const Snapshot base = BaseSnapshot();
+  ASSERT_TRUE(store->WriteSnapshot(base).ok());
+  // The journal carries row 2 again (a save that crashed before truncating
+  // its journal): the snapshot already holds it, so the fold keeps it once.
+  ASSERT_TRUE(
+      store->AppendRow("token", 2, std::vector<double>{0.5, 0.75}).ok());
+  SeedJournal(*store);
   auto plan = store->BeginCompaction();
   ASSERT_TRUE(plan.ok());
   auto folded = store->FoldFrozen(*plan);
   ASSERT_TRUE(folded.ok()) << folded.status();
-  size_t occurrences = 0;
-  for (const CacheEntry& entry : folded->entries) {
-    if (CellKey(entry.measure, entry.i, entry.j) == CellKey("token", 0, 2)) {
-      ++occurrences;
-      EXPECT_EQ(entry.d, 0.625);
-    }
-  }
-  EXPECT_EQ(occurrences, 1u);
+  const distance::DistanceTriangle& token = folded->triangles.at("token");
+  ASSERT_EQ(token.rows(), 4u);
+  EXPECT_EQ(token.cells(), 6u);
+  EXPECT_EQ(token.Row(2)[1], 0.75);
+  EXPECT_EQ(token.Row(3)[2], 0.3);
+}
+
+TEST_F(CompactionTest, FoldRejectsARowOutsideTheLog) {
+  // A CRC-valid row record ahead of its query is a record a restore
+  // rejects; the fold rejects it too instead of publishing it.
+  auto store = MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->WriteSnapshot(BaseSnapshot()).ok());
+  ASSERT_TRUE(
+      store->AppendRow("token", 3, std::vector<double>{0.1, 0.2, 0.3}).ok());
+  ASSERT_TRUE(store->AppendQuery(3, "SELECT d FROM t3").ok());
+  auto plan = store->BeginCompaction();
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(store->FoldFrozen(*plan).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(Materialize(dir_).status().code(), StatusCode::kParseError);
+  EXPECT_EQ(store->generation(), 0u);
 }
 
 TEST_F(CompactionTest, PublishAbortsWhenACheckpointSupersedesThePlan) {
@@ -407,7 +413,9 @@ TEST_F(CheckpointCrashTest, KillDuringEitherWriteCommitsAllOrNothing) {
   const Snapshot base = BaseSnapshot();
   Snapshot resaved = base;
   resaved.queries.push_back("SELECT d FROM t3");
-  resaved.entries.push_back(CacheEntry{"token", 0, 3, 0.1});
+  ASSERT_TRUE(resaved.triangles["token"]
+                  .AppendRow(std::vector<double>{0.1, 0.2, 0.3})
+                  .ok());
   int case_index = 0;
   for (const std::string& spec : kDieSpecs) {
     for (const bool fresh : {true, false}) {
@@ -445,7 +453,7 @@ TEST_F(CheckpointCrashTest, KillDuringEitherWriteCommitsAllOrNothing) {
         const Snapshot& expect =
             read->queries == resaved.queries ? resaved : base;
         EXPECT_EQ(read->queries, expect.queries);
-        EXPECT_EQ(read->entries, expect.entries);
+        EXPECT_EQ(read->triangles, expect.triangles);
       }
     }
   }

@@ -31,10 +31,22 @@ class MatrixStoreTest : public ::testing::Test {
   std::string dir_;
 };
 
+/// A triangle of `rows` rows whose cells are distinct: d(c, r) = r + c / 16.
+distance::DistanceTriangle Triangle(size_t rows) {
+  distance::DistanceTriangle t;
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<double> row(r);
+    for (size_t c = 0; c < r; ++c) row[c] = r + c / 16.0;
+    EXPECT_TRUE(t.AppendRow(row).ok());
+  }
+  return t;
+}
+
 Snapshot MakeSnapshot() {
   Snapshot s;
   s.queries = {"SELECT a FROM t WHERE a = 1;", "SELECT b FROM t WHERE b = 2;"};
-  s.entries = {{"token", 0, 1, 0.5}, {"structure", 0, 1, 0.25}};
+  s.triangles["token"] = Triangle(2);
+  s.triangles["structure"] = Triangle(1);
   return s;
 }
 
@@ -93,7 +105,44 @@ TEST_F(MatrixStoreTest, SnapshotRoundTrip) {
   auto read = store->ReadSnapshot();
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read->queries, written.queries);
-  EXPECT_EQ(read->entries, written.entries);
+  EXPECT_EQ(read->triangles, written.triangles);
+}
+
+TEST_F(MatrixStoreTest, LargeTrianglesRoundTripAcrossManyChunks) {
+  // 200 rows hold 19900 cells: several ~4096-cell chunks per measure, and
+  // the measures' chunks must each reassemble in row order.
+  auto store = MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  Snapshot written;
+  for (size_t q = 0; q < 200; ++q) {
+    written.queries.push_back("SELECT c" + std::to_string(q) + " FROM t;");
+  }
+  written.triangles["token"] = Triangle(200);
+  written.triangles["structure"] = Triangle(150);
+  written.triangles["result"] = Triangle(0);
+  ASSERT_TRUE(store->WriteSnapshot(written).ok());
+  auto read = store->ReadSnapshot();
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->queries, written.queries);
+  EXPECT_EQ(read->triangles, written.triangles);
+  // Raw doubles: about 8 bytes per cell, not a tuple per cell.
+  const auto bytes = fs::file_size(fs::path(dir_) / "snapshot.0.dpe");
+  EXPECT_LT(bytes, (19900 + 11175) * 8 + 8 * 1024);
+}
+
+TEST_F(MatrixStoreTest, MeasureDeclaringMoreRowsThanQueriesIsParseError) {
+  // CRC-valid, but a triangle row without its query is nothing a restore
+  // could ever index: the strict read refuses it and a scrub cannot salvage
+  // the core.
+  auto store = MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  Snapshot bad = MakeSnapshot();
+  bad.triangles["token"] = Triangle(3);  // 3 rows over 2 queries
+  ASSERT_TRUE(store->WriteSnapshot(bad).ok());
+  EXPECT_EQ(store->ReadSnapshot().status().code(), StatusCode::kParseError);
+  auto report = store->Scrub();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->snapshot_unreadable);
 }
 
 TEST_F(MatrixStoreTest, SnapshotOverwriteReplacesAtomically) {
@@ -106,14 +155,14 @@ TEST_F(MatrixStoreTest, SnapshotOverwriteReplacesAtomically) {
   auto read = store->ReadSnapshot();
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->queries, second.queries);
-  EXPECT_TRUE(read->entries.empty());
+  EXPECT_TRUE(read->triangles.empty());
 }
 
 TEST_F(MatrixStoreTest, JournalAppendReadTruncate) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->AppendQuery(2, "SELECT a FROM t WHERE a = 3;").ok());
-  ASSERT_TRUE(store->AppendRow("token", 2, {{0, 0.1}, {1, 0.9}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 2, std::vector<double>{0.1, 0.9}).ok());
   ASSERT_TRUE(store->AppendQuery(3, "SELECT b FROM t WHERE b = 4;").ok());
 
   auto records = store->ReadJournal();
@@ -125,9 +174,7 @@ TEST_F(MatrixStoreTest, JournalAppendReadTruncate) {
   EXPECT_EQ((*records)[1].kind, JournalRecord::Kind::kRowComputed);
   EXPECT_EQ((*records)[1].measure, "token");
   EXPECT_EQ((*records)[1].row, 2u);
-  ASSERT_EQ((*records)[1].cols.size(), 2u);
-  EXPECT_EQ((*records)[1].cols[0], (std::pair<uint32_t, double>{0, 0.1}));
-  EXPECT_EQ((*records)[1].cols[1], (std::pair<uint32_t, double>{1, 0.9}));
+  EXPECT_EQ((*records)[1].values, (std::vector<double>{0.1, 0.9}));
   EXPECT_EQ((*records)[2].index, 3u);
 
   ASSERT_TRUE(store->TruncateJournal().ok());
@@ -141,7 +188,7 @@ TEST_F(MatrixStoreTest, JournalSurvivesReopen) {
     auto store = MatrixStore::Open(dir_);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store->WriteSnapshot(MakeSnapshot()).ok());
-    ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.75}}).ok());
+    ASSERT_TRUE(store->AppendRow("token", 1, std::vector<double>{0.75}).ok());
   }
   auto reopened = MatrixStore::Open(dir_);
   ASSERT_TRUE(reopened.ok());
@@ -155,7 +202,7 @@ TEST_F(MatrixStoreTest, JournalSurvivesReopen) {
 TEST_F(MatrixStoreTest, CorruptJournalTailIsParseError) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.75}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 1, std::vector<double>{0.75}).ok());
   // Simulate a torn append: write half a record's worth of garbage.
   std::ofstream out(fs::path(dir_) / "journal.0.dpe",
                     std::ios::binary | std::ios::app);
@@ -167,13 +214,13 @@ TEST_F(MatrixStoreTest, CorruptJournalTailIsParseError) {
 TEST_F(MatrixStoreTest, RecoverJournalDropsTornTailAndRepairsFile) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.75}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 1, std::vector<double>{0.75}).ok());
   ASSERT_TRUE(store->AppendQuery(2, "SELECT a FROM t WHERE a = 1;").ok());
   const auto intact_size = fs::file_size(fs::path(dir_) / "journal.0.dpe");
 
   // Crash mid-append: any cut point inside a third record must recover to
   // exactly the two intact records.
-  ASSERT_TRUE(store->AppendRow("token", 2, {{0, 0.1}, {1, 0.2}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 2, std::vector<double>{0.1, 0.2}).ok());
   std::ifstream in(fs::path(dir_) / "journal.0.dpe", std::ios::binary);
   std::string full((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
@@ -199,7 +246,8 @@ TEST_F(MatrixStoreTest, RecoverJournalDropsTornTailAndRepairsFile) {
     ASSERT_TRUE(strict.ok());
     EXPECT_EQ(strict->size(), 2u);
   }
-  ASSERT_TRUE(store->AppendRow("token", 3, {{0, 0.5}}).ok());
+  ASSERT_TRUE(
+      store->AppendRow("token", 3, std::vector<double>{0.5, 0.6, 0.7}).ok());
   auto after_append = store->ReadJournal();
   ASSERT_TRUE(after_append.ok());
   EXPECT_EQ(after_append->size(), 3u);
@@ -230,7 +278,7 @@ TEST_F(MatrixStoreTest, RecoverJournalHandlesHeaderStub) {
   EXPECT_EQ(recovered->dropped_bytes, 3u);
   EXPECT_FALSE(fs::exists(fs::path(dir_) / "journal.0.dpe"));
   // Appends start a clean journal afterwards.
-  ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.5}}).ok());
+  ASSERT_TRUE(store->AppendRow("token", 1, std::vector<double>{0.5}).ok());
   auto after = store->ReadJournal();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->size(), 1u);
@@ -372,11 +420,11 @@ TEST_F(MatrixStoreTest, SparseShardFilesOmitUnownedCells) {
   EXPECT_EQ(*count, 6u);
 }
 
-TEST_F(MatrixStoreTest, V1FramesAreParseErrors) {
-  // Every framed format has exactly one version. The bytes earlier builds
-  // wrote as version 1 — a dense shard (manifest + the full upper
-  // triangle) and a monolithic snapshot (core and entries in one run) —
-  // must fail typed, never decode.
+TEST_F(MatrixStoreTest, OldFormatVersionsAreParseErrors) {
+  // Every framed format has exactly one version. Bytes earlier builds wrote
+  // — a version-1 dense shard (manifest + the full upper triangle), a
+  // version-2 snapshot frame and a version-1 journal — must fail typed,
+  // never decode.
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   Writer shard;
@@ -391,22 +439,28 @@ TEST_F(MatrixStoreTest, V1FramesAreParseErrors) {
   EXPECT_EQ(store->ReadShard("token", 1, 3).status().code(),
             StatusCode::kParseError);
 
-  const Snapshot snapshot = MakeSnapshot();
-  ASSERT_TRUE(store->WriteSnapshot(snapshot).ok());
-  Writer v1;
-  EncodeSnapshotMeta(SnapshotMeta{snapshot.queries.size(),
-                                  {"structure", "token"}},
-                     &v1);
-  v1.PutU64(snapshot.queries.size());
-  for (const std::string& sql : snapshot.queries) v1.PutString(sql);
-  EncodeCacheEntries(snapshot.entries, &v1);
-  ASSERT_TRUE(WriteFramedFile((fs::path(dir_) / "snapshot.0.dpe").string(),
-                              kSnapshotMagic, v1.buffer(), /*version=*/1)
+  ASSERT_TRUE(store->WriteSnapshot(MakeSnapshot()).ok());
+  const std::string snapshot_path =
+      (fs::path(dir_) / "snapshot.0.dpe").string();
+  auto payload = ReadFramedFile(snapshot_path, kSnapshotMagic,
+                                kSnapshotFormatVersion);
+  ASSERT_TRUE(payload.ok());
+  ASSERT_TRUE(WriteFramedFile(snapshot_path, kSnapshotMagic, *payload,
+                              /*version=*/2)
                   .ok());
   EXPECT_EQ(store->ReadSnapshot().status().code(), StatusCode::kParseError);
+
+  Writer journal;
+  journal.PutU32(kJournalMagic);
+  journal.PutU32(1);
+  std::ofstream(fs::path(dir_) / "journal.0.dpe", std::ios::binary)
+      << journal.buffer();
+  EXPECT_EQ(store->ReadJournal().status().code(), StatusCode::kParseError);
+
   auto report = store->Scrub();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->snapshot_unreadable);
+  EXPECT_TRUE(report->journal_rewritten);  // quarantined wholesale
 }
 
 TEST_F(MatrixStoreTest, SparseShardCellCountMismatchIsParseError) {
@@ -442,14 +496,15 @@ TEST_F(MatrixStoreTest, FsyncPolicyRoundTripsUnderEveryPolicy) {
 
     Snapshot snapshot;
     snapshot.queries = {"SELECT a FROM t;"};
-    snapshot.entries = {{"token", 0, 1, 0.25}};
+    snapshot.triangles["token"] = Triangle(1);
     ASSERT_TRUE(store->WriteSnapshot(snapshot).ok());
     ASSERT_TRUE(store->AppendQuery(1, "SELECT b FROM t;").ok());
-    ASSERT_TRUE(store->AppendRow("token", 1, {{0, 0.5}}).ok());
+    ASSERT_TRUE(store->AppendRow("token", 1, std::vector<double>{0.5}).ok());
 
     auto back = store->ReadSnapshot();
     ASSERT_TRUE(back.ok()) << back.status();
     EXPECT_EQ(back->queries, snapshot.queries);
+    EXPECT_EQ(back->triangles, snapshot.triangles);
     auto journal = store->ReadJournal();
     ASSERT_TRUE(journal.ok()) << journal.status();
     EXPECT_EQ(journal->size(), 2u);

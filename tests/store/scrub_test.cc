@@ -2,18 +2,17 @@
 //
 // The invariant under test (matrix_store.h): a scrub never invents state.
 // Whatever a byte flip destroys, the repaired store serves a value-correct
-// SUBSET of the reference — recovered cells match the reference exactly,
-// lost cells are counted as quarantined, and unsalvageable damage (the
-// query-log core) leaves strict loads failing typed rather than producing
-// a wrong matrix. The flip-every-byte sweep proves that for every possible
-// single-byte corruption of a snapshot.
+// PREFIX of each reference triangle — recovered rows match the reference
+// exactly, lost cells are counted as quarantined, and unsalvageable damage
+// (the query-log core) leaves strict loads failing typed rather than
+// producing a wrong matrix. The flip-every-byte sweep proves that for every
+// possible single-byte corruption of a snapshot.
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <algorithm>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,20 +35,29 @@ void WriteBytes(const fs::path& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::tuple<std::string, uint32_t, uint32_t> CellKey(const CacheEntry& e) {
-  return {e.measure, std::min(e.i, e.j), std::max(e.i, e.j)};
+distance::DistanceTriangle Triangle(
+    const std::vector<std::vector<double>>& rows) {
+  distance::DistanceTriangle t;
+  for (const std::vector<double>& row : rows) {
+    EXPECT_TRUE(t.AppendRow(row).ok());
+  }
+  return t;
 }
 
 Snapshot BaseSnapshot() {
   Snapshot snap;
   snap.queries = {"SELECT a FROM t0", "SELECT b FROM t1", "SELECT c FROM t2"};
-  snap.entries = {
-      CacheEntry{"token", 0, 1, 0.25},
-      CacheEntry{"token", 0, 2, 0.5},
-      CacheEntry{"token", 1, 2, 0.75},
-      CacheEntry{"structure", 0, 1, 0.125},
-  };
+  snap.triangles["token"] = Triangle({{}, {0.25}, {0.5, 0.75}});
+  snap.triangles["structure"] = Triangle({{}, {0.125}});
   return snap;
+}
+
+size_t Cells(const Snapshot& snapshot) {
+  size_t cells = 0;
+  for (const auto& [name, triangle] : snapshot.triangles) {
+    cells += triangle.cells();
+  }
+  return cells;
 }
 
 class ScrubTest : public ::testing::Test {
@@ -99,9 +107,6 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
   const std::string full = ReadAllBytes(snapshot_path);
   ASSERT_GT(full.size(), 16u);
 
-  std::map<std::tuple<std::string, uint32_t, uint32_t>, double> expect;
-  for (const CacheEntry& e : reference.entries) expect[CellKey(e)] = e.d;
-
   for (size_t flip = 0; flip < full.size(); ++flip) {
     std::string damaged = full;
     damaged[flip] = static_cast<char>(damaged[flip] ^ 0x5a);
@@ -115,7 +120,7 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
       auto strict = store->ReadSnapshot();
       if (strict.ok()) {
         EXPECT_EQ(strict->queries, reference.queries) << "flip " << flip;
-        EXPECT_EQ(strict->entries, reference.entries) << "flip " << flip;
+        EXPECT_EQ(strict->triangles, reference.triangles) << "flip " << flip;
       } else {
         EXPECT_EQ(strict.status().code(), StatusCode::kParseError)
             << "flip " << flip << ": " << strict.status();
@@ -137,15 +142,20 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
                                << repaired.status();
     // The query log is either fully intact or the file was unreadable.
     EXPECT_EQ(repaired->queries, reference.queries) << "flip " << flip;
-    // Every surviving cell carries its exact reference value.
-    for (const CacheEntry& e : repaired->entries) {
-      auto it = expect.find(CellKey(e));
-      ASSERT_NE(it, expect.end()) << "flip " << flip << ": invented cell";
-      EXPECT_EQ(e.d, it->second) << "flip " << flip;
+    // Every measure survives as a prefix of its reference rows, each row
+    // carrying its exact reference values; nothing is invented.
+    for (const auto& [name, triangle] : repaired->triangles) {
+      auto it = reference.triangles.find(name);
+      ASSERT_NE(it, reference.triangles.end())
+          << "flip " << flip << ": invented measure " << name;
+      ASSERT_LE(triangle.rows(), it->second.rows()) << "flip " << flip;
+      for (size_t r = 0; r < triangle.rows(); ++r) {
+        EXPECT_TRUE(std::ranges::equal(triangle.Row(r), it->second.Row(r)))
+            << "flip " << flip << ": " << name << " row " << r;
+      }
     }
-    if (repaired->entries.size() < reference.entries.size()) {
-      EXPECT_GT(report->cells_quarantined, 0u) << "flip " << flip;
-    }
+    EXPECT_EQ(report->cells_quarantined, Cells(reference) - Cells(*repaired))
+        << "flip " << flip;
     // A second scrub finds nothing left to repair.
     auto again = store->Scrub();
     ASSERT_TRUE(again.ok()) << "flip " << flip;
@@ -156,8 +166,10 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
 }
 
 TEST_F(ScrubTest, DamagedChunkIsQuarantinedAndTheRestSurvives) {
-  // The small snapshot fits one entry chunk; a flip inside it quarantines
-  // every cell while the query-log core survives intact.
+  // Each small triangle fits one chunk, and "token" sorts after
+  // "structure", so the file ends inside token's chunk: a flip there
+  // quarantines token's rows while the query-log core and "structure"
+  // survive intact.
   Snapshot snap = BaseSnapshot();
   {
     auto store = MatrixStore::Open(dir_);
@@ -166,7 +178,7 @@ TEST_F(ScrubTest, DamagedChunkIsQuarantinedAndTheRestSurvives) {
   }
   const fs::path path = fs::path(dir_) / "snapshot.0.dpe";
   std::string bytes = ReadAllBytes(path);
-  // Last byte sits inside the final entry chunk's payload.
+  // Last byte sits inside the final chunk's payload.
   bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0xff);
   WriteBytes(path, bytes);
 
@@ -178,12 +190,17 @@ TEST_F(ScrubTest, DamagedChunkIsQuarantinedAndTheRestSurvives) {
   EXPECT_TRUE(report->snapshot_rewritten);
   EXPECT_FALSE(report->snapshot_unreadable);
   EXPECT_EQ(report->snapshot_chunks_quarantined, 1u);
-  EXPECT_EQ(report->cells_quarantined, snap.entries.size());
+  EXPECT_EQ(report->cells_quarantined, snap.triangles.at("token").cells());
 
   auto repaired = store->ReadSnapshot();
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_EQ(repaired->queries, snap.queries);
-  EXPECT_TRUE(repaired->entries.empty());  // the one chunk was quarantined
+  // The measure keeps its entry, truncated to the rows before the damage,
+  // so a load still knows to recompute it.
+  ASSERT_EQ(repaired->triangles.count("token"), 1u);
+  EXPECT_EQ(repaired->triangles.at("token").rows(), 0u);
+  EXPECT_EQ(repaired->triangles.at("structure"),
+            snap.triangles.at("structure"));
 }
 
 TEST_F(ScrubTest, CorruptManifestIsRebuiltFromTheHighestReadableGeneration) {
