@@ -1,7 +1,7 @@
 // Shard-scaling bench: a k-shard matrix build round-tripped through on-disk
-// shard files vs the single-process blocked build. Each shard is computed
-// by ShardWorker::Run — the unit every sharded build runs per tile range —
-// and the finished directory is merged by Engine::DriveShards. Verifies on
+// shard files vs the single-process build. Each shard is computed by
+// ShardWorker::Run — the unit every sharded build runs per row range — and
+// the finished directory is merged by Engine::DriveShards. Verifies on
 // every configuration that the merged matrix is bit-identical to the direct
 // one, then reports per-shard compute cost (the distributed critical path
 // is the slowest shard), export cost, and merge cost.

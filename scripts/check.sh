@@ -149,7 +149,10 @@ echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # heartbeat threads renewing while worker loops acquire, the driver's poll
 # loop racing worker threads, /stats snapshotting a live board. Async
 # builds share each measure's distance triangle, so EngineTest.Async* races
-# two builds of one measure against ClearCache. TSan the suites that
+# two builds of one measure against ClearCache, and the seeded triangle
+# differential suite interleaves async builds, background compaction,
+# ClearCache, restarts and shard drives (whose merged rows go through the
+# same triangle and journal writes) on one engine. TSan the suites that
 # exercise those interleavings (plus the backoff/fault primitives they are
 # built from); the full matrix stays with ASan above.
 cmake -B build-tsan -S . -DDPE_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -157,7 +160,7 @@ cmake -B build-tsan -S . -DDPE_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-tsan -j"$JOBS" \
       --target dpe_engine_tests dpe_common_tests
 (cd build-tsan && ./dpe_engine_tests \
-      --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*:EngineTest.Async*')
+      --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*:EngineTest.Async*:Seeds/TriangleDifferentialTest.*')
 (cd build-tsan && ./dpe_common_tests \
       --gtest_filter='BackoffTest.*:FaultInjectorTest.*')
 # Log-sink registry: concurrent emitters vs. sink swaps (the regression

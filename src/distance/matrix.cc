@@ -83,25 +83,29 @@ void DistanceTriangle::ExtendFrom(const DistanceMatrix& m) {
   rows_ = m.size();
 }
 
-void DistanceTriangle::CopyTo(DistanceMatrix* m) const {
+void DistanceTriangle::CopyRows(std::span<const double> cells, size_t first,
+                                size_t end, DistanceMatrix* m) {
+  assert(first <= end && end <= m->n_ &&
+         cells.size() == CellCount(end) - CellCount(first) &&
+         "DistanceTriangle::CopyRows range");
   const size_t n = m->n_;
-  const size_t rows = std::min(rows_, n);
-  double* cells = m->cells_.data();
+  double* out = m->cells_.data();
   // Each row lands as one copy into the lower half; the upper half is then
   // mirrored in kBlock x kBlock tiles, which keeps the strided side of that
   // transpose within a few cache lines (a column-at-a-time mirror thrashes
   // the cache when n is a power of two).
-  for (size_t r = 1; r < rows; ++r) {
-    std::copy_n(cells_.data() + CellCount(r), r, cells + r * n);
+  for (size_t r = first; r < end; ++r) {
+    std::copy_n(cells.data() + CellCount(r) - CellCount(first), r,
+                out + r * n);
   }
   constexpr size_t kBlock = 32;
-  for (size_t rb = 0; rb < rows; rb += kBlock) {
-    const size_t r_end = std::min(rb + kBlock, rows);
-    for (size_t cb = 0; cb <= rb; cb += kBlock) {
-      const size_t c_end = std::min(cb + kBlock, rows);
+  for (size_t rb = first; rb < end; rb += kBlock) {
+    const size_t r_end = std::min(rb + kBlock, end);
+    for (size_t cb = 0; cb < r_end; cb += kBlock) {
+      const size_t c_end = std::min(cb + kBlock, r_end);
       for (size_t c = cb; c < c_end; ++c) {
         for (size_t r = std::max(rb, c + 1); r < r_end; ++r) {
-          cells[c * n + r] = cells[r * n + c];
+          out[c * n + r] = out[r * n + c];
         }
       }
     }

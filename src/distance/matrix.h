@@ -66,7 +66,7 @@ class DistanceMatrix {
       const QueryDistanceMeasure& measure, const MeasureContext& context);
 
  private:
-  friend class DistanceTriangle;  // CopyTo writes whole rows at once
+  friend class DistanceTriangle;  // CopyRows writes whole rows at once
 
   size_t n_ = 0;
   std::vector<double> cells_;
@@ -108,9 +108,11 @@ class DistanceTriangle {
   /// Allocates room for `rows` rows up front (a decoder that knows the
   /// final size appends without reallocating).
   void Reserve(size_t rows) { cells_.reserve(CellCount(rows)); }
-  /// Writes rows [0, min(rows(), m->size())) into the leading block of `m`,
-  /// both halves.
-  void CopyTo(DistanceMatrix* m) const;
+  /// Writes triangle rows [first, end) into `m`, both halves. `cells` holds
+  /// exactly those rows, laid out as Rows(first, end) returns them (a shard
+  /// file carries the same run); end must be <= m->size().
+  static void CopyRows(std::span<const double> cells, size_t first,
+                       size_t end, DistanceMatrix* m);
 
   bool operator==(const DistanceTriangle&) const = default;
 

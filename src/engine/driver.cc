@@ -19,6 +19,10 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+/// A shard whose export reads corrupt is discarded and recomputed at most
+/// this many times before the drive fails (pathological disk).
+constexpr int kMaxDiscardsPerShard = 3;
+
 int64_t ElapsedMs(Clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
                                                                since)
@@ -93,37 +97,6 @@ std::string HostnameOrFallback() {
     return buffer;
   }
   return "unknown-host";
-}
-
-/// Replays one shard's cells into `into` along the shared tile traversal.
-/// The shard's manifest already matched the plan, so `range` lies inside
-/// `tiles` = TileSchedule(n, block); the cell count is checked here because
-/// the copy below reads `cells` unchecked.
-Status ReplayShardCells(const std::vector<double>& cells,
-                        const TileRange& range, size_t n, size_t block,
-                        const std::vector<std::pair<size_t, size_t>>& tiles,
-                        distance::DistanceMatrix* into) {
-  size_t range_cells = 0;
-  for (size_t t = range.begin; t < range.end; ++t) {
-    range_cells += TileCellCount(n, block, tiles[t].first, tiles[t].second);
-  }
-  if (cells.size() != range_cells) {
-    return Status::ParseError("shard merge: shard carries " +
-                              std::to_string(cells.size()) +
-                              " cells but its tile range owns " +
-                              std::to_string(range_cells));
-  }
-  // The cells arrive in tile-schedule order, so the same tile->cells
-  // traversal the builder executes replays them into place — bit-identical
-  // to the single-process build.
-  size_t next_cell = 0;
-  for (size_t t = range.begin; t < range.end; ++t) {
-    const auto [bi, bj] = tiles[t];
-    ForEachTileCell(n, block, bi, bj, [&](size_t i, size_t j) {
-      into->SetUnchecked(i, j, cells[next_cell++]);
-    });
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -483,9 +456,6 @@ Result<DriveReport> ShardDriver::Drive(
   obs::TraceSpan drive_span("driver.drive", options_.trace,
                             &metrics.histogram("driver.drive_ms"));
 
-  const std::vector<std::pair<size_t, size_t>> tiles =
-      TileSchedule(plan.n, plan.block);
-
   DriveReport report;
   report.matrix = distance::DistanceMatrix(plan.n);
   std::vector<bool> merged(k, false);
@@ -521,44 +491,45 @@ Result<DriveReport> ShardDriver::Drive(
       //    barrier on the other k-1 shards.
       if (store.HasShard(matrix_name, s, k)) {
         Result<store::ShardFile> shard = store.ReadShard(matrix_name, s, k);
-        Status replayed = shard.ok()
-                              ? Status::OK()
-                              : Status(shard.status());
+        Status merged_status = shard.ok() ? Status::OK()
+                                          : Status(shard.status());
         if (shard.ok()) {
           const store::ShardManifest& m = shard->manifest;
-          if (m.n != plan.n || m.block != plan.block ||
-              m.tile_begin != plan.ranges[s].begin ||
-              m.tile_end != plan.ranges[s].end) {
+          const RowRange& range = plan.ranges[s];
+          if (m.n != plan.n || m.row_begin != range.begin ||
+              m.row_end != range.end) {
             // A manifest that disagrees with the deterministic plan is a
             // foreign or doctored export: corrupt for our purposes.
-            replayed = Status::ParseError(
+            merged_status = Status::ParseError(
                 "shard " + std::to_string(s) +
                 " manifest disagrees with the derived plan");
           } else {
-            replayed = ReplayShardCells(shard->cells, plan.ranges[s], plan.n,
-                                        plan.block, tiles, &report.matrix);
+            // ReadShard sized the cells from these rows, and its manifest
+            // check keeps them inside [0, n).
+            distance::DistanceTriangle::CopyRows(shard->cells, range.begin,
+                                                 range.end, &report.matrix);
           }
         }
-        if (replayed.ok()) {
+        if (merged_status.ok()) {
           merged[s] = true;
           ++merged_count;
           if (!self_done[s]) ++report.merged_from_workers;
           metrics.counter("driver.shards_merged", {{"matrix", matrix_name}})
               .Increment();
           progress = true;
-        } else if (replayed.code() == StatusCode::kNotFound) {
+        } else if (merged_status.code() == StatusCode::kNotFound) {
           // Raced a reclaim/remove between HasShard and ReadShard: the
           // file is simply gone again — next round.
         } else {
           // Corrupt export: discard and let whoever holds (or steals) the
           // range recompute. Capped per shard so a pathological disk
           // cannot loop forever.
-          if (++discards[s] > options_.max_discards_per_shard) {
+          if (++discards[s] > kMaxDiscardsPerShard) {
             return Status::ExecutionError(
                 "shard driver: shard " + std::to_string(s) + " discarded " +
                 std::to_string(discards[s] - 1) +
                 " times without a clean export; giving up (" +
-                replayed.message() + ")");
+                merged_status.message() + ")");
           }
           ++report.discards;
           metrics.counter("driver.shard_discards", {{"matrix", matrix_name}})
@@ -567,7 +538,7 @@ Result<DriveReport> ShardDriver::Drive(
                    "discarding corrupt shard export",
                    {{"matrix", matrix_name},
                     {"shard", std::to_string(s)},
-                    {"error", std::string(replayed.message())}});
+                    {"error", std::string(merged_status.message())}});
           DPE_RETURN_NOT_OK(store.RemoveShard(matrix_name, s, k));
           self_allowed[s] = true;  // its computer may be gone; don't wait
           progress = true;
@@ -603,13 +574,16 @@ Result<DriveReport> ShardDriver::Drive(
         if (acquired) {
           obs::Log(obs::LogLevel::kInfo, "driver", "self-finishing range",
                    {{"matrix", matrix_name}, {"shard", std::to_string(s)}});
-          std::atomic<uint64_t> progress{0};
+          // Named apart from the round's `progress` flag: the
+          // `progress = true` below must set that flag, or the round ends
+          // in a backoff sleep.
+          std::atomic<uint64_t> cells_done{0};
           LeaseHeartbeat heartbeat(&board, s, /*interval_ms=*/
                                    std::max(1, options_.poll_backoff
                                                    .min_delay_ms),
-                                   &progress);
+                                   &cells_done);
           ShardWorker worker(options_.pool, options_.metrics, options_.trace);
-          worker.set_progress_cells(&progress);
+          worker.set_progress_cells(&cells_done);
           const Result<store::ShardManifest> ran = worker.Run(
               matrix_name, queries, measure, context, plan, s, store);
           heartbeat.Stop();

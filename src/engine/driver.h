@@ -9,7 +9,7 @@
 // existing shard substrate make that cheap:
 //
 //   - the plan is derived, not assigned: every participant computes the
-//     identical PlanShards(n, block, k) from three integers, so there is no
+//     identical PlanShards(n, k) from two integers, so there is no
 //     assignment state to replicate — only *exclusion* (don't have two
 //     hosts burn CPU on the same range) and *detection* (notice a range's
 //     owner died);
@@ -242,7 +242,6 @@ struct WorkerOptions {
 /// What one worker process/thread accomplished.
 struct WorkerReport {
   uint32_t computed = 0;  ///< shards this worker computed and exported
-  uint32_t steals = 0;    ///< of which via stealing an expired lease
 };
 
 /// The worker side of the protocol: sweep the plan's shards, skip ones
@@ -273,9 +272,6 @@ struct DriverOptions {
   /// finishes it itself. < 0 = the board's TTL (give real workers one TTL's
   /// head start). 0 = immediately (coordinator-only builds).
   int claim_grace_ms = -1;
-  /// A shard whose export reads corrupt is discarded and recomputed at
-  /// most this many times before the drive fails (pathological disk).
-  int max_discards_per_shard = 3;
   /// Hard watchdog: no merge progress for this long fails the drive with
   /// kExecutionError. <= 0 = no watchdog.
   int stall_timeout_ms = 120000;
@@ -283,7 +279,6 @@ struct DriverOptions {
   common::ThreadPool* pool = nullptr;      ///< for self-finished shards
   obs::MetricsRegistry* metrics = nullptr; ///< null = process default
   obs::TraceBuffer* trace = nullptr;       ///< may be null
-  common::FaultInjector* faults = nullptr; ///< null = process global
 };
 
 /// The drive's outcome: the merged matrix plus the fault-handling ledger.
@@ -298,12 +293,13 @@ struct DriveReport {
 };
 
 /// The coordinator: polls the store, merges shard files incrementally as
-/// they land (validating each manifest against the plan, discarding and
-/// recomputing a bad one), reclaims expired leases so survivors can steal,
-/// and self-finishes unclaimed ranges — degrading to a single-process build
-/// if every worker dies. Merging a finished build is a drive over a
-/// directory where every shard file already landed. The state machine only
-/// touches the LeaseBoard interface, never the directory.
+/// they land (validating each manifest against the plan, then copying its
+/// rows into place; a bad one is discarded and recomputed), reclaims
+/// expired leases so survivors can steal, and self-finishes unclaimed
+/// ranges — degrading to a single-process build if every worker dies.
+/// Merging a finished build is a drive over a directory where every shard
+/// file already landed. The state machine only touches the LeaseBoard
+/// interface, never the directory.
 class ShardDriver {
  public:
   explicit ShardDriver(DriverOptions options) : options_(std::move(options)) {}

@@ -242,37 +242,23 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
     MutexLock lock(cache_mu_);
     if (auto it = triangles_.find(measure_name); it != triangles_.end()) {
       r = std::min(it->second.rows(), n);
-      if (r > 1) {
-        m = distance::DistanceMatrix(n);
-        it->second.CopyTo(&m);
-      }
+      m = distance::DistanceMatrix(n);
+      distance::DistanceTriangle::CopyRows(it->second.Rows(0, r), 0, r, &m);
     }
   }
   copy_out_span.End();
   report.cells_cached = distance::DistanceTriangle::CellCount(r);
   report.cells_computed = report.cells_total - report.cells_cached;
 
-  // Compute the rest: the blocked full build when the triangle covers no
-  // cells, otherwise only rows [r, n). A warm build computes nothing.
-  const bool warm = r > 1 && r == n;
-  if (!warm) {
+  // Compute the rest; a warm build computes nothing. With no triangle to
+  // copy, the matrix is allocated here, so a cold build's copy stage stays
+  // the triangle extension alone.
+  if (r < n) {
     obs::TraceSpan compute_span("build.compute", &trace_,
                                 &stage_hist("compute"));
-    if (r <= 1) {
-      DPE_ASSIGN_OR_RETURN(m, builder.Build(queries, measure, context_));
-    } else {
-      std::vector<std::pair<size_t, size_t>> pairs;
-      pairs.reserve(report.cells_computed);
-      for (size_t row = r; row < n; ++row) {
-        for (size_t c = 0; c < row; ++c) pairs.emplace_back(c, row);
-      }
-      DPE_ASSIGN_OR_RETURN(
-          std::vector<double> distances,
-          builder.ComputePairs(queries, pairs, measure, context_));
-      for (size_t p = 0; p < pairs.size(); ++p) {
-        m.SetUnchecked(pairs[p].first, pairs[p].second, distances[p]);
-      }
-    }
+    if (m.size() != n) m = distance::DistanceMatrix(n);
+    DPE_RETURN_NOT_OK(
+        builder.ComputeRows(queries, measure, context_, r, n, &m));
     compute_span.End();
     report.stages.push_back({"compute", compute_span.elapsed_ms()});
   }
@@ -675,7 +661,7 @@ Result<OutlierKnnReport> Engine::RunOutlierKnn(
 // -- Sharded builds ----------------------------------------------------------
 
 Result<ShardPlan> Engine::PlanShards(size_t shard_count) const {
-  return engine::PlanShards(queries_.size(), options_.block, shard_count);
+  return engine::PlanShards(queries_.size(), shard_count);
 }
 
 namespace {
@@ -776,10 +762,13 @@ Result<DriveReport> Engine::DriveShards(const std::string& measure_name,
 
   if (options_.enable_cache) {
     // Warm the triangle so mining over the merged matrix (or an incremental
-    // rebuild after AddQuery) reuses the shards' work. Not journaled: the
-    // shard files on disk already persist these rows.
-    MutexLock lock(cache_mu_);
-    CacheRowsLocked(measure_name, report.matrix);
+    // rebuild after AddQuery) reuses the shards' work, and journal the rows
+    // as a build would, so a restart from the checkpoint keeps them.
+    {
+      MutexLock lock(cache_mu_);
+      CacheRowsLocked(measure_name, report.matrix);
+    }
+    DPE_RETURN_NOT_OK(JournalRows(measure_name, 0, report.matrix));
   }
   return report;
 }

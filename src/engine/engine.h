@@ -275,8 +275,8 @@ class Engine {
   //   // on the coordinator, concurrently:
   //   auto report = coordinator.DriveShards("token", k, dir).value();
 
-  /// Deterministic `shard_count`-way plan over the current log, using this
-  /// engine's block size.
+  /// Deterministic `shard_count`-way plan over the current log: row ranges
+  /// that depend only on the log size and `shard_count`.
   Result<ShardPlan> PlanShards(size_t shard_count) const;
 
   /// The worker side: sweeps the deterministic k-way plan over this
@@ -292,8 +292,8 @@ class Engine {
   /// The coordinator side: merges shards incrementally as they land
   /// (checking each manifest against the plan, discarding and recomputing
   /// a bad shard), reclaims expired leases, self-finishes abandoned ranges,
-  /// and warms the measure's triangle from the merged matrix (not journaled
-  /// — the shard files persist it). While a drive is active, Stats()/the
+  /// and warms the measure's triangle from the merged matrix, journaling
+  /// the new rows as a build does. While a drive is active, Stats()/the
   /// /stats endpoint carry its live lease table. Completes even if every
   /// worker dies.
   Result<DriveReport> DriveShards(const std::string& measure,

@@ -4,40 +4,8 @@
 #include <optional>
 
 #include "common/simd.h"
-#include "engine/shard.h"
 
 namespace dpe::engine {
-
-namespace {
-
-/// Computes the cells of one upper-triangle tile (block coordinates
-/// (bi, bj)) via the shared tile->cells traversal.
-Status ComputeTile(const std::vector<sql::SelectQuery>& queries,
-                   const distance::QueryDistanceMeasure& measure,
-                   const distance::MeasureContext& context, size_t block,
-                   size_t bi, size_t bj, distance::DistanceMatrix& m) {
-  Status status = Status::OK();
-  ForEachTileCell(queries.size(), block, bi, bj, [&](size_t i, size_t j) {
-    if (!status.ok()) return;
-    auto d = measure.Distance(queries[i], queries[j], context);
-    if (!d.ok()) {
-      status = d.status();
-      return;
-    }
-    m.SetUnchecked(i, j, *d);
-  });
-  return status;
-}
-
-}  // namespace
-
-Status MatrixBuilder::ValidateOptions() const {
-  if (options_.block == 0) {
-    return Status::InvalidArgument(
-        "matrix builder: block must be >= 1 (got 0)");
-  }
-  return Status::OK();
-}
 
 obs::MetricsRegistry& MatrixBuilder::Metrics() const {
   return options_.metrics != nullptr ? *options_.metrics
@@ -45,21 +13,22 @@ obs::MetricsRegistry& MatrixBuilder::Metrics() const {
 }
 
 Result<distance::FeatureCache> MatrixBuilder::PrecomputeFeatures(
-    const std::vector<const sql::SelectQuery*>& selected) const {
-  // `selected` is in log order, and Intern packs the SoA arena in input
-  // order — so a tile's query range occupies one contiguous arena stripe
-  // and the tile's O(block²) pairs run over warm, padding-free spans.
-  const size_t n = selected.size();
-  std::vector<distance::RawQueryFeatures> raw(n);
+    const std::vector<sql::SelectQuery>& queries, size_t end) const {
+  // Intern packs the SoA arena in log order, so a tile's query range
+  // occupies one contiguous arena stripe and the tile's O(block²) pairs run
+  // over warm, padding-free spans.
+  std::vector<const sql::SelectQuery*> selected(end);
+  for (size_t q = 0; q < end; ++q) selected[q] = &queries[q];
+  std::vector<distance::RawQueryFeatures> raw(end);
 
   // Phase 1 — print + lex + featurize each query, one task per chunk.
   obs::TraceSpan featurize_span("build.featurize", options_.trace);
   DPE_RETURN_NOT_OK(common::ParallelForStatus(
-      pool_, 0, n, std::max<size_t>(1, options_.block / 4),
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t q = begin; q < end; ++q) {
+      pool_, 0, end, std::max<size_t>(1, options_.block / 4),
+      [&](size_t begin, size_t stop) -> Status {
+        for (size_t q = begin; q < stop; ++q) {
           DPE_ASSIGN_OR_RETURN(raw[q],
-                               distance::ExtractRawFeatures(*selected[q]));
+                               distance::ExtractRawFeatures(queries[q]));
         }
         return Status::OK();
       }));
@@ -70,27 +39,21 @@ Result<distance::FeatureCache> MatrixBuilder::PrecomputeFeatures(
   return distance::FeatureCache::Intern(selected, std::move(raw));
 }
 
-Result<distance::MeasureContext> MatrixBuilder::PrepareSelected(
-    const std::vector<sql::SelectQuery>& queries,
-    const std::vector<bool>& used,
+Result<distance::MeasureContext> MatrixBuilder::PreparePrefix(
+    const std::vector<sql::SelectQuery>& queries, size_t end,
     const distance::QueryDistanceMeasure& measure,
     const distance::MeasureContext& context,
     distance::FeatureCache* features) const {
-  std::vector<const sql::SelectQuery*> selected;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    if (used[q]) selected.push_back(&queries[q]);
-  }
-  DPE_ASSIGN_OR_RETURN(*features, PrecomputeFeatures(selected));
+  DPE_ASSIGN_OR_RETURN(*features, PrecomputeFeatures(queries, end));
   distance::MeasureContext ctx = context;
   ctx.features = features;
 
-  if (selected.size() == queries.size()) {
+  if (end == queries.size()) {
     DPE_RETURN_NOT_OK(measure.Prepare(queries, ctx));
   } else {
-    std::vector<sql::SelectQuery> subset;
-    subset.reserve(selected.size());
-    for (const sql::SelectQuery* q : selected) subset.push_back(*q);
-    DPE_RETURN_NOT_OK(measure.Prepare(subset, ctx));
+    const std::vector<sql::SelectQuery> prefix(queries.begin(),
+                                               queries.begin() + end);
+    DPE_RETURN_NOT_OK(measure.Prepare(prefix, ctx));
   }
   return ctx;
 }
@@ -99,43 +62,43 @@ Result<distance::DistanceMatrix> MatrixBuilder::Build(
     const std::vector<sql::SelectQuery>& queries,
     const distance::QueryDistanceMeasure& measure,
     const distance::MeasureContext& context) const {
-  DPE_RETURN_NOT_OK(ValidateOptions());
-  return BuildTiles(queries, measure, context, 0,
-                    TileCount(queries.size(), options_.block));
+  distance::DistanceMatrix m(queries.size());
+  DPE_RETURN_NOT_OK(
+      ComputeRows(queries, measure, context, 0, queries.size(), &m));
+  return m;
 }
 
-Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
-    const std::vector<sql::SelectQuery>& queries,
-    const distance::QueryDistanceMeasure& measure,
-    const distance::MeasureContext& context, size_t tile_begin,
-    size_t tile_end) const {
-  DPE_RETURN_NOT_OK(ValidateOptions());
+Status MatrixBuilder::ComputeRows(const std::vector<sql::SelectQuery>& queries,
+                                  const distance::QueryDistanceMeasure& measure,
+                                  const distance::MeasureContext& context,
+                                  size_t first, size_t end,
+                                  distance::DistanceMatrix* m) const {
+  const size_t block = options_.block;
+  if (block == 0) {
+    return Status::InvalidArgument(
+        "matrix builder: block must be >= 1 (got 0)");
+  }
   // An explicitly requested kernel backend this CPU cannot run fails the
   // build loudly here; the per-pair dispatch below would otherwise degrade
   // silently (same distances, but not what the operator asked to measure).
   DPE_RETURN_NOT_OK(common::simd::ValidateBackend(context.kernel_backend));
-  const size_t n = queries.size();
-  const size_t block = options_.block;
-  const std::vector<std::pair<size_t, size_t>> tiles = TileSchedule(n, block);
-  if (tile_begin > tile_end || tile_end > tiles.size()) {
+  if (first > end || end > queries.size() || end > m->size()) {
     return Status::OutOfRange(
-        "matrix builder: tile range [" + std::to_string(tile_begin) + ", " +
-        std::to_string(tile_end) + ") outside schedule of " +
-        std::to_string(tiles.size()) + " tiles");
+        "matrix builder: rows [" + std::to_string(first) + ", " +
+        std::to_string(end) + ") outside a log of " +
+        std::to_string(queries.size()) + " queries and a " +
+        std::to_string(m->size()) + "-row matrix");
   }
 
-  // Featurize + prepare only the queries the requested tiles touch: a shard
-  // building a few tiles must not pay feature extraction for the whole log.
-  std::vector<bool> used(n, false);
-  for (size_t t = tile_begin; t < tile_end; ++t) {
-    const auto [bi, bj] = tiles[t];
-    for (size_t i = bi * block; i < std::min(n, (bi + 1) * block); ++i) {
-      used[i] = true;
-    }
-    for (size_t j = bj * block; j < std::min(n, (bj + 1) * block); ++j) {
-      used[j] = true;
-    }
+  // The tiles: block x block squares of the lower triangle, aligned to
+  // multiples of `block` and clipped to rows [first, end). Tile
+  // (row block rb, column block cb) holds the cells (c, r) with r in row
+  // block rb, c in column block cb and c < r.
+  std::vector<std::pair<size_t, size_t>> tiles;
+  for (size_t rb = first / block; rb * block < end; ++rb) {
+    for (size_t cb = 0; cb <= rb; ++cb) tiles.emplace_back(rb, cb);
   }
+
   // Resolve instruments once per build — never inside the pair loops.
   obs::MetricsRegistry& metrics = Metrics();
   obs::Counter& distance_calls = metrics.counter(
@@ -153,37 +116,48 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
   distance::FeatureCache features;
   DPE_ASSIGN_OR_RETURN(
       distance::MeasureContext ctx,
-      PrepareSelected(queries, used, measure, context, &features));
+      PreparePrefix(queries, end, measure, context, &features));
   prepare_span.End();
 
-  distance::DistanceMatrix m(n);
   // One tile per chunk; ParallelForStatus returns the first failing tile
-  // in schedule order (deterministic error selection). Cell (i, j), i < j,
-  // belongs to exactly one tile, and SetUnchecked mirrors into (j, i) which
-  // no other tile touches.
+  // in schedule order (deterministic error selection). Each cell belongs
+  // to exactly one tile, and so does its mirror, so writing both halves
+  // inside the tile needs no second pass.
   obs::TraceSpan tiles_span(
       "build.tiles", options_.trace,
       &metrics.histogram("build.stage_ms", {{"stage", "tiles"}}));
   const bool tile_spans =
       options_.trace != nullptr && options_.trace->enabled();
   DPE_RETURN_NOT_OK(common::ParallelForStatus(
-      pool_, tile_begin, tile_end, 1, [&](size_t begin, size_t end) -> Status {
+      pool_, 0, tiles.size(), 1, [&](size_t begin, size_t stop) -> Status {
         // Pool workers inherit the build's trace buffer for the duration of
         // this chunk, so crypto spans fired from measure code on a worker
         // thread land in the same trace as the build that caused them.
         obs::ScopedAmbientTrace ambient(options_.trace);
-        for (size_t t = begin; t < end; ++t) {
-          const auto [bi, bj] = tiles[t];
+        for (size_t t = begin; t < stop; ++t) {
+          const auto [rb, cb] = tiles[t];
           std::optional<obs::TraceSpan> tile_span;
           if (tile_spans) {
             tile_span.emplace("build.tile." + std::to_string(t),
                               options_.trace);
           }
-          DPE_RETURN_NOT_OK(
-              ComputeTile(queries, measure, ctx, block, bi, bj, m));
-          // One add per completed tile covers its whole upper-triangle
-          // cell set — per-pair counting would perturb the hot path.
-          const uint64_t tile_cells = TileCellCount(n, block, bi, bj);
+          const size_t r_begin = std::max(first, rb * block);
+          const size_t r_end = std::min(end, (rb + 1) * block);
+          const size_t c_end = std::min(r_end, (cb + 1) * block);
+          uint64_t tile_cells = 0;
+          // Column-major within the tile: the smaller index goes first, as
+          // in DistanceMatrix::Compute.
+          for (size_t c = cb * block; c < c_end; ++c) {
+            for (size_t r = std::max(r_begin, c + 1); r < r_end; ++r) {
+              DPE_ASSIGN_OR_RETURN(
+                  const double d,
+                  measure.Distance(queries[c], queries[r], ctx));
+              m->SetUnchecked(c, r, d);
+              ++tile_cells;
+            }
+          }
+          // One add per completed tile covers its whole cell set —
+          // per-pair counting would perturb the hot path.
           distance_calls.Increment(tile_cells);
           if (options_.progress_cells != nullptr) {
             options_.progress_cells->fetch_add(tile_cells,
@@ -193,56 +167,7 @@ Result<distance::DistanceMatrix> MatrixBuilder::BuildTiles(
         return Status::OK();
       }));
   tiles_span.End();
-  return m;
-}
-
-Result<std::vector<double>> MatrixBuilder::ComputePairs(
-    const std::vector<sql::SelectQuery>& queries,
-    const std::vector<std::pair<size_t, size_t>>& pairs,
-    const distance::QueryDistanceMeasure& measure,
-    const distance::MeasureContext& context) const {
-  DPE_RETURN_NOT_OK(ValidateOptions());
-  DPE_RETURN_NOT_OK(common::simd::ValidateBackend(context.kernel_backend));
-  const size_t n = queries.size();
-  for (const auto& [i, j] : pairs) {
-    if (i >= n || j >= n) {
-      return Status::OutOfRange("pair index outside query log");
-    }
-  }
-
-  // Featurize only the queries the pair list references.
-  std::vector<bool> used(n, false);
-  for (const auto& [i, j] : pairs) {
-    used[i] = true;
-    used[j] = true;
-  }
-  distance::FeatureCache features;
-  DPE_ASSIGN_OR_RETURN(
-      distance::MeasureContext ctx,
-      PrepareSelected(queries, used, measure, context, &features));
-
-  std::vector<double> out(pairs.size(), 0.0);
-  DPE_RETURN_NOT_OK(common::ParallelForStatus(
-      pool_, 0, pairs.size(),
-      std::max<size_t>(1, options_.block * options_.block / 2),
-      [&](size_t begin, size_t end) -> Status {
-        obs::ScopedAmbientTrace ambient(options_.trace);
-        for (size_t p = begin; p < end; ++p) {
-          const auto [i, j] = pairs[p];
-          if (i == j) continue;  // zero diagonal by definition
-          DPE_ASSIGN_OR_RETURN(out[p],
-                               measure.Distance(queries[i], queries[j], ctx));
-        }
-        return Status::OK();
-      }));
-  uint64_t computed = 0;
-  for (const auto& [i, j] : pairs) {
-    if (i != j) ++computed;
-  }
-  Metrics()
-      .counter("distance.calls", {{"measure", std::string(measure.Name())}})
-      .Increment(computed);
-  return out;
+  return Status::OK();
 }
 
 }  // namespace dpe::engine

@@ -7,20 +7,22 @@
 // path consumes precomputed features instead of re-lexing SQL per pair.
 // That turns the matrix build from O(n²·lex) into O(n·lex + n²·merge).
 //
-// The upper triangle is tiled into `block` x `block` blocks; each block is
-// one pool task, so workers touch disjoint, contiguous stripes of the
-// matrix (cache-friendly) and no two tasks ever write the same cell. Every
-// cell carries the exact value the serial, un-featurized
-// DistanceMatrix::Compute produces (featurization preserves the distances
-// bit-for-bit), so the parallel result is bit-identical to the serial one —
-// a tested guarantee, not a best-effort property.
+// The unit of work is a range of triangle rows: ComputeRows fills rows
+// [first, end), row r holding d(c, r) for every c < r. A cold build is rows
+// [0, n), an incremental build rows [r, n) and a shard (engine/shard.h)
+// rows [a, b). The rows are cut into `block` x `block` squares of the lower
+// triangle; each square is one pool task that writes both halves of its
+// cells, so no two tasks ever write the same cell. Every cell carries the
+// exact value the serial, un-featurized DistanceMatrix::Compute produces
+// (featurization preserves the distances bit-for-bit), so the parallel
+// result is bit-identical to the serial one — a tested guarantee, not a
+// best-effort property.
 
 #ifndef DPE_ENGINE_MATRIX_BUILDER_H_
 #define DPE_ENGINE_MATRIX_BUILDER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -33,8 +35,8 @@ namespace dpe::engine {
 
 struct MatrixBuilderOptions {
   /// Tile edge (queries per block) of the blocked schedule. Must be >= 1;
-  /// every build entry point validates this and returns InvalidArgument on
-  /// a zero block instead of dividing by it.
+  /// ComputeRows returns InvalidArgument on a zero block instead of
+  /// dividing by it.
   size_t block = 64;
 
   /// Where build counters land (per-measure distance calls, resolved
@@ -63,58 +65,41 @@ class MatrixBuilder {
                          MatrixBuilderOptions options = {})
       : pool_(pool), options_(options) {}
 
-  /// Full pairwise matrix over `queries` (precomputes features, then calls
-  /// measure.Prepare, then fills the tiles).
+  /// Full pairwise matrix over `queries`: ComputeRows over rows [0, n) of
+  /// a fresh n x n matrix.
   Result<distance::DistanceMatrix> Build(
       const std::vector<sql::SelectQuery>& queries,
       const distance::QueryDistanceMeasure& measure,
       const distance::MeasureContext& context) const;
 
-  /// Builds only tiles [tile_begin, tile_end) of the deterministic
-  /// TileSchedule (engine/shard.h) into an n x n matrix; cells outside the
-  /// range stay zero. Only the queries those tiles touch are featurized and
-  /// prepared. This is the shard worker's compute path — Build is the full
-  /// range — so a k-shard build traverses exactly the tiles, in exactly the
-  /// per-tile order, of the single-process build. OutOfRange if the tile
-  /// range exceeds the schedule.
-  Result<distance::DistanceMatrix> BuildTiles(
-      const std::vector<sql::SelectQuery>& queries,
-      const distance::QueryDistanceMeasure& measure,
-      const distance::MeasureContext& context, size_t tile_begin,
-      size_t tile_end) const;
-
-  /// d(queries[i], queries[j]) for an explicit pair list — the distance
-  /// cache's miss path. Returns one value per pair, in input order. Only
-  /// the queries referenced by `pairs` are featurized.
-  Result<std::vector<double>> ComputePairs(
-      const std::vector<sql::SelectQuery>& queries,
-      const std::vector<std::pair<size_t, size_t>>& pairs,
-      const distance::QueryDistanceMeasure& measure,
-      const distance::MeasureContext& context) const;
+  /// Fills triangle rows [first, end) of `m`: every cell (c, r) with c < r
+  /// and first <= r < end becomes d(queries[c], queries[r]), written to both
+  /// halves; every other cell keeps its value. Only queries [0, end) are
+  /// featurized and prepared. OutOfRange unless first <= end <= n and
+  /// end <= m->size(); on a failing distance, the first failing tile in
+  /// schedule order wins.
+  Status ComputeRows(const std::vector<sql::SelectQuery>& queries,
+                     const distance::QueryDistanceMeasure& measure,
+                     const distance::MeasureContext& context, size_t first,
+                     size_t end, distance::DistanceMatrix* m) const;
 
  private:
-  /// InvalidArgument unless the options are usable (block >= 1). Every
-  /// public entry point calls this first — a zero block would otherwise
-  /// divide by zero in the tile-count computation.
-  Status ValidateOptions() const;
-
   /// The registry build counters land in: options_.metrics or the process
   /// default.
   obs::MetricsRegistry& Metrics() const;
 
-  /// Extracts raw features of `selected` in parallel (phase 1 of
+  /// Extracts raw features of queries [0, end) in parallel (phase 1 of
   /// distance/features.h), then interns serially (phase 2).
   Result<distance::FeatureCache> PrecomputeFeatures(
-      const std::vector<const sql::SelectQuery*>& selected) const;
+      const std::vector<sql::SelectQuery>& queries, size_t end) const;
 
-  /// Featurizes the queries flagged in `used` and runs measure.Prepare over
-  /// them (over the full log when all are used, over a copied subset
-  /// otherwise — measures memoize by canonical text, so preparing copies
-  /// still makes Distance on the originals a hit). Returns the context to
-  /// compute distances with; `features` must outlive it.
-  Result<distance::MeasureContext> PrepareSelected(
-      const std::vector<sql::SelectQuery>& queries,
-      const std::vector<bool>& used,
+  /// Featurizes queries [0, end) and runs measure.Prepare over them (over
+  /// the full log when end == n, over a copied prefix otherwise — measures
+  /// memoize by canonical text, so preparing copies still makes Distance on
+  /// the originals a hit). Returns the context to compute distances with;
+  /// `features` must outlive it.
+  Result<distance::MeasureContext> PreparePrefix(
+      const std::vector<sql::SelectQuery>& queries, size_t end,
       const distance::QueryDistanceMeasure& measure,
       const distance::MeasureContext& context,
       distance::FeatureCache* features) const;

@@ -214,10 +214,9 @@ void EncodeShardManifest(const ShardManifest& manifest, Writer* w) {
   w->PutString(manifest.matrix);
   w->PutU32(manifest.shard_index);
   w->PutU32(manifest.shard_count);
-  w->PutU64(manifest.n);
-  w->PutU64(manifest.block);
-  w->PutU64(manifest.tile_begin);
-  w->PutU64(manifest.tile_end);
+  w->PutU32(manifest.n);
+  w->PutU32(manifest.row_begin);
+  w->PutU32(manifest.row_end);
 }
 
 Result<ShardManifest> DecodeShardManifest(Reader* r) {
@@ -225,10 +224,9 @@ Result<ShardManifest> DecodeShardManifest(Reader* r) {
   DPE_ASSIGN_OR_RETURN(manifest.matrix, r->ReadString());
   DPE_ASSIGN_OR_RETURN(manifest.shard_index, r->ReadU32());
   DPE_ASSIGN_OR_RETURN(manifest.shard_count, r->ReadU32());
-  DPE_ASSIGN_OR_RETURN(manifest.n, r->ReadU64());
-  DPE_ASSIGN_OR_RETURN(manifest.block, r->ReadU64());
-  DPE_ASSIGN_OR_RETURN(manifest.tile_begin, r->ReadU64());
-  DPE_ASSIGN_OR_RETURN(manifest.tile_end, r->ReadU64());
+  DPE_ASSIGN_OR_RETURN(manifest.n, r->ReadU32());
+  DPE_ASSIGN_OR_RETURN(manifest.row_begin, r->ReadU32());
+  DPE_ASSIGN_OR_RETURN(manifest.row_end, r->ReadU32());
   if (std::string defect = ShardManifestDefect(manifest); !defect.empty()) {
     return Corrupt(defect);
   }
@@ -253,13 +251,10 @@ std::string ShardManifestDefect(const ShardManifest& manifest) {
     return "shard manifest index " + std::to_string(manifest.shard_index) +
            " of " + std::to_string(manifest.shard_count);
   }
-  if (manifest.tile_begin > manifest.tile_end) {
-    return "shard manifest tile range [" +
-           std::to_string(manifest.tile_begin) + ", " +
-           std::to_string(manifest.tile_end) + ") is inverted";
-  }
-  if (manifest.block == 0) {
-    return "shard manifest declares block 0";
+  if (manifest.row_begin > manifest.row_end || manifest.row_end > manifest.n) {
+    return "shard manifest rows [" + std::to_string(manifest.row_begin) +
+           ", " + std::to_string(manifest.row_end) + ") are not inside [0, " +
+           std::to_string(manifest.n) + "]";
   }
   return "";
 }

@@ -21,8 +21,8 @@
 // an append-only journal detects torn tails. Every framed format has
 // exactly one version, and readers accept only that version. Distances
 // travel as runs of raw doubles (Writer::PutDoubles): the rows of a
-// distance::DistanceTriangle, whether in a snapshot chunk or a journal row
-// record.
+// distance::DistanceTriangle, whether in a snapshot chunk, a journal row
+// record or a shard file.
 
 #ifndef DPE_STORE_CODEC_H_
 #define DPE_STORE_CODEC_H_
@@ -44,9 +44,9 @@ inline constexpr uint32_t kFormatVersion = 1;
 /// raw doubles.
 inline constexpr uint32_t kJournalFormatVersion = 2;
 
-/// Format version of shard files: the manifest plus only the cells its
-/// tile range owns.
-inline constexpr uint32_t kShardFormatVersion = 2;
+/// Format version of shard files: the manifest plus its range's triangle
+/// rows as raw doubles.
+inline constexpr uint32_t kShardFormatVersion = 3;
 
 /// Format version of snapshot files: a CRC'd core (query log plus each
 /// measure's name and row count) and CRC'd chunks of whole triangle rows,
@@ -133,18 +133,18 @@ class Reader {
 // -- Value codecs ------------------------------------------------------------
 
 /// Identity of one shard of a sharded matrix build: which logical matrix it
-/// belongs to and which contiguous range of the deterministic upper-triangle
-/// tile schedule it carries. Travels inside the shard file (a "DPEH" frame,
-/// so the codec version and checksum are validated on read) and is what the
-/// shard driver checks against its plan before touching any cell.
+/// belongs to and which contiguous range of triangle rows it carries.
+/// Travels inside the shard file (a "DPEH" frame, so the codec version and
+/// checksum are validated on read) and is what the shard driver checks
+/// against its plan before touching any cell. Rows are u32, as in journal
+/// records and snapshot chunks, so a row's cell count cannot overflow.
 struct ShardManifest {
   std::string matrix;       ///< logical matrix name, e.g. "token"
   uint32_t shard_index = 0; ///< this shard's position, < shard_count
   uint32_t shard_count = 0; ///< total shards in the build
-  uint64_t n = 0;           ///< queries in the full matrix
-  uint64_t block = 0;       ///< tile edge of the schedule
-  uint64_t tile_begin = 0;  ///< first tile of this shard (inclusive)
-  uint64_t tile_end = 0;    ///< past-the-end tile of this shard
+  uint32_t n = 0;           ///< queries in the full matrix
+  uint32_t row_begin = 0;   ///< first triangle row of this shard
+  uint32_t row_end = 0;     ///< past-the-end row of this shard
 
   bool operator==(const ShardManifest&) const = default;
 };
@@ -169,7 +169,7 @@ void EncodeCompactionManifest(const CompactionManifest& manifest, Writer* w);
 Result<CompactionManifest> DecodeCompactionManifest(Reader* r);
 
 /// Empty when `manifest` is self-consistent; otherwise a description of
-/// the defect (index >= count, inverted tile range). The single definition
+/// the defect (index >= count, rows outside [0, n]). The single definition
 /// of manifest well-formedness — the write path (InvalidArgument) and the
 /// decode path (ParseError) both wrap it.
 std::string ShardManifestDefect(const ShardManifest& manifest);

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "common/fault.h"
-#include "common/tiles.h"
 #include "obs/metrics.h"
 
 namespace dpe::store {
@@ -1028,64 +1027,26 @@ Status ApplyJournal(const std::vector<JournalRecord>& records,
 
 // -- Shards ------------------------------------------------------------------
 
-Result<uint64_t> ShardCellCount(const ShardManifest& manifest) {
-  return common::RangeCellCount(manifest.n, manifest.block,
-                                manifest.tile_begin, manifest.tile_end);
-}
-
-/// Walks the manifest's (clamped) tile range in schedule order — the exact
-/// traversal both the sparse encoder and the shard driver's merge use, so
-/// cells[k] always means "the k-th owned cell of this shard". Uses the
-/// analytic range walker: no O(block_count²) schedule vector per shard.
-template <typename Fn>
-static void ForEachOwnedCell(const ShardManifest& manifest, Fn&& fn) {
-  common::ForEachTileInRange(
-      manifest.n, manifest.block, manifest.tile_begin, manifest.tile_end,
-      [&](size_t bi, size_t bj) {
-        common::ForEachTileCell(manifest.n, manifest.block, bi, bj, fn);
-      });
-}
-
-Status MatrixStore::WriteShardCells(const ShardManifest& manifest,
-                                    const std::vector<double>& cells) {
-  if (std::string defect = ShardManifestDefect(manifest); !defect.empty()) {
-    return Status::InvalidArgument("matrix store: " + defect);
-  }
-  DPE_ASSIGN_OR_RETURN(uint64_t expected, ShardCellCount(manifest));
-  if (cells.size() != expected) {
-    return Status::InvalidArgument(
-        "matrix store: shard carries " + std::to_string(cells.size()) +
-        " cells but its manifest's tile range owns " +
-        std::to_string(expected));
-  }
-  Writer w;
-  EncodeShardManifest(manifest, &w);
-  w.PutU64(cells.size());
-  for (double d : cells) w.PutDouble(d);
-  return WriteFramedFile(
-      ShardPath(manifest.matrix, manifest.shard_index, manifest.shard_count),
-      kShardMagic, w.buffer(), kShardFormatVersion,
-      fsync_policy_ != FsyncPolicy::kNever);
-}
-
 Status MatrixStore::WriteShard(const ShardManifest& manifest,
                                const distance::DistanceMatrix& partial) {
   if (std::string defect = ShardManifestDefect(manifest); !defect.empty()) {
     return Status::InvalidArgument("matrix store: " + defect);
   }
-  if (partial.size() != manifest.n) {
+  if (partial.size() < manifest.row_end) {
     return Status::InvalidArgument(
-        "matrix store: shard partial has n = " +
-        std::to_string(partial.size()) + " but the manifest declares " +
-        std::to_string(manifest.n));
+        "matrix store: shard partial has " + std::to_string(partial.size()) +
+        " rows but the manifest's range ends at row " +
+        std::to_string(manifest.row_end));
   }
-  DPE_ASSIGN_OR_RETURN(uint64_t expected, ShardCellCount(manifest));
-  std::vector<double> cells;
-  cells.reserve(expected);
-  ForEachOwnedCell(manifest, [&](size_t i, size_t j) {
-    cells.push_back(partial.AtUnchecked(i, j));
-  });
-  return WriteShardCells(manifest, cells);
+  Writer w;
+  EncodeShardManifest(manifest, &w);
+  for (size_t r = manifest.row_begin; r < manifest.row_end; ++r) {
+    w.PutDoubles({partial.RowUnchecked(r), r});
+  }
+  return WriteFramedFile(
+      ShardPath(manifest.matrix, manifest.shard_index, manifest.shard_count),
+      kShardMagic, w.buffer(), kShardFormatVersion,
+      fsync_policy_ != FsyncPolicy::kNever);
 }
 
 Result<ShardFile> MatrixStore::ReadShard(const std::string& matrix,
@@ -1105,32 +1066,12 @@ Result<ShardFile> MatrixStore::ReadShard(const std::string& matrix,
                    std::to_string(shard.manifest.shard_count) +
                    " of matrix '" + shard.manifest.matrix + "'");
   }
-  Result<uint64_t> expected = ShardCellCount(shard.manifest);
-  if (!expected.ok()) {  // implausible manifest geometry (e.g. block 0)
-    return Corrupt("shard file " + path + ": " +
-                   expected.status().message());
-  }
-
-  // Payload: u64 cell count + cells in schedule order. The count is
-  // validated against BOTH the manifest-derived count and the bytes
-  // actually present before anything is allocated.
-  DPE_ASSIGN_OR_RETURN(uint64_t count, r.ReadU64());
-  if (count != *expected) {
-    return Corrupt("shard file " + path + " declares " +
-                   std::to_string(count) +
-                   " cells but its manifest's tile range owns " +
-                   std::to_string(*expected));
-  }
-  if (count != r.remaining() / 8 || r.remaining() % 8 != 0) {
-    return Corrupt("shard file " + path + " cell payload is " +
-                   std::to_string(r.remaining()) + " bytes for " +
-                   std::to_string(count) + " cells");
-  }
-  shard.cells.reserve(count);
-  for (uint64_t k = 0; k < count; ++k) {
-    DPE_ASSIGN_OR_RETURN(double d, r.ReadDouble());
-    shard.cells.push_back(d);
-  }
+  // u32 rows keep this product inside 64 bits; ReadDoubles checks it
+  // against the bytes present before allocating.
+  const uint64_t count =
+      distance::DistanceTriangle::CellCount(shard.manifest.row_end) -
+      distance::DistanceTriangle::CellCount(shard.manifest.row_begin);
+  DPE_ASSIGN_OR_RETURN(shard.cells, r.ReadDoubles(count));
   DPE_RETURN_NOT_OK(r.ExpectEnd());
   return shard;
 }

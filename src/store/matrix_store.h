@@ -13,10 +13,10 @@
 //                            triangle rows
 //   <dir>/shard-<name>-<i>of<k>.dpe
 //                            one shard of a sharded matrix build: a
-//                            ShardManifest (which tile range of which
-//                            matrix) plus only the cells that range owns,
-//                            in tile-schedule order — the exchange format
-//                            between shard workers and the shard driver
+//                            ShardManifest (which row range of which
+//                            matrix) plus that range's triangle rows as
+//                            raw doubles — the exchange format between
+//                            shard workers and the shard driver
 //                            (engine/driver.h)
 //
 // A checkpoint writes its snapshot atomically (tmp + rename), commits it
@@ -105,21 +105,13 @@ struct JournalRecovery {
   uint64_t dropped_bytes = 0;   ///< bytes truncated off the journal file
 };
 
-/// One shard file's contents: its manifest plus exactly the cells its tile
-/// range owns, in tile-schedule order (the common/tiles.h traversal). The
-/// count is deterministic from the manifest, so sparse shard files carry
-/// ~shard_count× fewer bytes than the old dense upper triangle — and a
-/// reader never materializes an n x n matrix for one shard's worth of
-/// cells.
+/// One shard file's contents: its manifest plus the triangle rows
+/// [row_begin, row_end), laid out as distance::DistanceTriangle::Rows
+/// returns them — the bytes a snapshot chunk carries for those rows.
 struct ShardFile {
   ShardManifest manifest;
   std::vector<double> cells;
 };
-
-/// Cells the manifest's tile range owns: RangeCellCount over
-/// [tile_begin, tile_end) of the (n, block) schedule, with out-of-schedule
-/// tails clamped (the merge validator — not the codec — rejects those).
-Result<uint64_t> ShardCellCount(const ShardManifest& manifest);
 
 /// One in-flight compaction, captured at BeginCompaction. Everything the
 /// fold and publish steps need travels here by value, so the fold can run
@@ -289,24 +281,19 @@ class MatrixStore {
 
   // -- Shards ----------------------------------------------------------------
 
-  /// Exports one shard of a sharded build: the manifest plus only the cells
-  /// its tile range owns (extracted from `partial` in schedule order), as a
-  /// checksummed "DPEH" frame of version kShardFormatVersion. InvalidArgument
-  /// if the manifest is self-inconsistent (index >= count, inverted tile
-  /// range, block 0, partial size != n).
+  /// Exports one shard of a sharded build: the manifest plus triangle rows
+  /// [row_begin, row_end) of `partial`, as a checksummed "DPEH" frame of
+  /// version kShardFormatVersion. InvalidArgument if the manifest is
+  /// self-inconsistent (index >= count, rows outside [0, n]) or `partial`
+  /// has fewer than row_end rows.
   Status WriteShard(const ShardManifest& manifest,
                     const distance::DistanceMatrix& partial);
-  /// Low-level sparse export: `cells` must hold exactly
-  /// ShardCellCount(manifest) doubles in tile-schedule order. WriteShard is
-  /// this plus the dense-matrix extraction; tests use it to fabricate
-  /// doctored shards.
-  Status WriteShardCells(const ShardManifest& manifest,
-                         const std::vector<double>& cells);
   /// Reads shard `shard_index` of `shard_count` for `matrix` back,
   /// validating frame magic/version/checksum, manifest identity against the
-  /// requested coordinates, and the cell payload against the count the
-  /// manifest implies. NotFound for an absent shard; ParseError on
-  /// corruption, including a frame of another format version.
+  /// requested coordinates, and the payload against the cells the
+  /// manifest's rows hold (before allocating them). NotFound for an absent
+  /// shard; ParseError on corruption, including a frame of another format
+  /// version.
   Result<ShardFile> ReadShard(const std::string& matrix, uint32_t shard_index,
                               uint32_t shard_count) const;
   /// True if the shard file exists on disk (says nothing about validity —

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 namespace dpe::distance {
 namespace {
 
@@ -121,18 +124,18 @@ TEST(DistanceTriangleTest, ExtendFromAppendsOnlyTheMissingRows) {
   EXPECT_EQ(t.rows(), 7u);
 }
 
-TEST(DistanceTriangleTest, CopyToFillsTheLeadingBlockOfALargerMatrix) {
+TEST(DistanceTriangleTest, CopyRowsFillsTheLeadingBlockOfALargerMatrix) {
   const DistanceMatrix m = Distinct(5);
   const DistanceTriangle t = TriangleOf(m);
 
   DistanceMatrix same(5);
-  t.CopyTo(&same);
+  DistanceTriangle::CopyRows(t.Rows(0, 5), 0, 5, &same);
   auto diff = DistanceMatrix::MaxAbsDifference(m, same);
   ASSERT_TRUE(diff.ok());
   EXPECT_EQ(*diff, 0.0);
 
   DistanceMatrix larger(8);
-  t.CopyTo(&larger);
+  DistanceTriangle::CopyRows(t.Rows(0, 5), 0, 5, &larger);
   for (size_t i = 0; i < 8; ++i) {
     for (size_t j = 0; j < 8; ++j) {
       EXPECT_EQ(larger.at(i, j), i < 5 && j < 5 ? m.at(i, j) : 0.0)
@@ -142,9 +145,33 @@ TEST(DistanceTriangleTest, CopyToFillsTheLeadingBlockOfALargerMatrix) {
 
   // A smaller matrix receives the rows that fit.
   DistanceMatrix smaller(3);
-  t.CopyTo(&smaller);
+  DistanceTriangle::CopyRows(t.Rows(0, 3), 0, 3, &smaller);
   EXPECT_EQ(smaller.at(1, 2), m.at(1, 2));
   EXPECT_EQ(smaller.at(2, 0), m.at(0, 2));
+}
+
+TEST(DistanceTriangleTest, CopyRowsWritesExactlyItsRowRange) {
+  // Rows [first, end) of a 70-row triangle — a range that straddles the
+  // 32 x 32 mirror tiles — land in both halves; no other cell is touched.
+  const DistanceMatrix m = Distinct(70);
+  const DistanceTriangle t = TriangleOf(m);
+  for (const auto& [first, end] : {std::pair<size_t, size_t>{0, 70},
+                                   {5, 37},
+                                   {33, 34},
+                                   {40, 40},
+                                   {31, 70}}) {
+    DistanceMatrix out(70);
+    DistanceTriangle::CopyRows(t.Rows(first, end), first, end, &out);
+    for (size_t i = 0; i < 70; ++i) {
+      for (size_t j = 0; j < 70; ++j) {
+        const size_t row = std::max(i, j);
+        const bool in_range = i != j && row >= first && row < end;
+        EXPECT_EQ(out.at(i, j), in_range ? m.at(i, j) : 0.0)
+            << "rows [" << first << ", " << end << ") cell " << i << ","
+            << j;
+      }
+    }
+  }
 }
 
 }  // namespace

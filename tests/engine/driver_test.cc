@@ -280,7 +280,7 @@ struct BuildFixture {
 
 TEST_F(DriverTest, SoloWorkerExportsEveryShard) {
   BuildFixture f = BuildFixture::Make(24);
-  auto plan = PlanShards(f.scenario.log.size(), 4, 3);
+  auto plan = PlanShards(f.scenario.log.size(), 3);
   ASSERT_TRUE(plan.ok());
   auto store = store::MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -310,7 +310,7 @@ TEST_F(DriverTest, SoloWorkerExportsEveryShard) {
 
 TEST_F(DriverTest, CoordinatorOnlyDriveCompletesWithZeroWorkers) {
   BuildFixture f = BuildFixture::Make(24);
-  auto plan = PlanShards(f.scenario.log.size(), 4, 3);
+  auto plan = PlanShards(f.scenario.log.size(), 3);
   ASSERT_TRUE(plan.ok());
   auto store = store::MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -329,7 +329,7 @@ TEST_F(DriverTest, CoordinatorOnlyDriveCompletesWithZeroWorkers) {
 
 TEST_F(DriverTest, DriveMergesLiveWorkersIncrementally) {
   BuildFixture f = BuildFixture::Make(32);
-  auto plan = PlanShards(f.scenario.log.size(), 4, 4);
+  auto plan = PlanShards(f.scenario.log.size(), 4);
   ASSERT_TRUE(plan.ok());
   auto store = store::MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -372,7 +372,7 @@ TEST_F(DriverTest, DriveMergesLiveWorkersIncrementally) {
 
 TEST_F(DriverTest, DeadWorkersLeaseIsReclaimedAndRangeRedone) {
   BuildFixture f = BuildFixture::Make(24);
-  auto plan = PlanShards(f.scenario.log.size(), 4, 3);
+  auto plan = PlanShards(f.scenario.log.size(), 3);
   ASSERT_TRUE(plan.ok());
   auto store = store::MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -405,7 +405,7 @@ TEST_F(DriverTest, DeadWorkersLeaseIsReclaimedAndRangeRedone) {
 
 TEST_F(DriverTest, WedgedWorkerIsStolenFromAndHarmlessOnResume) {
   BuildFixture f = BuildFixture::Make(24);
-  auto plan = PlanShards(f.scenario.log.size(), 4, 2);
+  auto plan = PlanShards(f.scenario.log.size(), 2);
   ASSERT_TRUE(plan.ok());
   auto store = store::MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -447,7 +447,7 @@ TEST_F(DriverTest, WedgedWorkerIsStolenFromAndHarmlessOnResume) {
 
 TEST_F(DriverTest, CorruptExportIsDiscardedAndRecomputed) {
   BuildFixture f = BuildFixture::Make(24);
-  auto plan = PlanShards(f.scenario.log.size(), 4, 3);
+  auto plan = PlanShards(f.scenario.log.size(), 3);
   ASSERT_TRUE(plan.ok());
 
   // What sits where shard 1's export should be: garbage, prefixes of a
@@ -507,32 +507,32 @@ TEST_F(DriverTest, CorruptExportIsDiscardedAndRecomputed) {
 
 TEST_F(DriverTest, ForeignManifestIsDiscardedNotMerged) {
   BuildFixture f = BuildFixture::Make(24);
-  auto plan = PlanShards(f.scenario.log.size(), 4, 2);
+  auto plan = PlanShards(f.scenario.log.size(), 2);
   ASSERT_TRUE(plan.ok());
-  const std::vector<TileRange>& ranges = plan->ranges;
-  ASSERT_GT(ranges[1].begin, 0u);
+  const std::vector<RowRange>& ranges = plan->ranges;
+  ASSERT_GT(ranges[0].end, 1u);
   ASSERT_LT(ranges[1].begin + 1, ranges[1].end);
 
-  // Well-formed shard files whose manifests disagree with the derived
-  // plan: a different tile split (e.g. produced under another block size),
-  // a range overlapping its predecessor or leaving a gap before it, a
-  // range past the end of the schedule, and another log size.
+  // CRC-valid shard files whose manifests disagree with the derived plan: a
+  // different row split, a range overlapping its predecessor or leaving a
+  // gap before it, a range past the end of the log, and another log size.
+  // The frames are written directly, since WriteShard refuses rows past n.
   struct Doctored {
     const char* what;
     uint32_t shard;
-    uint64_t tile_begin;
-    uint64_t tile_end;
-    uint64_t n;
+    uint32_t row_begin;
+    uint32_t row_end;
+    uint32_t n;
   };
-  const uint64_t n = f.scenario.log.size();
+  const uint32_t n = static_cast<uint32_t>(f.scenario.log.size());
+  const uint32_t begin_1 = static_cast<uint32_t>(ranges[1].begin);
+  const uint32_t end_1 = static_cast<uint32_t>(ranges[1].end);
   const std::vector<Doctored> cases = {
-      {"wrong tile split", 0, 0, ranges[0].end == 0 ? 1 : ranges[0].end - 1,
-       n},
-      {"overlapping ranges", 1, ranges[1].begin - 1, ranges[1].end, n},
-      {"gap between ranges", 1, ranges[1].begin + 1, ranges[1].end, n},
-      {"range past the schedule", 1, ranges[1].begin, plan->tile_count + 5,
-       n},
-      {"wrong n", 1, ranges[1].begin, ranges[1].end, 20},
+      {"wrong row split", 0, 0, static_cast<uint32_t>(ranges[0].end) - 1, n},
+      {"overlapping ranges", 1, begin_1 - 1, end_1, n},
+      {"gap between ranges", 1, begin_1 + 1, end_1, n},
+      {"range past n", 1, begin_1, n + 5, n},
+      {"wrong n", 1, begin_1, end_1, n + 6},
   };
   for (const Doctored& c : cases) {
     SCOPED_TRACE(c.what);
@@ -545,14 +545,20 @@ TEST_F(DriverTest, ForeignManifestIsDiscardedNotMerged) {
     foreign.shard_index = c.shard;
     foreign.shard_count = 2;
     foreign.n = c.n;
-    foreign.block = 4;
-    foreign.tile_begin = c.tile_begin;
-    foreign.tile_end = c.tile_end;
-    auto count = store::ShardCellCount(foreign);
-    ASSERT_TRUE(count.ok());
-    ASSERT_TRUE(
-        store->WriteShardCells(foreign, std::vector<double>(*count, 1.0))
-            .ok());
+    foreign.row_begin = c.row_begin;
+    foreign.row_end = c.row_end;
+    store::Writer w;
+    store::EncodeShardManifest(foreign, &w);
+    const std::vector<double> cells(
+        distance::DistanceTriangle::CellCount(c.row_end) -
+            distance::DistanceTriangle::CellCount(c.row_begin),
+        1.0);
+    w.PutDoubles(cells);
+    const std::string path =
+        dir_ + "/shard-token-" + std::to_string(c.shard) + "of2.dpe";
+    ASSERT_TRUE(store::WriteFramedFile(path, store::kShardMagic, w.buffer(),
+                                       store::kShardFormatVersion)
+                    .ok());
 
     auto board = OpenBoard(2, 60000, "coordinator");
     DriverOptions options;
@@ -568,7 +574,7 @@ TEST_F(DriverTest, ForeignManifestIsDiscardedNotMerged) {
 
 TEST_F(DriverTest, StallWatchdogFailsInsteadOfHangingForever) {
   BuildFixture f = BuildFixture::Make(12);
-  auto plan = PlanShards(f.scenario.log.size(), 4, 2);
+  auto plan = PlanShards(f.scenario.log.size(), 2);
   ASSERT_TRUE(plan.ok());
   auto store = store::MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -620,6 +626,71 @@ TEST_F(DriverTest, EngineDriveShardsMatchesBuildMatrixAndWarmsCache) {
             StatusCode::kNotFound);
 }
 
+TEST_F(DriverTest, WorkerAndCoordinatorAtDifferentBlockSizesMerge) {
+  // The tile edge is a per-host cache-tiling knob: it must not reach the
+  // plan or the shard files, so a worker at block 4 and a coordinator at
+  // block 8 agree on every shard and the coordinator merges all of them.
+  workload::Scenario s = Shop(61, 24);
+  EngineOptions worker_options;
+  worker_options.threads = 2;
+  worker_options.block = 4;
+  Engine worker(s.Context(), worker_options);
+  worker.SetLog(s.log);
+  MultiHostOptions mh;
+  mh.heartbeat_ms = 50;
+  auto exported = worker.RunShardWorker("token", 2, dir_, mh);
+  ASSERT_TRUE(exported.ok()) << exported.status();
+  EXPECT_EQ(exported->computed, 2u);
+
+  EngineOptions coordinator_options = worker_options;
+  coordinator_options.block = 8;
+  Engine coordinator(s.Context(), coordinator_options);
+  coordinator.SetLog(s.log);
+  auto report = coordinator.DriveShards("token", 2, dir_, mh);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->merged_from_workers, 2u);
+  EXPECT_EQ(report->discards, 0u);
+  EXPECT_EQ(report->self_finished, 0u);
+  auto reference = coordinator.BuildMatrix("token");
+  ASSERT_TRUE(reference.ok());
+  ExpectBitIdentical(report->matrix, *reference);
+}
+
+TEST_F(DriverTest, DriveWarmUpSurvivesARestartFromTheCheckpoint) {
+  // The rows a drive merges are journaled like a build's, so a restart
+  // from the engine's checkpoint keeps them instead of recomputing the
+  // whole matrix.
+  workload::Scenario s = Shop(61, 40);
+  const std::vector<sql::SelectQuery> log(s.log.begin(), s.log.begin() + 30);
+  const std::string checkpoint = dir_ + "/checkpoint";
+  const std::string shards = dir_ + "/shards";
+  EngineOptions eopts;
+  eopts.threads = 2;
+  eopts.block = 8;
+
+  Engine e(s.Context(), eopts);
+  e.SetLog(log);
+  ASSERT_TRUE(e.SaveCheckpoint(checkpoint).ok());
+  MultiHostOptions options;
+  options.claim_grace_ms = 0;  // no workers in this test
+  ASSERT_TRUE(e.DriveShards("token", 2, shards, options).ok());
+  ASSERT_TRUE(e.AddQuery(s.log[30]).ok());
+  ASSERT_TRUE(e.BuildMatrix("token").ok());
+  EXPECT_EQ(e.last_build_report().cells_computed, 30u);
+
+  Engine restarted(s.Context(), eopts);
+  ASSERT_TRUE(restarted.LoadCheckpoint(checkpoint).ok());
+  auto built = restarted.BuildMatrix("token");
+  ASSERT_TRUE(built.ok()) << built.status();
+  EXPECT_EQ(restarted.last_build_report().cells_computed, 0u);
+
+  Engine reference(s.Context(), eopts);
+  reference.SetLog({s.log.begin(), s.log.begin() + 31});
+  auto expected = reference.BuildMatrix("token");
+  ASSERT_TRUE(expected.ok());
+  ExpectBitIdentical(*built, *expected);
+}
+
 TEST_F(DriverTest, StatsExposesTheLeaseTableWhileADriveIsActive) {
   workload::Scenario s = Shop(61, 16);
   EngineOptions eopts;
@@ -657,7 +728,7 @@ TEST_F(DriverTest, StatsExposesTheLeaseTableWhileADriveIsActive) {
       << "the lease table must carry per-worker progress";
 
   // Play the worker: export shard 0 and release — the drive completes.
-  auto plan = PlanShards(s.log.size(), eopts.block, 1);
+  auto plan = PlanShards(s.log.size(), 1);
   ASSERT_TRUE(plan.ok());
   auto store = store::MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());

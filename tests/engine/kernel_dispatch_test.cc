@@ -141,7 +141,7 @@ TEST(KernelDispatchTest, UnrunnableForcedBackendFailsTheBuildLoudly) {
 }
 
 TEST(KernelDispatchTest, ShardedBuildsHonorTheForcedBackend) {
-  // The shard worker path flows the context's backend through BuildTiles;
+  // The shard worker path flows the context's backend through ComputeRows;
   // merged output must match the scalar direct build bit for bit.
   workload::Scenario s = Shop(91, 13);
   distance::MeasureContext scalar_ctx = s.Context();
@@ -154,7 +154,7 @@ TEST(KernelDispatchTest, ShardedBuildsHonorTheForcedBackend) {
   for (KernelBackend backend : RunnableBackends()) {
     distance::MeasureContext ctx = s.Context();
     ctx.kernel_backend = backend;
-    auto plan = PlanShards(s.log.size(), 4, 2);
+    auto plan = PlanShards(s.log.size(), 2);
     ASSERT_TRUE(plan.ok());
     const std::string dir =
         (std::filesystem::path(::testing::TempDir()) /

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "distance/access_area_distance.h"
 #include "distance/result_distance.h"
 #include "distance/token_distance.h"
@@ -129,48 +132,74 @@ TEST(MatrixBuilderTest, PropagatesMeasureErrors) {
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(MatrixBuilderTest, ComputePairsMatchesMatrixCells) {
+TEST(MatrixBuilderTest, ComputeRowsFillsExactlyItsRows) {
+  // Rows [first, end) of a matrix with room for `end` rows: the cells of
+  // those rows (both halves) carry the serial reference's values and every
+  // other cell keeps what it held — across block edges that clip the
+  // range's first and last tiles.
   workload::Scenario s = Shop(23, 20);
   distance::MeasureContext context = s.Context();
   distance::TokenDistance token;
   auto serial = distance::DistanceMatrix::Compute(s.log, token, context);
   ASSERT_TRUE(serial.ok());
 
-  std::vector<std::pair<size_t, size_t>> pairs = {
-      {0, 1}, {3, 7}, {19, 2}, {5, 5}, {18, 19}};
   ThreadPool pool(4);
-  MatrixBuilder builder(&pool, MatrixBuilderOptions{2});
-  auto distances = builder.ComputePairs(s.log, pairs, token, context);
-  ASSERT_TRUE(distances.ok()) << distances.status();
-  ASSERT_EQ(distances->size(), pairs.size());
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    EXPECT_EQ((*distances)[p], serial->at(pairs[p].first, pairs[p].second));
+  for (size_t block : {1u, 3u, 8u}) {
+    MatrixBuilder builder(&pool, MatrixBuilderOptions{block});
+    for (const auto& [first, end] : {std::pair<size_t, size_t>{0, 20},
+                                     {19, 20},
+                                     {5, 13},
+                                     {0, 7},
+                                     {9, 9}}) {
+      distance::DistanceMatrix m(end);
+      for (size_t i = 0; i < end; ++i) {
+        for (size_t j = i + 1; j < end; ++j) m.set(i, j, -1.0);
+      }
+      ASSERT_TRUE(
+          builder.ComputeRows(s.log, token, context, first, end, &m).ok());
+      for (size_t i = 0; i < end; ++i) {
+        for (size_t j = 0; j < end; ++j) {
+          const size_t row = std::max(i, j);
+          const double expected = i == j ? 0.0
+                                  : row >= first ? serial->at(i, j)
+                                                 : -1.0;
+          EXPECT_EQ(m.at(i, j), expected)
+              << "block " << block << " rows [" << first << ", " << end
+              << ") cell " << i << "," << j;
+        }
+      }
+    }
   }
 }
 
-TEST(MatrixBuilderTest, ComputePairsRejectsOutOfRangeIndices) {
+TEST(MatrixBuilderTest, ComputeRowsRejectsRowsOutsideTheLogOrMatrix) {
   workload::Scenario s = Shop(29, 5);
   distance::TokenDistance token;
   MatrixBuilder builder(nullptr);
-  auto distances =
-      builder.ComputePairs(s.log, {{0, 99}}, token, s.Context());
-  EXPECT_EQ(distances.status().code(), StatusCode::kOutOfRange);
+  distance::DistanceMatrix m(5);
+  EXPECT_EQ(builder.ComputeRows(s.log, token, s.Context(), 2, 6, &m).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(builder.ComputeRows(s.log, token, s.Context(), 4, 3, &m).code(),
+            StatusCode::kOutOfRange);
+  distance::DistanceMatrix short_matrix(3);
+  EXPECT_EQ(
+      builder.ComputeRows(s.log, token, s.Context(), 0, 4, &short_matrix)
+          .code(),
+      StatusCode::kOutOfRange);
 }
 
 TEST(MatrixBuilderTest, ZeroBlockIsInvalidArgumentNotDivisionByZero) {
   // block == 0 used to be clamped silently; it must now surface as a typed
-  // error from every entry point (the tile-count computation divides by it).
+  // error from every entry point (the tile schedule divides by it).
   workload::Scenario s = Shop(41, 6);
   distance::MeasureContext context = s.Context();
   distance::TokenDistance token;
   MatrixBuilder builder(nullptr, MatrixBuilderOptions{0});
   EXPECT_EQ(builder.Build(s.log, token, context).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(builder.BuildTiles(s.log, token, context, 0, 0).status().code(),
+  distance::DistanceMatrix m(6);
+  EXPECT_EQ(builder.ComputeRows(s.log, token, context, 0, 0, &m).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      builder.ComputePairs(s.log, {{0, 1}}, token, context).status().code(),
-      StatusCode::kInvalidArgument);
 }
 
 TEST(MatrixBuilderTest, EmptyAndSingletonLogsBuildEmptySchedules) {
@@ -190,33 +219,6 @@ TEST(MatrixBuilderTest, EmptyAndSingletonLogsBuildEmptySchedules) {
     ASSERT_EQ(single->size(), 1u);
     EXPECT_EQ(single->at(0, 0), 0.0);
   }
-}
-
-TEST(MatrixBuilderTest, BuildTilesSubrangeFillsOnlyItsTiles) {
-  workload::Scenario s = Shop(47, 12);
-  distance::MeasureContext context = s.Context();
-  distance::TokenDistance token;
-  MatrixBuilder builder(nullptr, MatrixBuilderOptions{4});
-  auto full = builder.Build(s.log, token, context);
-  ASSERT_TRUE(full.ok());
-
-  // Tiles (block 4, n 12): (0,0) (0,1) (0,2) (1,1) (1,2) (2,2). The range
-  // [1, 3) is tiles (0,1) and (0,2): rows 0..3 against columns 4..11.
-  auto partial = builder.BuildTiles(s.log, token, context, 1, 3);
-  ASSERT_TRUE(partial.ok()) << partial.status();
-  for (size_t i = 0; i < 12; ++i) {
-    for (size_t j = i + 1; j < 12; ++j) {
-      const bool in_range = i < 4 && j >= 4;
-      EXPECT_EQ(partial->at(i, j), in_range ? full->at(i, j) : 0.0)
-          << "cell (" << i << ", " << j << ")";
-    }
-  }
-
-  // A subrange past the schedule is a typed error.
-  EXPECT_EQ(builder.BuildTiles(s.log, token, context, 2, 99).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(builder.BuildTiles(s.log, token, context, 5, 3).status().code(),
-            StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Seeded interleaving differential test for the per-measure distance
 // triangles: each seed drives one engine through a random sequence of
-// AddQuery, sync and async builds of two measures, checkpoint saves,
-// restarts (a fresh Engine plus LoadCheckpoint), compaction cycles and
-// cache clears, under seed-chosen options (threads, tile edge, byte budget,
-// background compaction). Every matrix any build returns must be
-// bit-identical to DistanceMatrix::Compute over the log at that moment —
-// whatever mix of copied, journaled, folded and recomputed rows produced it.
+// AddQuery, sync and async builds of two measures, coordinator-only shard
+// drives, checkpoint saves, restarts (a fresh Engine plus LoadCheckpoint),
+// compaction cycles and cache clears, under seed-chosen options (threads,
+// tile edge, byte budget, background compaction). Every matrix any build or
+// drive returns must be bit-identical to DistanceMatrix::Compute over the
+// log at that moment — whatever mix of copied, journaled, folded, merged
+// and recomputed rows produced it.
 
 #include <filesystem>
 #include <map>
@@ -43,7 +44,10 @@ class TriangleDifferentialTest : public ::testing::TestWithParam<uint32_t> {
                .string();
     fs::remove_all(dir_);
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    fs::remove_all(dir_);
+    fs::remove_all(dir_ + "-drive");
+  }
 
   std::string dir_;
 };
@@ -97,7 +101,7 @@ TEST_P(TriangleDifferentialTest, EveryBuildMatchesTheSerialReference) {
 
   for (size_t step = 0; step < kSteps; ++step) {
     const std::string measure = kMeasures[rng() % 2];
-    const int op = std::uniform_int_distribution<int>(0, 99)(rng);
+    const int op = std::uniform_int_distribution<int>(0, 109)(rng);
     SCOPED_TRACE("step " + std::to_string(step));
     if (op < 25) {
       if (n < kLogSize) {
@@ -141,8 +145,21 @@ TEST_P(TriangleDifferentialTest, EveryBuildMatchesTheSerialReference) {
       // With background compaction on, an explicit cycle may race one that
       // already published and swept the inputs it folds; it then publishes
       // nothing, whatever it returns. The builds and restarts check state.
-    } else {
+    } else if (op < 100) {
       engine->ClearCache();
+    } else {
+      // A coordinator-only drive of 1-3 shards over a fresh directory; its
+      // merged rows warm the triangle and are journaled like a build's.
+      const size_t shards = 1 + rng() % 3;
+      const std::string shard_dir = dir_ + "-drive";
+      fs::remove_all(shard_dir);
+      MultiHostOptions drive_options;
+      drive_options.claim_grace_ms = 0;
+      auto driven = engine->DriveShards(measure, shards, shard_dir,
+                                        drive_options);
+      ASSERT_TRUE(driven.ok()) << driven.status();
+      ExpectBitIdentical(reference(measure, n), driven->matrix);
+      fs::remove_all(shard_dir);
     }
     if (options.cache_max_bytes != 0) {
       EXPECT_LE(engine->cache_bytes_used(), options.cache_max_bytes);

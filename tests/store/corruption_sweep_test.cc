@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/tiles.h"
 #include "engine/driver.h"
 #include "store/matrix_store.h"
 
@@ -45,23 +44,22 @@ class CorruptionSweepTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  // A small but real shard file: the full tile range of a 6x6 build.
+  // A small but real shard file: every row of a 6x6 build.
   ShardManifest WriteWholeMatrixShard(MatrixStore& store) {
     ShardManifest manifest;
     manifest.matrix = "token";
     manifest.shard_index = 0;
     manifest.shard_count = 1;
     manifest.n = 6;
-    manifest.block = 2;
-    manifest.tile_begin = 0;
-    manifest.tile_end = common::TileCount(6, 2);
-    auto count = ShardCellCount(manifest);
-    EXPECT_TRUE(count.ok());
-    std::vector<double> cells(*count);
-    for (size_t i = 0; i < cells.size(); ++i) {
-      cells[i] = 0.25 * static_cast<double>(i);
+    manifest.row_begin = 0;
+    manifest.row_end = 6;
+    distance::DistanceMatrix partial(6);
+    for (size_t i = 0; i < 6; ++i) {
+      for (size_t j = i + 1; j < 6; ++j) {
+        partial.set(i, j, 0.25 * static_cast<double>(i * 6 + j));
+      }
     }
-    EXPECT_TRUE(store.WriteShardCells(manifest, cells).ok());
+    EXPECT_TRUE(store.WriteShard(manifest, partial).ok());
     return manifest;
   }
 
@@ -92,7 +90,8 @@ TEST_F(CorruptionSweepTest, ShardFrameTruncatedAtEveryByteIsATypedError) {
   WriteBytes(path, whole.data(), whole.size());
   auto shard = store->ReadShard("token", 0, 1);
   ASSERT_TRUE(shard.ok()) << shard.status();
-  EXPECT_EQ(shard->manifest.tile_end, common::TileCount(6, 2));
+  EXPECT_EQ(shard->manifest.row_end, 6u);
+  EXPECT_EQ(shard->cells.size(), 15u);
 }
 
 TEST_F(CorruptionSweepTest, LeaseFileTruncatedAtEveryByteKeepsTheProtocol) {

@@ -9,7 +9,6 @@
 #include <fstream>
 
 #include "common/rng.h"
-#include "common/tiles.h"
 
 namespace dpe::store {
 namespace {
@@ -344,54 +343,42 @@ TEST_F(MatrixStoreTest, StrayOversizedGenerationFileIsLeftAlone) {
   }
 }
 
-ShardManifest MakeManifest(uint32_t index, uint32_t count, uint64_t n) {
+ShardManifest MakeManifest(uint32_t index, uint32_t count, uint32_t n,
+                           uint32_t row_begin, uint32_t row_end) {
   ShardManifest m;
   m.matrix = "token";
   m.shard_index = index;
   m.shard_count = count;
   m.n = n;
-  m.block = 4;
-  m.tile_begin = index;  // not checked against a plan here; the driver does
-  m.tile_end = index + 1;
+  m.row_begin = row_begin;  // not checked against a plan here; the driver
+  m.row_end = row_end;      // does
   return m;
-}
-
-/// The owned cells of `partial` under `manifest`, in tile-schedule order —
-/// the reference extraction ReadShard's payload must match.
-std::vector<double> OwnedCells(const ShardManifest& manifest,
-                               const distance::DistanceMatrix& partial) {
-  std::vector<double> cells;
-  const auto tiles = common::TileSchedule(manifest.n, manifest.block);
-  const uint64_t end = std::min<uint64_t>(manifest.tile_end, tiles.size());
-  for (uint64_t t = manifest.tile_begin; t < end; ++t) {
-    common::ForEachTileCell(
-        manifest.n, manifest.block, tiles[t].first, tiles[t].second,
-        [&](size_t i, size_t j) { cells.push_back(partial.at(i, j)); });
-  }
-  return cells;
 }
 
 TEST_F(MatrixStoreTest, ShardRoundTrip) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   Rng rng(11);
-  distance::DistanceMatrix partial(9);
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = i + 1; j < 9; ++j) {
+  distance::DistanceMatrix partial(7);
+  for (size_t i = 0; i < 7; ++i) {
+    for (size_t j = i + 1; j < 7; ++j) {
       partial.set(i, j, rng.NextDouble());
     }
   }
-  const ShardManifest manifest = MakeManifest(1, 3, 9);
+  const ShardManifest manifest = MakeManifest(1, 3, 9, 3, 7);
   ASSERT_TRUE(store->WriteShard(manifest, partial).ok());
 
   auto read = store->ReadShard("token", 1, 3);
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(read->manifest, manifest);
-  // Sparse payload: exactly the owned cells, in schedule order.
-  EXPECT_EQ(read->cells, OwnedCells(manifest, partial));
-  auto expected_count = ShardCellCount(manifest);
-  ASSERT_TRUE(expected_count.ok());
-  EXPECT_EQ(read->cells.size(), *expected_count);
+  // The payload is triangle rows [3, 7), exactly as a triangle lays them
+  // out.
+  distance::DistanceTriangle triangle;
+  triangle.ExtendFrom(partial);
+  const std::span<const double> rows = triangle.Rows(3, 7);
+  EXPECT_EQ(read->cells, std::vector<double>(rows.begin(), rows.end()));
+  EXPECT_EQ(read->cells.size(), distance::DistanceTriangle::CellCount(7) -
+                                    distance::DistanceTriangle::CellCount(3));
 
   // Other coordinates are distinct files.
   EXPECT_EQ(store->ReadShard("token", 0, 3).status().code(),
@@ -402,42 +389,45 @@ TEST_F(MatrixStoreTest, ShardRoundTrip) {
             StatusCode::kNotFound);
 }
 
-TEST_F(MatrixStoreTest, SparseShardFilesOmitUnownedCells) {
-  // A shard owning one tile of a 32-query matrix must not pay for the full
-  // n(n-1)/2 upper triangle a dense payload would.
+TEST_F(MatrixStoreTest, ShardFileCarriesOnlyItsRows) {
+  // A shard owning rows [0, 8) of a 32-query matrix (28 cells) must not pay
+  // for the full n(n-1)/2 triangle.
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  distance::DistanceMatrix partial(32);
-  ShardManifest manifest = MakeManifest(0, 4, 32);  // tiles [0, 1), block 4
-  ASSERT_TRUE(store->WriteShard(manifest, partial).ok());
+  distance::DistanceMatrix partial(8);
+  ASSERT_TRUE(store->WriteShard(MakeManifest(0, 4, 32, 0, 8), partial).ok());
   const auto size = fs::file_size(fs::path(dir_) / "shard-token-0of4.dpe");
   const uintmax_t dense_payload = 32 * 31 / 2 * 8;
   EXPECT_LT(size, dense_payload / 4);
-  // And the owned-cell count is the deterministic manifest-derived one:
-  // tile (0,0) of block 4 holds 4*3/2 = 6 cells.
-  auto count = ShardCellCount(manifest);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 6u);
+  auto read = store->ReadShard("token", 0, 4);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->cells.size(), 28u);
 }
 
 TEST_F(MatrixStoreTest, OldFormatVersionsAreParseErrors) {
-  // Every framed format has exactly one version. Bytes earlier builds wrote
-  // — a version-1 dense shard (manifest + the full upper triangle), a
-  // version-2 snapshot frame and a version-1 journal — must fail typed,
-  // never decode.
+  // Every framed format has exactly one version. Frames under the versions
+  // earlier builds wrote — version-1 (dense) and version-2 (tile-ordered)
+  // shards, a version-2 snapshot and a version-1 journal — must fail typed,
+  // never decode, even around a payload the current version would accept.
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  Writer shard;
-  EncodeShardManifest(MakeManifest(1, 3, 9), &shard);
-  shard.PutU64(9);
-  for (size_t k = 0; k < 9 * 8 / 2; ++k) shard.PutDouble(0.5);
+  ASSERT_TRUE(store
+                  ->WriteShard(MakeManifest(1, 3, 9, 3, 9),
+                               distance::DistanceMatrix(9))
+                  .ok());
+  ASSERT_TRUE(store->ReadShard("token", 1, 3).ok());
   const std::string shard_path =
       (fs::path(dir_) / "shard-token-1of3.dpe").string();
-  ASSERT_TRUE(
-      WriteFramedFile(shard_path, kShardMagic, shard.buffer(), /*version=*/1)
-          .ok());
-  EXPECT_EQ(store->ReadShard("token", 1, 3).status().code(),
-            StatusCode::kParseError);
+  auto shard =
+      ReadFramedFile(shard_path, kShardMagic, kShardFormatVersion);
+  ASSERT_TRUE(shard.ok());
+  for (uint32_t version : {1u, 2u}) {
+    ASSERT_TRUE(
+        WriteFramedFile(shard_path, kShardMagic, *shard, version).ok());
+    EXPECT_EQ(store->ReadShard("token", 1, 3).status().code(),
+              StatusCode::kParseError)
+        << "shard version " << version;
+  }
 
   ASSERT_TRUE(store->WriteSnapshot(MakeSnapshot()).ok());
   const std::string snapshot_path =
@@ -463,23 +453,37 @@ TEST_F(MatrixStoreTest, OldFormatVersionsAreParseErrors) {
   EXPECT_TRUE(report->journal_rewritten);  // quarantined wholesale
 }
 
-TEST_F(MatrixStoreTest, SparseShardCellCountMismatchIsParseError) {
-  // A CRC-valid sparse frame whose declared cell count disagrees with what
-  // the manifest's tile range owns must be rejected before any cell lands.
+TEST_F(MatrixStoreTest, ShardPayloadDisagreeingWithItsRowsIsParseError) {
+  // A CRC-valid frame whose payload is not exactly the cells its manifest's
+  // rows hold must be rejected before any cell is allocated — including
+  // rows whose cell count is far beyond any real file.
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
-  const ShardManifest manifest = MakeManifest(0, 1, 9);  // owns 6 cells
-  Writer w;
-  EncodeShardManifest(manifest, &w);
-  w.PutU64(3);  // lies about the count
-  for (int k = 0; k < 3; ++k) w.PutDouble(0.5);
+  constexpr uint32_t kHuge = 0xFFFFFFFFu;
+  const struct {
+    const char* what;
+    ShardManifest manifest;
+    size_t doubles;
+  } cases[] = {
+      {"too few cells", MakeManifest(0, 1, 9, 0, 9), 3},  // rows hold 36
+      {"trailing cell", MakeManifest(0, 1, 9, 0, 9), 37},
+      {"2^32 - 1 rows", MakeManifest(0, 1, kHuge, 0, kHuge), 3},
+      {"the last row of 2^32 - 1", MakeManifest(0, 1, kHuge, kHuge - 1, kHuge),
+       3},
+  };
   const std::string path = (fs::path(dir_) / "shard-token-0of1.dpe").string();
-  ASSERT_TRUE(WriteFramedFile(path, kShardMagic, w.buffer(),
-                              kShardFormatVersion)
-                  .ok());
-  auto read = store->ReadShard("token", 0, 1);
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kParseError);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    Writer w;
+    EncodeShardManifest(c.manifest, &w);
+    for (size_t k = 0; k < c.doubles; ++k) w.PutDouble(0.5);
+    ASSERT_TRUE(WriteFramedFile(path, kShardMagic, w.buffer(),
+                                kShardFormatVersion)
+                    .ok());
+    auto read = store->ReadShard("token", 0, 1);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST_F(MatrixStoreTest, FsyncPolicyRoundTripsUnderEveryPolicy) {
@@ -517,19 +521,20 @@ TEST_F(MatrixStoreTest, WriteShardRejectsInconsistentManifests) {
   ASSERT_TRUE(store.ok());
   distance::DistanceMatrix partial(4);
 
-  ShardManifest bad_index = MakeManifest(2, 2, 4);  // index >= count
-  EXPECT_EQ(store->WriteShard(bad_index, partial).code(),
-            StatusCode::kInvalidArgument);
-
-  ShardManifest inverted = MakeManifest(0, 2, 4);
-  inverted.tile_begin = 3;
-  inverted.tile_end = 1;
-  EXPECT_EQ(store->WriteShard(inverted, partial).code(),
-            StatusCode::kInvalidArgument);
-
-  ShardManifest wrong_n = MakeManifest(0, 2, 7);  // partial is 4 x 4
-  EXPECT_EQ(store->WriteShard(wrong_n, partial).code(),
-            StatusCode::kInvalidArgument);
+  const struct {
+    const char* what;
+    ShardManifest manifest;
+  } cases[] = {
+      {"index >= count", MakeManifest(2, 2, 4, 0, 2)},
+      {"inverted rows", MakeManifest(0, 2, 4, 3, 1)},
+      {"rows past n", MakeManifest(0, 2, 4, 2, 5)},
+      {"partial shorter than the rows", MakeManifest(0, 2, 7, 0, 7)},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(store->WriteShard(c.manifest, partial).code(),
+              StatusCode::kInvalidArgument)
+        << c.what;
+  }
 }
 
 TEST_F(MatrixStoreTest, FlippedShardByteIsParseError) {
@@ -537,7 +542,7 @@ TEST_F(MatrixStoreTest, FlippedShardByteIsParseError) {
   ASSERT_TRUE(store.ok());
   distance::DistanceMatrix partial(6);
   partial.set(0, 1, 0.5);
-  ASSERT_TRUE(store->WriteShard(MakeManifest(0, 1, 6), partial).ok());
+  ASSERT_TRUE(store->WriteShard(MakeManifest(0, 1, 6, 0, 6), partial).ok());
 
   const std::string path = (fs::path(dir_) / "shard-token-0of1.dpe").string();
   ASSERT_TRUE(fs::exists(path));
@@ -565,7 +570,7 @@ TEST_F(MatrixStoreTest, ShardFileRenamedToOtherCoordinatesIsParseError) {
   auto store = MatrixStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   distance::DistanceMatrix partial(4);
-  ASSERT_TRUE(store->WriteShard(MakeManifest(0, 2, 4), partial).ok());
+  ASSERT_TRUE(store->WriteShard(MakeManifest(0, 2, 4, 0, 3), partial).ok());
   fs::rename(fs::path(dir_) / "shard-token-0of2.dpe",
              fs::path(dir_) / "shard-token-1of2.dpe");
   auto read = store->ReadShard("token", 1, 2);
