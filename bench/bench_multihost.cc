@@ -14,8 +14,8 @@
 //                           holder *resumes* and re-exports — two holders of
 //                           one range, resolved by idempotent exports
 //
-//   $ ./build/bench_multihost            # all scenarios, k = 3 workers
-//   $ ./build/bench_multihost --smoke    # clean + one injected kill (CI)
+//   $ ./build/bench_multihost            # all scenarios, k = 3 workers (CI)
+//   $ ./build/bench_multihost --smoke    # clean + one injected kill
 //
 // Every scenario is also a latency probe: a dead or wedged worker must not
 // stall the build longer than the lease TTL + backoff slack, and the JSON
@@ -69,7 +69,7 @@ struct WorkerProcs {
 /// the children start clean.
 WorkerProcs SpawnWorkers(const workload::Scenario& s, const Scenario& sc,
                          size_t k, size_t block, const std::string& dir,
-                         int ttl_ms, int heartbeat_ms) {
+                         int ttl_ms) {
   WorkerProcs procs;
   for (size_t w = 0; w < sc.worker_faults.size(); ++w) {
     const pid_t pid = ::fork();
@@ -94,7 +94,6 @@ WorkerProcs SpawnWorkers(const workload::Scenario& s, const Scenario& sc,
       worker.SetLog(s.log);
       engine::MultiHostOptions mh;
       mh.ttl_ms = ttl_ms;
-      mh.heartbeat_ms = heartbeat_ms;
       mh.idle_timeout_ms = 30000;
       auto report = worker.RunShardWorker("token", k, dir, mh);
       ::_exit(report.ok() ? 0 : 3);
@@ -138,13 +137,12 @@ int main(int argc, char** argv) {
   const size_t n = smoke ? 24 : 48;
   const size_t block = 8;
   const size_t k = 4;  // shards; workers per scenario = 3
-  const int ttl_ms = 500;
-  const int heartbeat_ms = 100;
+  const int ttl_ms = 500;  // lease holders renew every ttl_ms / 10
 
   std::printf("== multi-host fault tolerance: %zu shards, crash-injected "
               "workers ==\n\n", k);
   std::printf("log size n = %zu, lease ttl = %d ms, heartbeat = %d ms\n\n", n,
-              ttl_ms, heartbeat_ms);
+              ttl_ms, ttl_ms / 10);
 
   workload::Scenario s = bench::MakeShop(42, 60, n);
   const std::string dir =
@@ -211,15 +209,14 @@ int main(int argc, char** argv) {
   }
 
   bench::JsonReport report("multihost");
-  std::printf("%-24s %9s %6s %9s %8s %7s %8s %9s\n", "scenario", "drive ms",
-              "kills", "expiries", "reassign", "workers", "self", "discards");
+  std::printf("%-24s %9s %6s %9s %7s %8s %9s\n", "scenario", "drive ms",
+              "kills", "expiries", "workers", "self", "discards");
 
   for (const Scenario& sc : scenarios) {
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
 
-    WorkerProcs procs =
-        SpawnWorkers(s, sc, k, block, dir, ttl_ms, heartbeat_ms);
+    WorkerProcs procs = SpawnWorkers(s, sc, k, block, dir, ttl_ms);
 
     engine::EngineOptions options;
     options.threads = 2;
@@ -228,7 +225,6 @@ int main(int argc, char** argv) {
     coordinator.SetLog(s.log);
     engine::MultiHostOptions mh;
     mh.ttl_ms = ttl_ms;
-    mh.heartbeat_ms = heartbeat_ms;
     mh.stall_timeout_ms = 60000;
 
     engine::DriveReport drive;
@@ -274,15 +270,13 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    std::printf("%-24s %9.1f %6d %9u %8u %7u %8u %9u\n", sc.name.c_str(),
-                drive_ms, kills, drive.lease_expiries, drive.reassignments,
+    std::printf("%-24s %9.1f %6d %9u %7u %8u %9u\n", sc.name.c_str(),
+                drive_ms, kills, drive.lease_expiries,
                 drive.merged_from_workers, drive.self_finished,
                 drive.discards);
     report.Add("drive_ms", drive_ms, {{"scenario", sc.name}});
     report.Add("kills", kills, {{"scenario", sc.name}});
     report.Add("lease_expiries", drive.lease_expiries,
-               {{"scenario", sc.name}});
-    report.Add("reassignments", drive.reassignments,
                {{"scenario", sc.name}});
     report.Add("merged_from_workers", drive.merged_from_workers,
                {{"scenario", sc.name}});

@@ -8,8 +8,8 @@
 //    Lease files (O_EXCL-created, heartbeat-renewed) arbitrate who
 //    computes which shard; the plan itself is derived, never assigned.
 // 2. A second "worker" acquires a lease and dies immediately — simulated
-//    here by acquiring through a raw LeaseBoard and never renewing, which
-//    is byte-for-byte what a crashed host leaves behind.
+//    here by acquiring through a LeaseBoard of its own and never renewing,
+//    which is byte-for-byte what a crashed host leaves behind.
 // 3. The coordinator detects the dead worker by heartbeat timeout,
 //    reclaims the lease so the range can be redone, and finishes any
 //    range nobody claims — the build completes even if every worker dies,
@@ -61,13 +61,11 @@ int main() {
 
   // --- A worker that dies right after acquiring shard 1. ------------------
   // A crashed host leaves exactly this: a lease file that stops renewing.
-  engine::DirectoryLeaseBoard::Options lease_options;
-  lease_options.dir = dir;
-  lease_options.matrix = "token";
-  lease_options.shard_count = kShards;
-  lease_options.ttl_ms = kTtlMs;
-  lease_options.host = "worker-that-dies";
-  auto dead_board = engine::DirectoryLeaseBoard::Open(lease_options);
+  auto dead_board = engine::LeaseBoard::Open({.dir = dir,
+                                              .matrix = "token",
+                                              .shard_count = kShards,
+                                              .ttl_ms = kTtlMs,
+                                              .host = "worker-that-dies"});
   if (!dead_board.ok() || !(*dead_board)->TryAcquire(1).value_or(false)) {
     std::fprintf(stderr, "could not stage the dead worker's lease\n");
     return 1;
@@ -78,10 +76,8 @@ int main() {
   std::thread worker([&] {
     engine::Engine worker_engine(scenario->Context(), options);
     worker_engine.SetLog(scenario->log);
-    engine::MultiHostOptions mh;
-    mh.ttl_ms = kTtlMs;
-    mh.heartbeat_ms = 100;
-    auto report = worker_engine.RunShardWorker("token", kShards, dir, mh);
+    auto report = worker_engine.RunShardWorker("token", kShards, dir,
+                                               {.ttl_ms = kTtlMs});
     if (report.ok()) {
       std::printf("worker 'healthy' exported %u shard(s)\n",
                   report->computed);
@@ -91,10 +87,8 @@ int main() {
   // --- The coordinator: merge as shards land, reclaim the dead lease. ----
   engine::Engine coordinator(scenario->Context(), options);
   coordinator.SetLog(scenario->log);
-  engine::MultiHostOptions mh;
-  mh.ttl_ms = kTtlMs;
-  mh.heartbeat_ms = 100;
-  auto drive = coordinator.DriveShards("token", kShards, dir, mh);
+  auto drive =
+      coordinator.DriveShards("token", kShards, dir, {.ttl_ms = kTtlMs});
   worker.join();
   if (!drive.ok()) {
     std::fprintf(stderr, "drive: %s\n", drive.status().ToString().c_str());
@@ -105,7 +99,6 @@ int main() {
   std::printf("  shards from workers : %u\n", drive->merged_from_workers);
   std::printf("  self-finished       : %u\n", drive->self_finished);
   std::printf("  lease expiries      : %u\n", drive->lease_expiries);
-  std::printf("  reassignments       : %u\n", drive->reassignments);
   if (drive->lease_expiries > 0) {
     std::printf("  -> the coordinator detected the dead worker by heartbeat "
                 "timeout and reclaimed its lease\n");

@@ -38,13 +38,14 @@ echo "== bench smoke: scaling + kernel benches compile-and-run =="
 ls -l BENCH_distance_scaling.json BENCH_mining_scaling.json \
       BENCH_shard_scaling.json BENCH_simd_kernels.json
 
-echo "== multi-host crash harness: forked workers, one injected kill =="
-# Forks 3 real worker processes coordinating through lease files, scripts
-# one to _exit at its crash point (DPE_FAULT grammar), and hard-fails
-# unless the coordinator's merged matrix is bit-identical to the direct
-# build. The full scenario matrix (wedges, mid-write kills, double-acquire
-# races, all-workers-die) runs without --smoke.
-(cd build && ./bench/bench_multihost --smoke)
+echo "== multi-host crash harness: forked workers, the full crash matrix =="
+# Forks real worker processes coordinating through lease files, scripts
+# their crash points (DPE_FAULT grammar) — die before export, die mid frame
+# write, wedge without heartbeat, the double-acquire race, every worker
+# dead — and hard-fails unless each scenario's merged matrix is
+# bit-identical to the direct build and meets its expiry, kill and latency
+# floors. About 6 s; --smoke runs only the first kill.
+(cd build && ./bench/bench_multihost)
 ls -l BENCH_multihost.json
 
 echo "== checkpoint bench: cold build vs restore + incremental =="

@@ -47,7 +47,7 @@ bool AccessAreaDistance::SameDomains(const db::DomainRegistry& domains) const {
                     });
 }
 
-Status AccessAreaDistance::Prepare(const std::vector<sql::SelectQuery>& queries,
+Status AccessAreaDistance::Prepare(std::span<const sql::SelectQuery> queries,
                                    const MeasureContext& context) const {
   if (context.domains == nullptr) {
     return Status::InvalidArgument(

@@ -53,7 +53,7 @@ class AccessAreaDistance final : public QueryDistanceMeasure {
   /// areas are never served across registries), and Distance consults it
   /// only when the context carries that same registry. Without Prepare,
   /// areas are extracted per pair, as before.
-  Status Prepare(const std::vector<sql::SelectQuery>& queries,
+  Status Prepare(std::span<const sql::SelectQuery> queries,
                  const MeasureContext& context) const override;
   Result<double> Distance(const sql::SelectQuery& q1, const sql::SelectQuery& q2,
                           const MeasureContext& context) const override;

@@ -10,6 +10,7 @@
 #ifndef DPE_DISTANCE_MEASURE_H_
 #define DPE_DISTANCE_MEASURE_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,7 +70,7 @@ class QueryDistanceMeasure {
   /// Called single-threaded. Contract: after a successful Prepare over
   /// `queries`, Distance must be safe to call concurrently for pairs drawn
   /// from `queries` — the engine's parallel matrix builder relies on this.
-  virtual Status Prepare(const std::vector<sql::SelectQuery>& queries,
+  virtual Status Prepare(std::span<const sql::SelectQuery> queries,
                          const MeasureContext& context) const {
     (void)queries;
     (void)context;

@@ -53,7 +53,7 @@ Result<const std::vector<uint32_t>*> ResultDistance::TupleIdsOf(
   return &inserted->second;
 }
 
-Status ResultDistance::Prepare(const std::vector<sql::SelectQuery>& queries,
+Status ResultDistance::Prepare(std::span<const sql::SelectQuery> queries,
                                const MeasureContext& context) const {
   if (context.database == nullptr) {
     return Status::InvalidArgument(

@@ -27,7 +27,7 @@ class ResultDistance final : public QueryDistanceMeasure {
   SharedInformation Shared() const override { return {true, true, false}; }
   /// Executes every query once, filling the tuple-id cache; afterwards
   /// Distance over prepared queries is read-only and thread-safe.
-  Status Prepare(const std::vector<sql::SelectQuery>& queries,
+  Status Prepare(std::span<const sql::SelectQuery> queries,
                  const MeasureContext& context) const override;
   Result<double> Distance(const sql::SelectQuery& q1, const sql::SelectQuery& q2,
                           const MeasureContext& context) const override;

@@ -3,12 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "common/backoff.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 
@@ -22,6 +24,15 @@ namespace {
 /// A shard whose export reads corrupt is discarded and recomputed at most
 /// this many times before the drive fails (pathological disk).
 constexpr int kMaxDiscardsPerShard = 3;
+
+/// The wait ladder of both roles when a round finds nothing to do. Its cap
+/// bounds how stale the driver's view of the board can get: a dead worker
+/// stalls its range at most the TTL plus this cap.
+constexpr common::BackoffPolicy kPollBackoff{100, 2000, 25};
+
+/// The lease renew cadence for a TTL: a tenth of it, so a holder always
+/// beats several times per TTL.
+int HeartbeatMs(int ttl_ms) { return std::max(1, ttl_ms / 10); }
 
 int64_t ElapsedMs(Clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
@@ -101,13 +112,12 @@ std::string HostnameOrFallback() {
 
 }  // namespace
 
-// -- DirectoryLeaseBoard -----------------------------------------------------
+// -- LeaseBoard --------------------------------------------------------------
 
-DirectoryLeaseBoard::DirectoryLeaseBoard(Options options)
+LeaseBoard::LeaseBoard(Options options)
     : options_(std::move(options)) {}
 
-Result<std::unique_ptr<DirectoryLeaseBoard>> DirectoryLeaseBoard::Open(
-    const Options& options) {
+Result<std::unique_ptr<LeaseBoard>> LeaseBoard::Open(const Options& options) {
   if (options.shard_count == 0) {
     return Status::InvalidArgument("lease board: shard count must be >= 1");
   }
@@ -121,19 +131,17 @@ Result<std::unique_ptr<DirectoryLeaseBoard>> DirectoryLeaseBoard::Open(
   }
   Options normalized = options;
   if (normalized.host.empty()) normalized.host = HostnameOrFallback();
-  return std::unique_ptr<DirectoryLeaseBoard>(
-      new DirectoryLeaseBoard(std::move(normalized)));
+  return std::unique_ptr<LeaseBoard>(new LeaseBoard(std::move(normalized)));
 }
 
-std::string DirectoryLeaseBoard::LeasePath(uint32_t shard) const {
+std::string LeaseBoard::LeasePath(uint32_t shard) const {
   return (fs::path(options_.dir) /
           ("shard-" + options_.matrix + "-" + std::to_string(shard) + "of" +
            std::to_string(options_.shard_count) + ".lease"))
       .string();
 }
 
-Status DirectoryLeaseBoard::WriteLine(int fd, uint32_t shard,
-                                      const Held& held) const {
+Status LeaseBoard::WriteLine(int fd, uint32_t shard, const Held& held) const {
   const std::string line =
       "dpe-lease host=" + options_.host + " pid=" + std::to_string(::getpid()) +
       " epoch=" + std::to_string(held.epoch) +
@@ -146,7 +154,7 @@ Status DirectoryLeaseBoard::WriteLine(int fd, uint32_t shard,
   return Status::OK();
 }
 
-Result<bool> DirectoryLeaseBoard::TryAcquire(uint32_t shard) {
+Result<bool> LeaseBoard::TryAcquire(uint32_t shard) {
   if (shard >= options_.shard_count) {
     return Status::InvalidArgument("lease: shard index " +
                                    std::to_string(shard) + " out of range");
@@ -207,7 +215,7 @@ Result<bool> DirectoryLeaseBoard::TryAcquire(uint32_t shard) {
   return true;
 }
 
-Status DirectoryLeaseBoard::Renew(uint32_t shard) {
+Status LeaseBoard::Renew(uint32_t shard) {
   Held held;
   {
     MutexLock lock(mu_);
@@ -235,7 +243,7 @@ Status DirectoryLeaseBoard::Renew(uint32_t shard) {
   return wrote;
 }
 
-Status DirectoryLeaseBoard::Release(uint32_t shard) {
+Status LeaseBoard::Release(uint32_t shard) {
   {
     MutexLock lock(mu_);
     held_.erase(shard);
@@ -249,7 +257,7 @@ Status DirectoryLeaseBoard::Release(uint32_t shard) {
   return Status::OK();
 }
 
-void DirectoryLeaseBoard::ReportProgress(uint32_t shard, uint64_t cells) {
+void LeaseBoard::ReportProgress(uint32_t shard, uint64_t cells) {
   // Stored on the held record only; the next Renew's rewrite publishes it.
   // Progress on a shard this process no longer holds is silently dropped —
   // the lease (and its line) belong to the thief now.
@@ -258,7 +266,7 @@ void DirectoryLeaseBoard::ReportProgress(uint32_t shard, uint64_t cells) {
   if (it != held_.end()) it->second.cells = cells;
 }
 
-Result<bool> DirectoryLeaseBoard::ReclaimExpired(uint32_t shard) {
+Result<bool> LeaseBoard::ReclaimExpired(uint32_t shard) {
   const std::string path = LeasePath(shard);
   Result<int64_t> age = FileAgeMs(path);
   if (!age.ok()) return false;             // no lease — nothing to reclaim
@@ -272,7 +280,7 @@ Result<bool> DirectoryLeaseBoard::ReclaimExpired(uint32_t shard) {
   return true;
 }
 
-Result<std::vector<LeaseInfo>> DirectoryLeaseBoard::Snapshot() const {
+Result<std::vector<LeaseInfo>> LeaseBoard::Snapshot() const {
   std::vector<LeaseInfo> table;
   table.reserve(options_.shard_count);
   for (uint32_t s = 0; s < options_.shard_count; ++s) {
@@ -348,6 +356,50 @@ void LeaseHeartbeat::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
+// -- The leased-shard step ---------------------------------------------------
+
+namespace {
+
+/// The step both roles take once they won `shard`'s lease: heartbeat the
+/// lease while ShardWorker computes and exports the range, release it, and
+/// count the shard under `counter`. `faults` (the worker loop's; null for
+/// the coordinator) fires worker.export once the heartbeat runs. The lease
+/// is released on failure too, so peers are not blocked a full TTL, and a
+/// failed release is ignorable either way: the lease ages out and a peer
+/// reclaims it (the protocol's safe direction).
+Status RunLeasedShard(const std::string& matrix_name,
+                      const std::vector<sql::SelectQuery>& queries,
+                      const distance::QueryDistanceMeasure& measure,
+                      const distance::MeasureContext& context,
+                      const ShardPlan& plan, uint32_t shard,
+                      store::MatrixStore& store, LeaseBoard& board,
+                      const ShardRuntime& runtime,
+                      common::FaultInjector* faults, const char* counter) {
+  Status ran;
+  {
+    // The builder bumps this per finished tile; each heartbeat forwards it
+    // into the lease line, so /stats shows how far the shard is.
+    std::atomic<uint64_t> cells_done{0};
+    LeaseHeartbeat heartbeat(&board, shard, HeartbeatMs(board.ttl_ms()),
+                             &cells_done);
+    // Die here = the die-before-export mode: lease held, no shard file —
+    // peers steal the range after expiry.
+    if (faults != nullptr) faults->Fire("worker.export");
+    ShardWorker worker(runtime.pool, runtime.metrics, runtime.trace);
+    worker.set_progress_cells(&cells_done);
+    ran = worker.Run(matrix_name, queries, measure, context, plan, shard, store)
+              .status();
+  }
+  (void)board.Release(shard);
+  DPE_RETURN_NOT_OK(ran);
+  RegistryOrDefault(runtime.metrics)
+      .counter(counter, {{"matrix", matrix_name}})
+      .Increment();
+  return Status::OK();
+}
+
+}  // namespace
+
 // -- RunWorkerLoop -----------------------------------------------------------
 
 Result<WorkerReport> RunWorkerLoop(
@@ -356,16 +408,15 @@ Result<WorkerReport> RunWorkerLoop(
     const distance::QueryDistanceMeasure& measure,
     const distance::MeasureContext& context, const ShardPlan& plan,
     store::MatrixStore& store, LeaseBoard& board,
-    const WorkerOptions& options) {
-  obs::MetricsRegistry& metrics = RegistryOrDefault(options.metrics);
-  common::FaultInjector& faults = FaultsOrGlobal(options.faults);
+    const MultiHostOptions& options, const ShardRuntime& runtime) {
+  common::FaultInjector& faults = FaultsOrGlobal(runtime.faults);
   const uint32_t k = static_cast<uint32_t>(plan.shard_count());
   if (k == 0) {
     return Status::InvalidArgument("worker loop: plan has no shards");
   }
 
   WorkerReport report;
-  common::Backoff backoff(options.poll_backoff);
+  common::Backoff backoff(kPollBackoff);
   Clock::time_point last_progress = Clock::now();
 
   for (;;) {
@@ -382,36 +433,11 @@ Result<WorkerReport> RunWorkerLoop(
       // Wedge here = the wedge-without-heartbeat mode: the lease exists
       // but never renews, so it expires after the TTL and gets stolen.
       faults.Fire("worker.acquired");
-      {
-        // The builder bumps this per finished tile; each heartbeat forwards
-        // it into the lease line, so /stats shows how far the shard is.
-        std::atomic<uint64_t> progress{0};
-        LeaseHeartbeat heartbeat(&board, s, options.heartbeat_ms, &progress);
-        // Die here = the die-before-export mode: lease held, no shard
-        // file — peers steal the range after expiry.
-        faults.Fire("worker.export");
-        ShardWorker worker(options.pool, options.metrics, options.trace);
-        worker.set_progress_cells(&progress);
-        const Result<store::ShardManifest> ran = worker.Run(
-            matrix_name, queries, measure, context, plan, s, store);
-        heartbeat.Stop();
-        if (!ran.ok()) {
-          // Release so peers are not blocked a full TTL on our failure,
-          // then surface it: a compute error is a real bug, not churn. A
-          // failed Release is ignorable — the lease ages toward expiry and
-          // a peer reclaims it (the protocol's safe direction) — and the
-          // compute error is the one worth reporting.
-          (void)board.Release(s);
-          return ran.status();
-        }
-      }
-      // Ignorable failure: the shard file is already durably exported, so
-      // if the unlink fails the lease just expires and ReclaimExpired on a
-      // peer finds the finished shard and skips it.
-      (void)board.Release(s);
+      // A compute error is a real bug, not churn: surface it.
+      DPE_RETURN_NOT_OK(RunLeasedShard(matrix_name, queries, measure, context,
+                                       plan, s, store, board, runtime,
+                                       &faults, "driver.worker_shards"));
       ++report.computed;
-      metrics.counter("driver.worker_shards", {{"matrix", matrix_name}})
-          .Increment();
       progress = true;
       ++existing;
     }
@@ -435,14 +461,15 @@ Result<WorkerReport> RunWorkerLoop(
   }
 }
 
-// -- ShardDriver -------------------------------------------------------------
+// -- DriveShards -------------------------------------------------------------
 
-Result<DriveReport> ShardDriver::Drive(
-    store::MatrixStore& store, const std::string& matrix_name,
+Result<DriveReport> DriveShards(
+    const std::string& matrix_name,
     const std::vector<sql::SelectQuery>& queries,
     const distance::QueryDistanceMeasure& measure,
     const distance::MeasureContext& context, const ShardPlan& plan,
-    LeaseBoard& board) {
+    store::MatrixStore& store, LeaseBoard& board,
+    const MultiHostOptions& options, const ShardRuntime& runtime) {
   const uint32_t k = static_cast<uint32_t>(plan.shard_count());
   if (k == 0) {
     return Status::InvalidArgument("shard driver: plan has no shards");
@@ -452,8 +479,8 @@ Result<DriveReport> ShardDriver::Drive(
         "shard driver: plan is for n = " + std::to_string(plan.n) +
         " queries but the log holds " + std::to_string(queries.size()));
   }
-  obs::MetricsRegistry& metrics = RegistryOrDefault(options_.metrics);
-  obs::TraceSpan drive_span("driver.drive", options_.trace,
+  obs::MetricsRegistry& metrics = RegistryOrDefault(runtime.metrics);
+  obs::TraceSpan drive_span("driver.drive", runtime.trace,
                             &metrics.histogram("driver.drive_ms"));
 
   DriveReport report;
@@ -467,10 +494,10 @@ Result<DriveReport> ShardDriver::Drive(
   // gives real workers first claim; the immediate flag after an expiry
   // meets the latency bound (TTL + one backoff cap, not TTL + grace + cap).
   std::vector<bool> self_allowed(k, false);
-  const int claim_grace_ms = options_.claim_grace_ms >= 0
-                                 ? options_.claim_grace_ms
+  const int claim_grace_ms = options.claim_grace_ms >= 0
+                                 ? options.claim_grace_ms
                                  : board.ttl_ms();
-  common::Backoff backoff(options_.poll_backoff);
+  common::Backoff backoff(kPollBackoff);
   const Clock::time_point started = Clock::now();
   Clock::time_point last_progress = started;
   uint32_t merged_count = 0;
@@ -551,9 +578,7 @@ Result<DriveReport> ShardDriver::Drive(
       DPE_ASSIGN_OR_RETURN(const bool reclaimed, board.ReclaimExpired(s));
       if (reclaimed) {
         ++report.lease_expiries;
-        ++report.reassignments;
         metrics.counter("driver.lease_expiries").Increment();
-        metrics.counter("driver.reassignments").Increment();
         obs::Log(obs::LogLevel::kWarn, "driver",
                  "lease expired; range reassigned",
                  {{"matrix", matrix_name}, {"shard", std::to_string(s)}});
@@ -568,34 +593,17 @@ Result<DriveReport> ShardDriver::Drive(
       // 3) Self-finish one unclaimed range per round: the coordinator
       //    keeps the build moving even with zero live workers, without
       //    hogging ranges a late-joining worker could take.
-      if (options_.self_finish && self_allowed[s] &&
-          !self_finished_this_round) {
+      if (self_allowed[s] && !self_finished_this_round) {
         DPE_ASSIGN_OR_RETURN(const bool acquired, board.TryAcquire(s));
         if (acquired) {
           obs::Log(obs::LogLevel::kInfo, "driver", "self-finishing range",
                    {{"matrix", matrix_name}, {"shard", std::to_string(s)}});
-          // Named apart from the round's `progress` flag: the
-          // `progress = true` below must set that flag, or the round ends
-          // in a backoff sleep.
-          std::atomic<uint64_t> cells_done{0};
-          LeaseHeartbeat heartbeat(&board, s, /*interval_ms=*/
-                                   std::max(1, options_.poll_backoff
-                                                   .min_delay_ms),
-                                   &cells_done);
-          ShardWorker worker(options_.pool, options_.metrics, options_.trace);
-          worker.set_progress_cells(&cells_done);
-          const Result<store::ShardManifest> ran = worker.Run(
-              matrix_name, queries, measure, context, plan, s, store);
-          heartbeat.Stop();
-          // Ignorable failure: on success the export is already durable and
-          // on error the worker's status below is the interesting one; a
-          // lease we fail to remove simply expires and is reclaimed.
-          (void)board.Release(s);
-          DPE_RETURN_NOT_OK(ran.status());
+          DPE_RETURN_NOT_OK(RunLeasedShard(matrix_name, queries, measure,
+                                           context, plan, s, store, board,
+                                           runtime, /*faults=*/nullptr,
+                                           "driver.self_finished"));
           ++report.self_finished;
           self_done[s] = true;
-          metrics.counter("driver.self_finished", {{"matrix", matrix_name}})
-              .Increment();
           self_finished_this_round = true;
           progress = true;
           // The file is on disk now; the merge happens on the next round's
@@ -611,11 +619,11 @@ Result<DriveReport> ShardDriver::Drive(
       last_progress = Clock::now();
       continue;
     }
-    if (options_.stall_timeout_ms > 0 &&
-        ElapsedMs(last_progress) >= options_.stall_timeout_ms) {
+    if (options.stall_timeout_ms > 0 &&
+        ElapsedMs(last_progress) >= options.stall_timeout_ms) {
       return Status::ExecutionError(
           "shard driver: no progress for " +
-          std::to_string(options_.stall_timeout_ms) +
+          std::to_string(options.stall_timeout_ms) +
           " ms with " + std::to_string(k - merged_count) +
           " of " + std::to_string(k) + " shards outstanding");
     }
@@ -629,7 +637,7 @@ Result<DriveReport> ShardDriver::Drive(
            {{"matrix", matrix_name},
             {"from_workers", std::to_string(report.merged_from_workers)},
             {"self_finished", std::to_string(report.self_finished)},
-            {"reassignments", std::to_string(report.reassignments)}});
+            {"lease_expiries", std::to_string(report.lease_expiries)}});
   return report;
 }
 

@@ -26,7 +26,7 @@
 //             — the filesystem's atomicity is the lock; the file carries
 //             one line: "dpe-lease host=<h> pid=<p> epoch=<e> renewals=<r>"
 //   renew     rewrite the line with renewals+1 (bumps mtime) every
-//             heartbeat_ms — the holder's liveness signal
+//             ttl_ms / 10 — the holder's liveness signal
 //   expire    mtime older than ttl_ms — the holder is presumed dead or
 //             wedged; anyone may reclaim (unlink) and race a fresh
 //             O_EXCL acquire with epoch+1 (work stealing)
@@ -34,20 +34,18 @@
 //
 // Lease *content* is informational (the /stats lease table, debugging);
 // correctness rides only on O_EXCL-create atomicity and mtime freshness, so
-// a torn or garbled lease line never confuses the protocol. The LeaseBoard
-// interface keeps the driver's state machine backend-agnostic: the
-// directory board is one implementation, and a consensus service (etcd,
-// raft, a database) can replace it by implementing the same five
-// operations without touching driver or worker logic.
+// a torn or garbled lease line never confuses the protocol.
 //
 // The driver (coordinator) polls the store and merges shard files
 // *incrementally* as they land — no barrier on all k — while watching
-// lease freshness: an expired lease is reclaimed (driver.lease_expiries,
-// driver.reassignments) so surviving workers steal the range, and ranges
-// nobody claims within a grace period are self-finished by the driver
-// itself, one per poll round, so the build completes even if every worker
-// dies (the degraded single-process mode). A dead or wedged worker
-// therefore stalls its range at most ttl_ms + one poll-backoff cap.
+// lease freshness: an expired lease is reclaimed (driver.lease_expiries) so
+// surviving workers steal the range, and ranges nobody claims within a
+// grace period are self-finished by the driver itself, one per poll round,
+// so the build completes even if every worker dies (the degraded
+// single-process mode). A dead or wedged worker therefore stalls its range
+// at most ttl_ms + one poll-backoff cap. A worker and a self-finishing
+// driver take the same leased-shard step once they win a lease: heartbeat,
+// ShardWorker::Run, release.
 //
 // Crash injection (common/fault.h) hooks the worker loop at named points —
 // worker.preacquire, worker.acquired, worker.export, plus the store's
@@ -66,7 +64,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/fault.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -87,60 +84,13 @@ struct LeaseInfo {
   int64_t age_ms = 0;       ///< since last renewal (mtime)
 };
 
-/// The coordination backend: mutual exclusion + liveness over the shard
-/// indices of one build. Implementations must make TryAcquire atomic
-/// (at most one caller across all processes wins a given shard until it is
-/// released or expires) and thread-safe within a process (the heartbeat
-/// thread renews while the worker loop acquires and /stats snapshots).
-/// DirectoryLeaseBoard is the shared-filesystem implementation; a consensus
-/// service can replace it behind this interface.
+/// Mutual exclusion + liveness over the shard indices of one build, kept in
+/// lease files next to the shard files they guard: O_EXCL-create atomicity
+/// makes TryAcquire exclusive across processes (at most one caller wins a
+/// shard until it is released or expires), mtime is the freshness signal.
+/// All methods are thread-safe (the heartbeat thread renews while the
+/// worker loop acquires and /stats snapshots).
 class LeaseBoard {
- public:
-  virtual ~LeaseBoard() = default;
-
-  /// Tries to take `shard`'s lease: a fresh acquire, or a steal of an
-  /// expired one (epoch+1). False = someone else holds it and is live.
-  /// Errors only for environmental failures (permissions, I/O).
-  virtual Result<bool> TryAcquire(uint32_t shard) = 0;
-
-  /// Heartbeat: re-asserts a lease this process holds. OK even if the
-  /// lease was stolen meanwhile (the export path is idempotent, so a
-  /// resurrected holder is harmless — it re-creates the lease and both
-  /// holders' exports are bit-identical).
-  virtual Status Renew(uint32_t shard) = 0;
-
-  /// Drops a lease this process holds (shard exported, or abandoning).
-  /// OK if already gone.
-  virtual Status Release(uint32_t shard) = 0;
-
-  /// Progress report: how many matrix cells the holder has computed so far
-  /// on `shard`. Purely informational (the /stats lease table); the next
-  /// Renew publishes it, so a backend that cannot carry it may ignore it —
-  /// the default does. Never affects lease correctness.
-  virtual void ReportProgress(uint32_t shard, uint64_t cells) {
-    (void)shard;
-    (void)cells;
-  }
-
-  /// Unlinks `shard`'s lease if it exists AND is expired, without taking
-  /// it — the coordinator's reclaim, which frees the range for any worker
-  /// (or the coordinator itself) to re-acquire. True if a lease was
-  /// actually reclaimed.
-  virtual Result<bool> ReclaimExpired(uint32_t shard) = 0;
-
-  /// The current lease table, one row per shard index.
-  virtual Result<std::vector<LeaseInfo>> Snapshot() const = 0;
-
-  /// The freshness horizon: a lease not renewed for this long is presumed
-  /// dead. Every lease backend has one (a consensus lease has a session
-  /// TTL); the driver derives its default claim grace from it.
-  virtual int ttl_ms() const = 0;
-};
-
-/// Shared-directory lease board: lease files next to the shard files they
-/// guard, O_EXCL-create atomicity, mtime freshness. All methods are
-/// thread-safe; cross-process safety comes from the filesystem.
-class DirectoryLeaseBoard : public LeaseBoard {
  public:
   struct Options {
     std::string dir;       ///< the store directory (created by the store)
@@ -153,24 +103,48 @@ class DirectoryLeaseBoard : public LeaseBoard {
 
   /// Heap-allocated because the board is shared across threads (worker
   /// loop, heartbeats, /stats snapshots) and the mutex pins its address.
-  static Result<std::unique_ptr<DirectoryLeaseBoard>> Open(
-      const Options& options);
+  static Result<std::unique_ptr<LeaseBoard>> Open(const Options& options);
 
-  Result<bool> TryAcquire(uint32_t shard) override EXCLUDES(mu_);
-  Status Renew(uint32_t shard) override EXCLUDES(mu_);
-  Status Release(uint32_t shard) override EXCLUDES(mu_);
-  void ReportProgress(uint32_t shard, uint64_t cells) override EXCLUDES(mu_);
-  Result<bool> ReclaimExpired(uint32_t shard) override EXCLUDES(mu_);
-  Result<std::vector<LeaseInfo>> Snapshot() const override EXCLUDES(mu_);
+  /// Tries to take `shard`'s lease: a fresh acquire, or a steal of an
+  /// expired one (epoch+1). False = someone else holds it and is live.
+  /// Errors only for environmental failures (permissions, I/O).
+  Result<bool> TryAcquire(uint32_t shard) EXCLUDES(mu_);
+
+  /// Heartbeat: re-asserts a lease this process holds. OK even if the
+  /// lease was stolen meanwhile (the export path is idempotent, so a
+  /// resurrected holder is harmless — it re-creates the lease and both
+  /// holders' exports are bit-identical).
+  Status Renew(uint32_t shard) EXCLUDES(mu_);
+
+  /// Drops a lease this process holds (shard exported, or abandoning).
+  /// OK if already gone.
+  Status Release(uint32_t shard) EXCLUDES(mu_);
+
+  /// Progress report: how many matrix cells the holder has computed so far
+  /// on `shard`. Purely informational (the /stats lease table): the next
+  /// Renew publishes it, and it never affects lease correctness.
+  void ReportProgress(uint32_t shard, uint64_t cells) EXCLUDES(mu_);
+
+  /// Unlinks `shard`'s lease if it exists AND is expired, without taking
+  /// it — the coordinator's reclaim, which frees the range for any worker
+  /// (or the coordinator itself) to re-acquire. True if a lease was
+  /// actually reclaimed.
+  Result<bool> ReclaimExpired(uint32_t shard) EXCLUDES(mu_);
+
+  /// The current lease table, one row per shard index.
+  Result<std::vector<LeaseInfo>> Snapshot() const EXCLUDES(mu_);
 
   /// The lease file path for `shard` — exposed for the corruption sweep
   /// tests, which truncate lease files at every byte.
   std::string LeasePath(uint32_t shard) const;
 
-  int ttl_ms() const override { return options_.ttl_ms; }
+  /// The freshness horizon: a lease not renewed for this long is presumed
+  /// dead. Holders renew every ttl_ms / 10, and the driver derives its
+  /// default claim grace from it.
+  int ttl_ms() const { return options_.ttl_ms; }
 
  private:
-  explicit DirectoryLeaseBoard(Options options);
+  explicit LeaseBoard(Options options);
 
   struct Held {
     uint64_t epoch = 1;
@@ -220,22 +194,36 @@ class LeaseHeartbeat {
   std::thread thread_;  ///< last: uses the members above
 };
 
-/// Knobs shared by the worker loop and the driver.
-struct WorkerOptions {
-  int heartbeat_ms = 1000;  ///< renew cadence; keep well under the TTL
-  /// Wait ladder when a round finds nothing acquirable (all fresh-leased
-  /// or already exported by someone else).
-  common::BackoffPolicy poll_backoff{100, 2000, 25};
-  /// Give up waiting for peers after this long without progress: the
-  /// worker exits and leaves the tail to the coordinator. <= 0 = wait
-  /// forever (not advisable outside tests).
+/// The knobs of a sharded build, read by both roles. Every participant
+/// must use the same ttl_ms, the protocol's liveness horizon. It is the
+/// board's: RunWorkerLoop and DriveShards read it from the board they are
+/// given, which Engine opens with this value. Lease holders renew every
+/// ttl_ms / 10 (at least 1 ms), so the heartbeat always stays well under
+/// the TTL.
+struct MultiHostOptions {
+  int ttl_ms = 10000;  ///< lease freshness horizon
+  /// How long a never-leased range waits for real workers before the
+  /// coordinator finishes it itself. < 0 = the TTL (give workers one TTL's
+  /// head start); 0 = immediately (coordinator-only builds).
+  int claim_grace_ms = -1;
+  /// Worker: give up waiting for peers after this long without progress
+  /// and leave the tail to the coordinator. <= 0 = wait forever (not
+  /// advisable outside tests).
   int idle_timeout_ms = 60000;
-  common::ThreadPool* pool = nullptr;      ///< not owned; null = serial
-  obs::MetricsRegistry* metrics = nullptr; ///< null = process default
-  obs::TraceBuffer* trace = nullptr;       ///< may be null
-  /// Crash-injection scope: null = the process-global injector (DPE_FAULT).
-  /// In-process tests pass their own so a "worker" thread's faults do not
-  /// also fire on the coordinator's self-finish path.
+  /// Coordinator: no merge progress for this long fails the drive with
+  /// kExecutionError. <= 0 = no watchdog.
+  int stall_timeout_ms = 120000;
+};
+
+/// Where a worker loop or a drive computes and reports — plumbing, not
+/// policy. Nothing is owned.
+struct ShardRuntime {
+  common::ThreadPool* pool = nullptr;       ///< null = serial
+  obs::MetricsRegistry* metrics = nullptr;  ///< null = process default
+  obs::TraceBuffer* trace = nullptr;        ///< may be null
+  /// The worker loop's crash-injection scope: null = the process-global
+  /// injector (DPE_FAULT). In-process tests pass their own so a "worker"
+  /// thread's faults do not fire elsewhere. A drive fires no fault points.
   common::FaultInjector* faults = nullptr;
 };
 
@@ -247,47 +235,26 @@ struct WorkerReport {
 /// The worker side of the protocol: sweep the plan's shards, skip ones
 /// whose file already landed, lease-acquire the rest (stealing expired
 /// leases), compute + export under a heartbeat, release. Returns when
-/// every shard file exists, or after idle_timeout_ms without progress.
-/// Fault points: worker.preacquire (before each TryAcquire),
+/// every shard file exists, or after options.idle_timeout_ms without
+/// progress. Fault points: worker.preacquire (before each TryAcquire),
 /// worker.acquired (after a successful acquire, BEFORE the heartbeat
 /// starts — a wedge here is the wedge-without-heartbeat mode),
-/// worker.export (before the compute+export — a die here is the
-/// die-before-export mode, with the lease held).
+/// worker.export (once the heartbeat runs, before the compute+export — a
+/// die here is the die-before-export mode, with the lease held).
 Result<WorkerReport> RunWorkerLoop(
     const std::string& matrix_name,
     const std::vector<sql::SelectQuery>& queries,
     const distance::QueryDistanceMeasure& measure,
     const distance::MeasureContext& context, const ShardPlan& plan,
     store::MatrixStore& store, LeaseBoard& board,
-    const WorkerOptions& options);
-
-/// Coordinator knobs. TTL itself lives on the board (the workers must
-/// agree on it, so it is part of board construction, not driver policy).
-struct DriverOptions {
-  /// Wait ladder between poll rounds that made no progress. The cap bounds
-  /// how stale the driver's view of the board can get — a dead worker
-  /// stalls its range at most ttl_ms + this cap.
-  common::BackoffPolicy poll_backoff{100, 2000, 25};
-  /// How long a never-leased shard may sit unclaimed before the driver
-  /// finishes it itself. < 0 = the board's TTL (give real workers one TTL's
-  /// head start). 0 = immediately (coordinator-only builds).
-  int claim_grace_ms = -1;
-  /// Hard watchdog: no merge progress for this long fails the drive with
-  /// kExecutionError. <= 0 = no watchdog.
-  int stall_timeout_ms = 120000;
-  bool self_finish = true;  ///< false = strictly coordinate, never compute
-  common::ThreadPool* pool = nullptr;      ///< for self-finished shards
-  obs::MetricsRegistry* metrics = nullptr; ///< null = process default
-  obs::TraceBuffer* trace = nullptr;       ///< may be null
-};
+    const MultiHostOptions& options, const ShardRuntime& runtime = {});
 
 /// The drive's outcome: the merged matrix plus the fault-handling ledger.
 struct DriveReport {
   distance::DistanceMatrix matrix;
   uint32_t merged_from_workers = 0;  ///< shards exported by workers
   uint32_t self_finished = 0;        ///< shards the coordinator computed
-  uint32_t lease_expiries = 0;       ///< dead/wedged holders detected
-  uint32_t reassignments = 0;        ///< expired leases reclaimed for re-work
+  uint32_t lease_expiries = 0;       ///< dead/wedged holders reclaimed
   uint32_t discards = 0;             ///< corrupt exports discarded
   uint32_t poll_rounds = 0;
 };
@@ -298,25 +265,15 @@ struct DriveReport {
 /// expired leases so survivors can steal, and self-finishes unclaimed
 /// ranges — degrading to a single-process build if every worker dies.
 /// Merging a finished build is a drive over a directory where every shard
-/// file already landed. The state machine only touches the LeaseBoard
-/// interface, never the directory.
-class ShardDriver {
- public:
-  explicit ShardDriver(DriverOptions options) : options_(std::move(options)) {}
-
-  /// Runs the drive to completion. `queries`/`measure`/`context` are needed
-  /// even in pure-coordination mode only if self_finish is on; the merged
-  /// matrix is bit-identical to MatrixBuilder::Build over the same inputs.
-  Result<DriveReport> Drive(store::MatrixStore& store,
-                            const std::string& matrix_name,
-                            const std::vector<sql::SelectQuery>& queries,
-                            const distance::QueryDistanceMeasure& measure,
-                            const distance::MeasureContext& context,
-                            const ShardPlan& plan, LeaseBoard& board);
-
- private:
-  DriverOptions options_;
-};
+/// file already landed. The merged matrix is bit-identical to
+/// MatrixBuilder::Build over the same inputs.
+Result<DriveReport> DriveShards(
+    const std::string& matrix_name,
+    const std::vector<sql::SelectQuery>& queries,
+    const distance::QueryDistanceMeasure& measure,
+    const distance::MeasureContext& context, const ShardPlan& plan,
+    store::MatrixStore& store, LeaseBoard& board,
+    const MultiHostOptions& options, const ShardRuntime& runtime = {});
 
 }  // namespace dpe::engine
 

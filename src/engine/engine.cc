@@ -692,73 +692,49 @@ class ScopedActiveDrive {
 
 }  // namespace
 
-Result<WorkerReport> Engine::RunShardWorker(const std::string& measure_name,
-                                            size_t shard_count,
-                                            const std::string& dir,
-                                            const MultiHostOptions& options) {
+template <typename Report>
+Result<Report> Engine::RunShardRole(ShardRole<Report> role,
+                                    const std::string& measure_name,
+                                    size_t shard_count, const std::string& dir,
+                                    const MultiHostOptions& options) {
   DPE_ASSIGN_OR_RETURN(const distance::QueryDistanceMeasure* measure,
                        MeasureFor(measure_name));
   DPE_ASSIGN_OR_RETURN(const ShardPlan plan, PlanShards(shard_count));
   DPE_ASSIGN_OR_RETURN(store::MatrixStore store, store::MatrixStore::Open(dir));
   store.set_fsync_policy(options_.fsync_policy);
-
-  DirectoryLeaseBoard::Options board_options;
+  LeaseBoard::Options board_options;
   board_options.dir = dir;
   board_options.matrix = measure_name;
   board_options.shard_count = static_cast<uint32_t>(shard_count);
   board_options.ttl_ms = options.ttl_ms;
   DPE_ASSIGN_OR_RETURN(std::shared_ptr<LeaseBoard> board,
-                       DirectoryLeaseBoard::Open(board_options));
+                       LeaseBoard::Open(board_options));
   ScopedActiveDrive active(drive_mu_, &active_board_, &active_drive_matrix_,
                            board, measure_name);
+  return role(measure_name, queries_, *measure, context_, plan, store, *board,
+              options, {.pool = &pool_, .metrics = metrics_, .trace = &trace_});
+}
 
+Result<WorkerReport> Engine::RunShardWorker(const std::string& measure_name,
+                                            size_t shard_count,
+                                            const std::string& dir,
+                                            const MultiHostOptions& options) {
   obs::TraceSpan span(
       "engine.run_shard_worker", &trace_,
       &metrics_->histogram("engine.api_ms", {{"api", "run_shard_worker"}}));
-  WorkerOptions worker_options;
-  worker_options.heartbeat_ms = options.heartbeat_ms;
-  worker_options.idle_timeout_ms = options.idle_timeout_ms;
-  worker_options.pool = &pool_;
-  worker_options.metrics = metrics_;
-  worker_options.trace = &trace_;
-  return RunWorkerLoop(measure_name, queries_, *measure, context_, plan,
-                       store, *board, worker_options);
+  return RunShardRole(&RunWorkerLoop, measure_name, shard_count, dir, options);
 }
 
 Result<DriveReport> Engine::DriveShards(const std::string& measure_name,
                                         size_t shard_count,
                                         const std::string& dir,
                                         const MultiHostOptions& options) {
-  DPE_ASSIGN_OR_RETURN(const distance::QueryDistanceMeasure* measure,
-                       MeasureFor(measure_name));
-  DPE_ASSIGN_OR_RETURN(const ShardPlan plan, PlanShards(shard_count));
-  DPE_ASSIGN_OR_RETURN(store::MatrixStore store, store::MatrixStore::Open(dir));
-  store.set_fsync_policy(options_.fsync_policy);
-
-  DirectoryLeaseBoard::Options board_options;
-  board_options.dir = dir;
-  board_options.matrix = measure_name;
-  board_options.shard_count = static_cast<uint32_t>(shard_count);
-  board_options.ttl_ms = options.ttl_ms;
-  DPE_ASSIGN_OR_RETURN(std::shared_ptr<LeaseBoard> board,
-                       DirectoryLeaseBoard::Open(board_options));
-  ScopedActiveDrive active(drive_mu_, &active_board_, &active_drive_matrix_,
-                           board, measure_name);
-
   obs::TraceSpan span(
       "engine.drive_shards", &trace_,
       &metrics_->histogram("engine.api_ms", {{"api", "drive_shards"}}));
-  DriverOptions driver_options;
-  driver_options.claim_grace_ms = options.claim_grace_ms;
-  driver_options.stall_timeout_ms = options.stall_timeout_ms;
-  driver_options.self_finish = options.self_finish;
-  driver_options.pool = &pool_;
-  driver_options.metrics = metrics_;
-  driver_options.trace = &trace_;
-  ShardDriver driver(driver_options);
   DPE_ASSIGN_OR_RETURN(DriveReport report,
-                       driver.Drive(store, measure_name, queries_, *measure,
-                                    context_, plan, *board));
+                       RunShardRole(&engine::DriveShards, measure_name,
+                                    shard_count, dir, options));
 
   if (options_.enable_cache) {
     // Warm the triangle so mining over the merged matrix (or an incremental

@@ -55,18 +55,6 @@
 
 namespace dpe::engine {
 
-/// Coordination knobs shared by both sides of a multi-host build. All
-/// participants must use the same ttl_ms (the protocol's liveness
-/// horizon).
-struct MultiHostOptions {
-  int ttl_ms = 10000;        ///< lease freshness horizon
-  int heartbeat_ms = 1000;   ///< worker renew cadence (keep << ttl_ms)
-  int claim_grace_ms = -1;   ///< driver self-finish grace; -1 = ttl_ms
-  int idle_timeout_ms = 60000;   ///< worker: exit after this much idleness
-  int stall_timeout_ms = 120000; ///< driver: hard no-progress watchdog
-  bool self_finish = true;       ///< driver computes abandoned ranges
-};
-
 struct EngineOptions {
   /// Worker threads; 0 = hardware concurrency.
   size_t threads = 0;
@@ -396,6 +384,27 @@ class Engine {
   /// result measure's tuple-set cache) spans calls.
   Result<const distance::QueryDistanceMeasure*> MeasureFor(
       const std::string& name) EXCLUDES(measures_mu_);
+
+  /// One role of a sharded build: RunWorkerLoop or engine::DriveShards,
+  /// which take the same parameters.
+  template <typename Report>
+  using ShardRole = Result<Report> (*)(
+      const std::string&, const std::vector<sql::SelectQuery>&,
+      const distance::QueryDistanceMeasure&, const distance::MeasureContext&,
+      const ShardPlan&, store::MatrixStore&, LeaseBoard&,
+      const MultiHostOptions&, const ShardRuntime&);
+
+  /// The setup RunShardWorker and DriveShards share: looks the measure up,
+  /// plans `shard_count` shards over the log, opens the store (with the
+  /// engine's fsync policy) and the lease board in `dir`, and lists the
+  /// board in /stats while `role` runs on the engine's pool, metrics and
+  /// trace.
+  template <typename Report>
+  Result<Report> RunShardRole(ShardRole<Report> role,
+                              const std::string& measure_name,
+                              size_t shard_count, const std::string& dir,
+                              const MultiHostOptions& options)
+      EXCLUDES(drive_mu_);
 
   /// The cache-aware build over an explicit log/builder/measure — shared by
   /// the sync path (pool-backed builder) and async tasks (serial builder on

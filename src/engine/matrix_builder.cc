@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "common/simd.h"
 
@@ -48,13 +49,7 @@ Result<distance::MeasureContext> MatrixBuilder::PreparePrefix(
   distance::MeasureContext ctx = context;
   ctx.features = features;
 
-  if (end == queries.size()) {
-    DPE_RETURN_NOT_OK(measure.Prepare(queries, ctx));
-  } else {
-    const std::vector<sql::SelectQuery> prefix(queries.begin(),
-                                               queries.begin() + end);
-    DPE_RETURN_NOT_OK(measure.Prepare(prefix, ctx));
-  }
+  DPE_RETURN_NOT_OK(measure.Prepare(std::span(queries).first(end), ctx));
   return ctx;
 }
 

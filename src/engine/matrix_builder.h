@@ -93,11 +93,9 @@ class MatrixBuilder {
   Result<distance::FeatureCache> PrecomputeFeatures(
       const std::vector<sql::SelectQuery>& queries, size_t end) const;
 
-  /// Featurizes queries [0, end) and runs measure.Prepare over them (over
-  /// the full log when end == n, over a copied prefix otherwise — measures
-  /// memoize by canonical text, so preparing copies still makes Distance on
-  /// the originals a hit). Returns the context to compute distances with;
-  /// `features` must outlive it.
+  /// Featurizes queries [0, end) and runs measure.Prepare over them.
+  /// Returns the context to compute distances with; `features` must
+  /// outlive it.
   Result<distance::MeasureContext> PreparePrefix(
       const std::vector<sql::SelectQuery>& queries, size_t end,
       const distance::QueryDistanceMeasure& measure,

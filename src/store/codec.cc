@@ -394,15 +394,6 @@ void AppendRecord(std::string_view payload, std::string* out) {
   out->append(payload);
 }
 
-Result<std::vector<std::string>> SplitRecords(std::string_view data) {
-  DPE_ASSIGN_OR_RETURN(RecordScan scan, ScanRecords(data));
-  if (scan.torn_tail) {
-    return Corrupt("truncated record at byte " +
-                   std::to_string(scan.valid_bytes));
-  }
-  return std::move(scan.records);
-}
-
 Result<RecordScan> ScanRecords(std::string_view data) {
   RecordScan scan;
   Reader r(data);

@@ -217,10 +217,6 @@ Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
 /// Appends one [payload_len][crc32][payload] record to `out`.
 void AppendRecord(std::string_view payload, std::string* out);
 
-/// Splits a concatenation of records back into payloads; ParseError on a
-/// truncated or checksum-failing record (torn journal tails surface here).
-Result<std::vector<std::string>> SplitRecords(std::string_view data);
-
 /// Outcome of a crash-tolerant record scan.
 struct RecordScan {
   std::vector<std::string> records;  ///< intact records, in order
@@ -228,11 +224,11 @@ struct RecordScan {
   bool torn_tail = false;            ///< trailing partial record was dropped
 };
 
-/// Like SplitRecords, but a corrupt record that reaches the end of the
-/// input is reported as a torn tail (the half-written append of a killed
-/// process) instead of an error; a checksum failure *followed by further
-/// records* is still a ParseError. WAL recovery = replay `records`, then
-/// truncate the file back to `valid_bytes`.
+/// Splits a concatenation of records back into payloads. A corrupt record
+/// that reaches the end of the input is reported as a torn tail (the
+/// half-written append of a killed process); a checksum failure *followed
+/// by further records* is a ParseError. WAL recovery = replay `records`,
+/// then truncate the file back to `valid_bytes`.
 Result<RecordScan> ScanRecords(std::string_view data);
 
 /// Outcome of a salvage scan: what survived and what was quarantined.

@@ -45,15 +45,15 @@ class DriverTest : public ::testing::Test {
     fs::create_directories(dir_);
   }
 
-  std::unique_ptr<DirectoryLeaseBoard> OpenBoard(uint32_t shards, int ttl_ms,
-                                                 const std::string& host) {
-    DirectoryLeaseBoard::Options options;
+  std::unique_ptr<LeaseBoard> OpenBoard(uint32_t shards, int ttl_ms,
+                                        const std::string& host) {
+    LeaseBoard::Options options;
     options.dir = dir_;
     options.matrix = "token";
     options.shard_count = shards;
     options.ttl_ms = ttl_ms;
     options.host = host;
-    auto board = DirectoryLeaseBoard::Open(options);
+    auto board = LeaseBoard::Open(options);
     EXPECT_TRUE(board.ok()) << board.status();
     return std::move(board).value();
   }
@@ -64,20 +64,20 @@ class DriverTest : public ::testing::Test {
 // -- Lease protocol ----------------------------------------------------------
 
 TEST_F(DriverTest, OpenValidatesItsOptions) {
-  DirectoryLeaseBoard::Options options;
+  LeaseBoard::Options options;
   options.dir = dir_;
   options.matrix = "token";
   options.shard_count = 0;
   options.ttl_ms = 100;
-  EXPECT_EQ(DirectoryLeaseBoard::Open(options).status().code(),
+  EXPECT_EQ(LeaseBoard::Open(options).status().code(),
             StatusCode::kInvalidArgument);
   options.shard_count = 2;
   options.ttl_ms = 0;
-  EXPECT_EQ(DirectoryLeaseBoard::Open(options).status().code(),
+  EXPECT_EQ(LeaseBoard::Open(options).status().code(),
             StatusCode::kInvalidArgument);
   options.ttl_ms = 100;
   options.dir = dir_ + "/does-not-exist";
-  EXPECT_EQ(DirectoryLeaseBoard::Open(options).status().code(),
+  EXPECT_EQ(LeaseBoard::Open(options).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -286,10 +286,8 @@ TEST_F(DriverTest, SoloWorkerExportsEveryShard) {
   ASSERT_TRUE(store.ok());
   auto board = OpenBoard(3, 60000, "worker-1");
 
-  WorkerOptions options;
-  options.heartbeat_ms = 50;
   auto report = RunWorkerLoop("token", f.scenario.log, *f.measure, f.context,
-                              *plan, *store, *board, options);
+                              *plan, *store, *board, MultiHostOptions{});
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->computed, 3u);
   for (uint32_t s = 0; s < 3; ++s) {
@@ -316,11 +314,10 @@ TEST_F(DriverTest, CoordinatorOnlyDriveCompletesWithZeroWorkers) {
   ASSERT_TRUE(store.ok());
   auto board = OpenBoard(3, 60000, "coordinator");
 
-  DriverOptions options;
+  MultiHostOptions options;
   options.claim_grace_ms = 0;  // nobody is coming — don't wait for them
-  ShardDriver driver(options);
-  auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
-                             f.context, *plan, *board);
+  auto report = DriveShards("token", f.scenario.log, *f.measure, f.context,
+                            *plan, *store, *board, options);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->self_finished, 3u);
   EXPECT_EQ(report->merged_from_workers, 0u);
@@ -342,27 +339,22 @@ TEST_F(DriverTest, DriveMergesLiveWorkersIncrementally) {
   auto board_1 = OpenBoard(4, 60000, "worker-1");
   auto board_2 = OpenBoard(4, 60000, "worker-2");
   std::thread worker_1([&] {
-    WorkerOptions options;
-    options.heartbeat_ms = 50;
     auto report = RunWorkerLoop("token", f.scenario.log, *f.measure,
                                 f.context, *plan, *worker_store, *board_1,
-                                options);
+                                MultiHostOptions{});
     EXPECT_TRUE(report.ok()) << report.status();
   });
   std::thread worker_2([&] {
-    WorkerOptions options;
-    options.heartbeat_ms = 50;
     auto report = RunWorkerLoop("token", f.scenario.log, *f.measure,
                                 f.context, *plan, *worker_store, *board_2,
-                                options);
+                                MultiHostOptions{});
     EXPECT_TRUE(report.ok()) << report.status();
   });
 
-  DriverOptions options;
-  options.self_finish = true;  // permitted, but workers should beat it
-  ShardDriver driver(options);
-  auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
-                             f.context, *plan, *driver_board);
+  // The coordinator may self-finish after the claim grace (one TTL), but
+  // the workers should beat it.
+  auto report = DriveShards("token", f.scenario.log, *f.measure, f.context,
+                            *plan, *store, *driver_board, MultiHostOptions{});
   worker_1.join();
   worker_2.join();
   ASSERT_TRUE(report.ok()) << report.status();
@@ -384,15 +376,13 @@ TEST_F(DriverTest, DeadWorkersLeaseIsReclaimedAndRangeRedone) {
   ASSERT_TRUE(*dead->TryAcquire(1));
 
   auto board = OpenBoard(3, ttl_ms, "coordinator");
-  DriverOptions options;
+  MultiHostOptions options;
   options.claim_grace_ms = 0;
-  ShardDriver driver(options);
   const auto started = std::chrono::steady_clock::now();
-  auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
-                             f.context, *plan, *board);
+  auto report = DriveShards("token", f.scenario.log, *f.measure, f.context,
+                            *plan, *store, *board, options);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GE(report->lease_expiries, 1u);
-  EXPECT_GE(report->reassignments, 1u);
   EXPECT_EQ(report->self_finished, 3u);
   ExpectBitIdentical(report->matrix, f.reference);
 
@@ -425,24 +415,57 @@ TEST_F(DriverTest, WedgedWorkerIsStolenFromAndHarmlessOnResume) {
   ASSERT_TRUE(faults.Arm("worker.acquired=wedge:1200"));
 
   std::thread worker([&] {
-    WorkerOptions options;
-    options.heartbeat_ms = 50;
-    options.faults = &faults;
     auto report = RunWorkerLoop("token", f.scenario.log, *f.measure,
                                 f.context, *plan, *worker_store,
-                                *worker_board, options);
+                                *worker_board, MultiHostOptions{},
+                                {.faults = &faults});
     EXPECT_TRUE(report.ok()) << report.status();
   });
 
-  DriverOptions options;
-  ShardDriver driver(options);
-  auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
-                             f.context, *plan, *driver_board);
+  auto report = DriveShards("token", f.scenario.log, *f.measure, f.context,
+                            *plan, *store, *driver_board, MultiHostOptions{});
   worker.join();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GE(report->lease_expiries, 1u)
       << "the wedged worker's unrenewed lease must expire";
   ExpectBitIdentical(report->matrix, f.reference);
+}
+
+TEST_F(DriverTest, WorkerHeartbeatKeepsAShortTtlLeaseFromBeingStolen) {
+  // Only the TTL is set: the worker's heartbeat follows from it, so even a
+  // TTL well under a second keeps a live holder's lease fresh while it
+  // computes.
+  BuildFixture f = BuildFixture::Make(24);
+  auto plan = PlanShards(f.scenario.log.size(), 1);
+  ASSERT_TRUE(plan.ok());
+  auto store = store::MatrixStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  const int ttl_ms = 200;
+  auto holder = OpenBoard(1, ttl_ms, "host-holder");
+  auto rival = OpenBoard(1, ttl_ms, "host-rival");
+
+  // worker.export fires once the heartbeat runs: a 700 ms wedge there
+  // stands in for a compute that outlasts the TTL several times over.
+  common::FaultInjector faults;
+  ASSERT_TRUE(faults.Arm("worker.export=wedge:700"));
+  std::thread worker([&] {
+    auto report = RunWorkerLoop("token", f.scenario.log, *f.measure,
+                                f.context, *plan, *store, *holder,
+                                MultiHostOptions{}, {.faults = &faults});
+    EXPECT_TRUE(report.ok()) << report.status();
+  });
+  for (int i = 0; i < 400; ++i) {
+    auto table = rival->Snapshot();
+    if (table.ok() && (*table)[0].held) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Two TTLs into the holder's compute.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2 * ttl_ms));
+  auto stolen = rival->TryAcquire(0);
+  worker.join();
+  ASSERT_TRUE(stolen.ok()) << stolen.status();
+  EXPECT_FALSE(*stolen) << "a peer stole the lease of a live holder";
+  EXPECT_TRUE(store->HasShard("token", 0, 1));
 }
 
 TEST_F(DriverTest, CorruptExportIsDiscardedAndRecomputed) {
@@ -494,11 +517,10 @@ TEST_F(DriverTest, CorruptExportIsDiscardedAndRecomputed) {
     ASSERT_TRUE(store->HasShard("token", 1, 3));
 
     auto board = OpenBoard(3, 60000, "coordinator");
-    DriverOptions options;
+    MultiHostOptions options;
     options.claim_grace_ms = 0;
-    ShardDriver driver(options);
-    auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
-                               f.context, *plan, *board);
+    auto report = DriveShards("token", f.scenario.log, *f.measure, f.context,
+                              *plan, *store, *board, options);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_GE(report->discards, 1u);
     ExpectBitIdentical(report->matrix, f.reference);
@@ -561,11 +583,10 @@ TEST_F(DriverTest, ForeignManifestIsDiscardedNotMerged) {
                     .ok());
 
     auto board = OpenBoard(2, 60000, "coordinator");
-    DriverOptions options;
+    MultiHostOptions options;
     options.claim_grace_ms = 0;
-    ShardDriver driver(options);
-    auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
-                               f.context, *plan, *board);
+    auto report = DriveShards("token", f.scenario.log, *f.measure, f.context,
+                              *plan, *store, *board, options);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_GE(report->discards, 1u);
     ExpectBitIdentical(report->matrix, f.reference);
@@ -580,13 +601,13 @@ TEST_F(DriverTest, StallWatchdogFailsInsteadOfHangingForever) {
   ASSERT_TRUE(store.ok());
   auto board = OpenBoard(2, 60000, "coordinator");
 
-  // self_finish off and no workers: nothing can ever land.
-  DriverOptions options;
-  options.self_finish = false;
+  // No workers, and a claim grace past the watchdog keeps the coordinator
+  // from finishing the ranges itself: nothing can land in time.
+  MultiHostOptions options;
   options.stall_timeout_ms = 400;
-  ShardDriver driver(options);
-  auto report = driver.Drive(*store, "token", f.scenario.log, *f.measure,
-                             f.context, *plan, *board);
+  options.claim_grace_ms = 60000;
+  auto report = DriveShards("token", f.scenario.log, *f.measure, f.context,
+                            *plan, *store, *board, options);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kExecutionError);
 }
@@ -636,9 +657,7 @@ TEST_F(DriverTest, WorkerAndCoordinatorAtDifferentBlockSizesMerge) {
   worker_options.block = 4;
   Engine worker(s.Context(), worker_options);
   worker.SetLog(s.log);
-  MultiHostOptions mh;
-  mh.heartbeat_ms = 50;
-  auto exported = worker.RunShardWorker("token", 2, dir_, mh);
+  auto exported = worker.RunShardWorker("token", 2, dir_);
   ASSERT_TRUE(exported.ok()) << exported.status();
   EXPECT_EQ(exported->computed, 2u);
 
@@ -646,7 +665,7 @@ TEST_F(DriverTest, WorkerAndCoordinatorAtDifferentBlockSizesMerge) {
   coordinator_options.block = 8;
   Engine coordinator(s.Context(), coordinator_options);
   coordinator.SetLog(s.log);
-  auto report = coordinator.DriveShards("token", 2, dir_, mh);
+  auto report = coordinator.DriveShards("token", 2, dir_);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->merged_from_workers, 2u);
   EXPECT_EQ(report->discards, 0u);
@@ -705,8 +724,9 @@ TEST_F(DriverTest, StatsExposesTheLeaseTableWhileADriveIsActive) {
   ASSERT_TRUE(*external->TryAcquire(0));
 
   std::thread driver_thread([&] {
+    // The coordinator cannot take shard 0 while the external lease is
+    // fresh, so it waits for "the worker" (us).
     MultiHostOptions options;
-    options.self_finish = false;  // wait for "the worker" (us)
     options.stall_timeout_ms = 20000;
     auto report = e.DriveShards("token", 1, dir_, options);
     EXPECT_TRUE(report.ok()) << report.status();

@@ -49,14 +49,14 @@ inline Result<engine::DriveReport> MergeShardDir(
     const distance::MeasureContext& context, const engine::ShardPlan& plan) {
   DPE_ASSIGN_OR_RETURN(store::MatrixStore store,
                        store::MatrixStore::OpenExisting(dir));
-  engine::DirectoryLeaseBoard::Options board_options;
+  engine::LeaseBoard::Options board_options;
   board_options.dir = dir;
   board_options.matrix = matrix;
   board_options.shard_count = static_cast<uint32_t>(plan.shard_count());
-  DPE_ASSIGN_OR_RETURN(std::unique_ptr<engine::DirectoryLeaseBoard> board,
-                       engine::DirectoryLeaseBoard::Open(board_options));
-  engine::ShardDriver driver(engine::DriverOptions{});
-  return driver.Drive(store, matrix, queries, measure, context, plan, *board);
+  DPE_ASSIGN_OR_RETURN(std::unique_ptr<engine::LeaseBoard> board,
+                       engine::LeaseBoard::Open(board_options));
+  return engine::DriveShards(matrix, queries, measure, context, plan, store,
+                             *board, engine::MultiHostOptions{});
 }
 
 }  // namespace dpe::testutil

@@ -96,18 +96,18 @@ TEST_F(CorruptionSweepTest, ShardFrameTruncatedAtEveryByteIsATypedError) {
 
 TEST_F(CorruptionSweepTest, LeaseFileTruncatedAtEveryByteKeepsTheProtocol) {
   fs::create_directories(dir_);
-  engine::DirectoryLeaseBoard::Options options;
+  engine::LeaseBoard::Options options;
   options.dir = dir_;
   options.matrix = "token";
   options.shard_count = 1;
   options.ttl_ms = 60000;
   options.host = "holder";
-  auto holder = engine::DirectoryLeaseBoard::Open(options);
+  auto holder = engine::LeaseBoard::Open(options);
   ASSERT_TRUE(holder.ok());
   ASSERT_TRUE(*(*holder)->TryAcquire(0));
 
   options.host = "rival";
-  auto rival = engine::DirectoryLeaseBoard::Open(options);
+  auto rival = engine::LeaseBoard::Open(options);
   ASSERT_TRUE(rival.ok());
 
   const std::string path = (*holder)->LeasePath(0);
