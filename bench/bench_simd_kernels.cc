@@ -2,11 +2,11 @@
 // the microbench behind the distance-layer speedup claims.
 //
 // For each kernel (sorted-u32 intersection, Myers/DP edit distance over u32
-// ids and bytes, argmin, gather-max) and each backend RunnableBackends()
-// reports, the bench first PROVES bit-identity against the scalar table on
-// the exact workload it is about to time (a mismatch aborts the run — a
-// fast wrong kernel must never produce a number), then reports ns/op and
-// the speedup over scalar. Results land in BENCH_simd_kernels.json at the
+// ids and bytes, argmin) and each backend RunnableBackends() reports, the
+// bench first PROVES bit-identity against the scalar table on the exact
+// workload it is about to time (a mismatch aborts the run — a fast wrong
+// kernel must never produce a number), then reports ns/op and the speedup
+// over scalar. Results land in BENCH_simd_kernels.json at the
 // repo root for CI's perf-trajectory archive.
 //
 //   ./bench_simd_kernels           # full sizes
@@ -95,13 +95,9 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<double> row(row_len);
-  std::vector<uint32_t> gather_idx(row_len / 2);
   {
     std::uniform_real_distribution<double> value(0.0, 1.0);
     for (double& d : row) d = value(rng);
-    std::uniform_int_distribution<uint32_t> pick(
-        0, static_cast<uint32_t>(row_len - 1));
-    for (uint32_t& i : gather_idx) i = pick(rng);
   }
 
   std::printf("SIMD kernel bench: %zu pairs/op-batch%s\n", pairs,
@@ -114,7 +110,7 @@ int main(int argc, char** argv) {
     double scalar_ns = 0.0;
   };
   Timed rows[5] = {{"intersect"}, {"intersect-skew"}, {"edit-u32"},
-                   {"edit-bytes"}, {"argmin+maxat"}};
+                   {"edit-bytes"}, {"argmin"}};
 
   for (KernelBackend backend : RunnableBackends()) {
     const KernelTable& k = KernelsFor(backend);
@@ -258,17 +254,13 @@ int main(int argc, char** argv) {
                  {{"kernel", "edit-bytes"}, {"backend", BackendName(backend)}});
     }
 
-    // -- argmin + gather-max over a matrix row --
+    // -- argmin over a matrix row --
     {
       const ArgMinResult expect_min = scalar.argmin(row.data(), row.size());
       const ArgMinResult got_min = k.argmin(row.data(), row.size());
-      const double expect_max =
-          scalar.max_at(row.data(), gather_idx.data(), gather_idx.size());
-      const double got_max =
-          k.max_at(row.data(), gather_idx.data(), gather_idx.size());
       if (got_min.value != expect_min.value ||
-          got_min.index != expect_min.index || got_max != expect_max) {
-        IdentityFailure("argmin+maxat", backend);
+          got_min.index != expect_min.index) {
+        IdentityFailure("argmin", backend);
       }
       const size_t iters = smoke ? 200 : 20000;
       volatile double sink = 0.0;
@@ -278,7 +270,6 @@ int main(int argc, char** argv) {
           double acc = 0.0;
           for (size_t it = 0; it < iters; ++it) {
             acc += k.argmin(row.data(), row.size()).value;
-            acc += k.max_at(row.data(), gather_idx.data(), gather_idx.size());
           }
           sink = acc;
         }));
@@ -286,13 +277,12 @@ int main(int argc, char** argv) {
       (void)sink;
       const double ns = NsPerOp(best_ms, iters);
       if (backend == KernelBackend::kScalar) rows[4].scalar_ns = ns;
-      std::printf("%-14s %-8s %12.1f %9.2fx\n", "argmin+maxat",
+      std::printf("%-14s %-8s %12.1f %9.2fx\n", "argmin",
                   BackendName(backend), ns, rows[4].scalar_ns / ns);
-      report.Add("ns_per_op", ns, {{"kernel", "argmin+maxat"},
-                                   {"backend", BackendName(backend)}});
+      report.Add("ns_per_op", ns,
+                 {{"kernel", "argmin"}, {"backend", BackendName(backend)}});
       report.Add("speedup_vs_scalar", rows[4].scalar_ns / ns,
-                 {{"kernel", "argmin+maxat"},
-                  {"backend", BackendName(backend)}});
+                 {{"kernel", "argmin"}, {"backend", BackendName(backend)}});
     }
   }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verify (build + full ctest) plus an ASan/UBSan build of the engine
-# and distance suites (the layers with new concurrency), plus a smoke run of
-# the scaling benches so perf-tracking binaries at least compile-and-run on
-# every PR. CI entry point.
+# Tier-1 verify (build + full ctest) plus an ASan/UBSan build of the engine,
+# distance, store and mining suites, plus a smoke run of the scaling benches
+# so perf-tracking binaries at least compile-and-run on every PR. CI entry
+# point.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -138,12 +138,16 @@ wait "$SERVE_PID" 2>/dev/null || true
 cat observability_out/serve_log.txt
 ls -l observability_out/scraped_metrics.prom observability_out/healthz.json
 
-echo "== sanitizers: asan+ubsan on engine/distance/store tests =="
+echo "== sanitizers: asan+ubsan on engine/distance/store/mining tests =="
+# mining is here for complete link's unchecked index arithmetic over its
+# working copy of the cluster distances.
 cmake -B build-asan -S . -DDPE_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j"$JOBS" \
-      --target dpe_engine_tests dpe_distance_tests dpe_store_tests
-ctest --test-dir build-asan --output-on-failure -R '^(engine|distance|store)$'
+      --target dpe_engine_tests dpe_distance_tests dpe_store_tests \
+      dpe_mining_tests
+ctest --test-dir build-asan --output-on-failure \
+      -R '^(engine|distance|store|mining)$'
 
 echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # The lease protocol's value is exactly its behavior under concurrency:

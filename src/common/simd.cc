@@ -26,8 +26,8 @@ namespace {
 // These ARE the semantics: every other backend is tested bit-identical to
 // them. The intersection is the same branch-light merge the featurized
 // Jaccard path has always used; the edit distance is the same two-row DP
-// as the Levenshtein measure's reference; argmin/max_at mirror the serial
-// loops in kNN selection and complete-link scoring.
+// as the Levenshtein measure's reference; argmin mirrors the serial loop in
+// kNN selection.
 
 size_t IntersectScalar(const uint32_t* a, size_t na, const uint32_t* b,
                        size_t nb) {
@@ -70,12 +70,6 @@ ArgMinResult ArgMinScalar(const double* v, size_t n) {
   for (size_t i = 1; i < n; ++i) {
     if (v[i] < best.value) best = {v[i], i};  // strict: first min wins ties
   }
-  return best;
-}
-
-double MaxAtScalar(const double* row, const uint32_t* idx, size_t count) {
-  double best = row[idx[0]];
-  for (size_t k = 1; k < count; ++k) best = std::max(best, row[idx[k]]);
   return best;
 }
 
@@ -347,7 +341,7 @@ __attribute__((target("avx2"))) size_t IntersectAvx2(const uint32_t* a,
   return count + IntersectScalar(a + i, na - i, b + j, nb - j);
 }
 
-// -- AVX2 argmin / gather-max ------------------------------------------------
+// -- AVX2 argmin -------------------------------------------------------------
 //
 // Four strided lanes each keep their first minimum (strict < on the
 // compare/blend); the horizontal reduction then picks the lowest value
@@ -391,45 +385,24 @@ __attribute__((target("avx2"))) ArgMinResult ArgMinAvx2(const double* v,
   return best;
 }
 
-__attribute__((target("avx2"))) double MaxAtAvx2(const double* row,
-                                                 const uint32_t* idx,
-                                                 size_t count) {
-  size_t k = 0;
-  double best = row[idx[0]];
-  if (count >= 8) {
-    __m256d vmax = _mm256_set1_pd(best);
-    for (; k + 4 <= count; k += 4) {
-      const __m128i vi =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + k));
-      vmax = _mm256_max_pd(vmax, _mm256_i32gather_pd(row, vi, 8));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, vmax);
-    best = std::max(std::max(lanes[0], lanes[1]),
-                    std::max(lanes[2], lanes[3]));
-  }
-  for (; k < count; ++k) best = std::max(best, row[idx[k]]);
-  return best;
-}
-
 #endif  // DPE_SIMD_X86
 
 // -- Backend tables and resolution -------------------------------------------
 
 constexpr KernelTable kScalarTable = {
     KernelBackend::kScalar, IntersectScalar, EditU32Scalar,
-    EditBytesScalar,        ArgMinScalar,    MaxAtScalar,
+    EditBytesScalar,        ArgMinScalar,
 };
 
 #if DPE_SIMD_X86
 constexpr KernelTable kSse42Table = {
     KernelBackend::kSse42, IntersectSse42, EditU32Myers,
-    EditBytesMyers,        ArgMinScalar,   MaxAtScalar,
+    EditBytesMyers,        ArgMinScalar,
 };
 
 constexpr KernelTable kAvx2Table = {
     KernelBackend::kAvx2, IntersectAvx2, EditU32Myers,
-    EditBytesMyers,       ArgMinAvx2,    MaxAtAvx2,
+    EditBytesMyers,       ArgMinAvx2,
 };
 #endif
 

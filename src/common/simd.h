@@ -2,12 +2,12 @@
 //
 // The O(n²) pairwise-distance loop is the system's dominant cost, and its
 // inner kernels — sorted-id set intersection (token/structure/result
-// Jaccard), edit distance over interned id sequences (Levenshtein), min /
-// max reductions over matrix rows (kNN scoring, hierarchical min-pair
-// search) — are exact integer/double computations. That makes a SIMD
-// backend *testable*, not approximate: every backend must produce the
-// bit-identical distance the scalar reference produces, a property the
-// test suite enforces on adversarial inputs.
+// Jaccard), edit distance over interned id sequences (Levenshtein), the
+// argmin reduction over matrix rows (kNN scoring) — are exact
+// integer/double computations. That makes a SIMD backend *testable*, not
+// approximate: every backend must produce the bit-identical distance the
+// scalar reference produces, a property the test suite enforces on
+// adversarial inputs.
 //
 // Dispatch is resolved at runtime, once, from three sources (highest
 // priority first):
@@ -28,7 +28,6 @@
 //   edit_u32 /  scalar two-row DP | SSE4.2/AVX2: Myers bit-parallel
 //   edit_bytes    (64 DP cells per word op; blocked for length > 64)
 //   argmin      scalar scan | AVX2 4-lane compare/blend (SSE4.2 = scalar)
-//   max_at      scalar gather | AVX2 vgatherdpd (SSE4.2 = scalar)
 //
 // On non-x86 targets only the scalar backend is compiled; building with
 // -DDPE_DISABLE_SIMD simulates that on x86 (used by CI to keep the scalar
@@ -85,9 +84,6 @@ struct KernelTable {
                        size_t nb) = nullptr;
   /// (min value, lowest index attaining it) of v[0..n); n must be >= 1.
   ArgMinResult (*argmin)(const double* v, size_t n) = nullptr;
-  /// max of row[idx[k]] for k < count; count must be >= 1.
-  double (*max_at)(const double* row, const uint32_t* idx,
-                   size_t count) = nullptr;
 };
 
 /// Best backend this CPU can run (ignores overrides). kScalar on non-x86

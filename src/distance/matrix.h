@@ -39,8 +39,8 @@ class DistanceMatrix {
     cells_[j * n_ + i] = d;
   }
 
-  /// Contiguous row i (n doubles) — the input the SIMD min/max row kernels
-  /// (kNN selection, complete-link scoring) consume. i must be < size().
+  /// Contiguous row i (n doubles) — the input the SIMD argmin kernel (kNN
+  /// selection) consumes. i must be < size().
   const double* RowUnchecked(size_t i) const {
     assert(i < n_ && "DistanceMatrix::RowUnchecked out of range");
     return cells_.data() + i * n_;

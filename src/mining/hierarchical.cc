@@ -1,18 +1,18 @@
 #include "mining/hierarchical.h"
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
-
-#include "common/simd.h"
-#include "mining/parallel_util.h"
+#include <string>
 
 namespace dpe::mining {
 
 Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& m,
-                                common::ThreadPool* pool,
-                                common::simd::KernelBackend backend,
+                                common::ThreadPool* /*pool*/,
+                                common::simd::KernelBackend /*backend*/,
                                 obs::MetricsRegistry* metrics) {
   const size_t n = m.size();
   Dendrogram out;
@@ -22,90 +22,101 @@ Result<Dendrogram> CompleteLink(const distance::DistanceMatrix& m,
   }
   if (n == 0) return out;
 
-  // Active clusters: id -> member points (u32: matrix indices fit, and the
-  // SIMD gather kernel wants 32-bit indices). Fresh ids n, n+1, ... per
-  // merge.
-  std::map<size_t, std::vector<uint32_t>> clusters;
-  for (size_t i = 0; i < n; ++i) clusters[i] = {static_cast<uint32_t>(i)};
-
-  // Complete-link distance between two member lists: max pairwise distance.
-  // Per member of `a`, the max over `b`'s columns of the matrix row is the
-  // dispatched gather-max kernel (common/simd.h) — max over non-NaN doubles
-  // is exact and order-independent, so every backend (and parallel caller)
-  // gets the same double.
-  const common::simd::KernelTable& kernels = common::simd::KernelsFor(backend);
-  auto link = [&](const std::vector<uint32_t>& a,
-                  const std::vector<uint32_t>& b) {
-    double worst = 0.0;
-    for (uint32_t x : a) {
-      worst = std::max(worst, kernels.max_at(m.RowUnchecked(x), b.data(),
-                                             b.size()));
-    }
-    return worst;
-  };
-
-  struct Best {
-    double d = std::numeric_limits<double>::infinity();
-    size_t a = 0;
-    size_t b = 0;
-  };
-
-  size_t next_id = n;
-  std::vector<const std::vector<uint32_t>*> members;
-  std::vector<size_t> ids;
-  while (clusters.size() > 1) {
-    // Snapshot the active clusters in map (= ascending id) order; the scan
-    // over (ia, ib > ia) pairs below then visits pairs in the same
-    // lexicographic order as the serial nested-iterator loop.
-    ids.clear();
-    members.clear();
-    for (const auto& [id, pts] : clusters) {
-      ids.push_back(id);
-      members.push_back(&pts);
-    }
-    const size_t k = ids.size();
-
-    // Rows shrink as ia grows (k - ia - 1 inner pairs), so use a fine grain
-    // to keep chunks balanced — but floor it at 8 rows so tiny rounds do
-    // not dissolve into per-row scheduling overhead.
-    const size_t grain =
-        pool == nullptr ? k
-                        : std::max<size_t>(8, k / (8 * pool->thread_count()));
-    const size_t chunk_count = (k + grain - 1) / grain;
-    std::vector<Best> chunk_best(chunk_count);
-    MaybeParallelFor(pool, 0, k, grain, [&](size_t begin, size_t end) {
-      Best local;
-      for (size_t ia = begin; ia < end; ++ia) {
-        for (size_t ib = ia + 1; ib < k; ++ib) {
-          double d = link(*members[ia], *members[ib]);
-          if (d < local.d) {  // strict: first (smallest id pair) wins ties
-            local.d = d;
-            local.a = ids[ia];
-            local.b = ids[ib];
-          }
-        }
+  // Working copy of the cluster distances, n x n over slots. Slot s holds
+  // the active cluster id[s]; merging a and b reuses a's slot for the new
+  // cluster and retires b's. Cells start at max(0.0, cell): a link is the
+  // max over member pairs starting from +0.0, so cells <= 0 (-0.0
+  // included) link at +0.0.
+  std::vector<double> dist(n * n);
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = m.RowUnchecked(i);
+    double* copy = dist.data() + i * n;
+    for (size_t j = 0; j < n; ++j) {
+      if (!std::isfinite(row[j])) {
+        return Status::InvalidArgument(
+            "CompleteLink: cell (" + std::to_string(i) + ", " +
+            std::to_string(j) + ") is " + std::to_string(row[j]) +
+            "; distances must be finite");
       }
-      chunk_best[begin / grain] = local;
-    });
-    // Ascending chunk order + strict < keeps the earliest chunk's minimum
-    // on ties — exactly the serial first-min selection.
-    Best best;
-    for (const Best& candidate : chunk_best) {
-      if (candidate.d < best.d) best = candidate;
+      copy[j] = std::max(0.0, row[j]);
     }
+  }
 
-    std::vector<uint32_t> merged = clusters[best.a];
-    const auto& right = clusters[best.b];
-    merged.insert(merged.end(), right.begin(), right.end());
-    clusters.erase(best.a);
-    clusters.erase(best.b);
-    clusters[next_id] = std::move(merged);
-    out.merges.push_back({best.a, best.b, best.d});
-    ++next_id;
+  // Active slots in ascending cluster id. A merged cluster's id is larger
+  // than every active id, so it goes to the back: "a higher id" is "a later
+  // position".
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::vector<size_t> id = order;
+
+  // Nearest-neighbour cache of the cluster in slot s: the slot of the first
+  // minimum among the clusters after it in `order` (ties go to the smallest
+  // id) and its distance; s and +inf when no cluster comes after it.
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  std::vector<size_t> nn(n);
+  std::vector<double> nn_dist(n);
+  auto scan = [&](size_t pos) {
+    const size_t s = order[pos];
+    const double* row = dist.data() + s * n;
+    size_t best = s;
+    double best_dist = kNone;
+    for (size_t q = pos + 1; q < order.size(); ++q) {
+      if (row[order[q]] < best_dist) {  // strict: first minimum wins ties
+        best = order[q];
+        best_dist = row[best];
+      }
+    }
+    nn[s] = best;
+    nn_dist[s] = best_dist;
+  };
+  for (size_t pos = 0; pos < n; ++pos) scan(pos);
+
+  uint64_t rescans = 0;
+  out.merges.reserve(n - 1);
+  for (size_t next_id = n; order.size() > 1; ++next_id) {
+    // The smallest (distance, id) over the caches is the lexicographically
+    // smallest (distance, left, right) pair.
+    size_t a = order[0];
+    for (size_t pos = 1; pos < order.size(); ++pos) {
+      if (nn_dist[order[pos]] < nn_dist[a]) a = order[pos];
+    }
+    const size_t b = nn[a];
+    out.merges.push_back({id[a], id[b], nn_dist[a]});
+
+    // Lance–Williams for complete link: d(x, a ∪ b) = max(d(x, a), d(x, b)).
+    // Max is exact, so every later merge distance is the max over member
+    // pairs, the same double for any merge history.
+    double* row_a = dist.data() + a * n;
+    const double* row_b = dist.data() + b * n;
+    for (size_t x : order) {
+      if (x == a || x == b) continue;
+      row_a[x] = std::max(row_a[x], row_b[x]);
+      dist[x * n + a] = row_a[x];
+    }
+    std::erase_if(order, [&](size_t s) { return s == a || s == b; });
+    order.push_back(a);
+    id[a] = next_id;
+    nn[a] = a;
+    nn_dist[a] = kNone;
+
+    // Rows whose cached neighbour was a or b rescan. Every other row
+    // compares its one new cell with its cache; strict <, so a tie keeps
+    // the older neighbour, whose id is smaller than the new cluster's.
+    for (size_t pos = 0; pos + 1 < order.size(); ++pos) {
+      const size_t s = order[pos];
+      if (nn[s] == a || nn[s] == b) {
+        scan(pos);
+        ++rescans;
+      } else if (row_a[s] < nn_dist[s]) {
+        nn[s] = a;
+        nn_dist[s] = row_a[s];
+      }
+    }
   }
   if (metrics != nullptr) {
     metrics->counter("mining.hierarchical.merge_rounds")
         .Increment(out.merges.size());
+    metrics->counter("mining.hierarchical.rescans").Increment(rescans);
   }
   return out;
 }

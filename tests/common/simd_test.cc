@@ -327,26 +327,5 @@ TEST(ArgMinKernelTest, RandomRowsMatchScalarAcrossWidths) {
   }
 }
 
-TEST(MaxAtKernelTest, GatherMaxMatchesScalarAcrossWidths) {
-  std::mt19937 rng(55);
-  std::uniform_real_distribution<double> value(0.0, 1.0);
-  std::vector<double> row(512);
-  for (double& d : row) d = value(rng);
-  std::uniform_int_distribution<uint32_t> pick(0, 511);
-  const KernelTable& scalar = KernelsFor(KernelBackend::kScalar);
-  for (size_t count : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u, 100u}) {
-    for (int round = 0; round < 10; ++round) {
-      std::vector<uint32_t> idx(count);
-      for (uint32_t& i : idx) i = pick(rng);
-      const double expect = scalar.max_at(row.data(), idx.data(), count);
-      for (KernelBackend backend : RunnableBackends()) {
-        EXPECT_EQ(KernelsFor(backend).max_at(row.data(), idx.data(), count),
-                  expect)
-            << BackendName(backend) << " count=" << count;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace dpe::common::simd

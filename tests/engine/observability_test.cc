@@ -174,6 +174,11 @@ TEST(ObservabilityTest, MiningRunsRecordCountersAndApiSpans) {
             16u - 1);
 
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  // Rescans are recorded even when there are none. A round that starts
+  // with k clusters rescans at most the k - 2 rows besides the merged pair.
+  EXPECT_NE(snapshot.Find("mining.hierarchical.rescans", {}), nullptr);
+  EXPECT_LE(CounterValue(registry, "mining.hierarchical.rescans"),
+            (16u - 1) * (16u - 2) / 2);
   EXPECT_NE(snapshot.Find("engine.api_ms",
                           {{"api", "kmedoids"}, {"measure", "token"}}),
             nullptr);

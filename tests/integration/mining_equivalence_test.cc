@@ -12,6 +12,7 @@
 #include "mining/knn.h"
 #include "mining/outlier.h"
 #include "mining/partition.h"
+#include "tests/mining/complete_link_oracle.h"
 #include "workload/scenarios.h"
 
 namespace dpe::core {
@@ -114,18 +115,36 @@ TEST_P(MiningEquivalence, KnnSameNeighbors) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMeasures, MiningEquivalence,
-                         ::testing::Values(MeasureKind::kToken,
-                                           MeasureKind::kStructure,
-                                           MeasureKind::kResult,
-                                           MeasureKind::kAccessArea),
-                         [](const ::testing::TestParamInfo<MeasureKind>& info) {
-                           std::string n = MeasureKindName(info.param);
-                           for (auto& c : n) {
-                             if (c == '-') c = '_';
-                           }
-                           return n;
-                         });
+// The same scenario matrices, plain and encrypted, against the test-only
+// member-list oracle: every merge's ids and distance bits.
+class CompleteLinkOracleTest : public MiningEquivalence {};
+
+TEST_P(CompleteLinkOracleTest, ScenarioMatricesMatchOracle) {
+  const DpeMatrices& m = Matrices(GetParam());
+  testutil::ExpectOracleMerges(m.plain, mining::CompleteLink(m.plain).value(),
+                               "plain");
+  testutil::ExpectOracleMerges(m.encrypted,
+                               mining::CompleteLink(m.encrypted).value(),
+                               "encrypted");
+}
+
+std::string MeasureParamName(
+    const ::testing::TestParamInfo<MeasureKind>& info) {
+  std::string n = MeasureKindName(info.param);
+  for (auto& c : n) {
+    if (c == '-') c = '_';
+  }
+  return n;
+}
+
+const auto kAllMeasures =
+    ::testing::Values(MeasureKind::kToken, MeasureKind::kStructure,
+                      MeasureKind::kResult, MeasureKind::kAccessArea);
+
+INSTANTIATE_TEST_SUITE_P(AllMeasures, MiningEquivalence, kAllMeasures,
+                         MeasureParamName);
+INSTANTIATE_TEST_SUITE_P(AllMeasures, CompleteLinkOracleTest, kAllMeasures,
+                         MeasureParamName);
 
 }  // namespace
 }  // namespace dpe::core

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace dpe::mining {
 namespace {
 
@@ -76,6 +79,36 @@ TEST(CompleteLinkTest, EmptyAndSingleton) {
   auto d1 = CompleteLink(distance::DistanceMatrix(1)).value();
   EXPECT_EQ(d1.merges.size(), 0u);
   EXPECT_EQ(d1.CutK(1).value(), (Labels{0}));
+}
+
+/// Three points with d(0, 1) = 0.5 and d(0, 2) = d(1, 2) = `far`.
+distance::DistanceMatrix ThreePoints(double far) {
+  distance::DistanceMatrix m(3);
+  m.set(0, 1, 0.5);
+  m.set(0, 2, far);
+  m.set(1, 2, far);
+  return m;
+}
+
+void ExpectNonFiniteRejected(double far) {
+  auto d = CompleteLink(ThreePoints(far));
+  ASSERT_FALSE(d.ok()) << far;
+  EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(d.status().message().find("cell (0, 2)"), std::string::npos)
+      << d.status().message();
+}
+
+TEST(CompleteLinkTest, InfiniteCellIsInvalidArgument) {
+  // No +inf link is < a min-pair scan's +inf start, so no pair would ever
+  // be chosen; the member-list scan then crashed on a stale default pair.
+  ExpectNonFiniteRejected(std::numeric_limits<double>::infinity());
+  ExpectNonFiniteRejected(-std::numeric_limits<double>::infinity());
+}
+
+TEST(CompleteLinkTest, NanCellIsInvalidArgument) {
+  // std::max(0.0, NaN) is 0.0, so a NaN pair would silently merge first,
+  // as the closest pair.
+  ExpectNonFiniteRejected(std::nan(""));
 }
 
 }  // namespace

@@ -7,41 +7,18 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "common/thread_pool.h"
 #include "mining/dbscan.h"
 #include "mining/hierarchical.h"
 #include "mining/kmedoids.h"
 #include "mining/outlier.h"
+#include "tests/mining/random_matrices.h"
 
 namespace dpe::mining {
 namespace {
 
-/// Symmetric random matrix, quantized to one decimal so exact distance
-/// ties are common — the tie-break order is part of the contract.
-distance::DistanceMatrix TieHeavyMatrix(size_t n, uint32_t seed) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<int> tenth(0, 10);
-  distance::DistanceMatrix m(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      m.set(i, j, tenth(rng) / 10.0);
-    }
-  }
-  return m;
-}
-
-/// Smooth random matrix (no artificial ties) in [0, 1].
-distance::DistanceMatrix SmoothMatrix(size_t n, uint32_t seed) {
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-  distance::DistanceMatrix m(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) m.set(i, j, u(rng));
-  }
-  return m;
-}
+using testutil::SmoothMatrix;
+using testutil::TieHeavyMatrix;
 
 const size_t kThreadCounts[] = {1, 2, 4, 8};
 
