@@ -1,23 +1,32 @@
-// Mining-kernel scaling: serial vs N-thread k-medoids / DBSCAN /
-// DB(p,D) outliers over one precomputed distance matrix, plus one serial
-// complete-link row (CompleteLink ignores the pool). Every parallel run is
-// verified bit-identical to the serial reference (labels, medoids,
+// Mining-kernel scaling: serial vs N-thread k-medoids and DB(p,D) outliers
+// over one precomputed distance matrix, plus one serial row each for DBSCAN
+// and complete link (both run serially whatever the pool). Every pooled run
+// is verified bit-identical to the serial reference (labels, medoids,
 // deviations, outlier sets) before it is timed.
+//
+// Each row is the median of 25 timed runs (3 with --smoke). The runs
+// alternate: every rep times every row once, starting one row later than
+// the rep before, so drift on a shared host lands on all rows alike
+// instead of on whichever configuration ran last.
 // Emits BENCH_mining_scaling.json for the cross-PR perf trajectory.
 //
 //   $ ./build/bench/bench_mining_scaling             # n = 192
-//   $ DPE_BENCH_N=96 ./build/bench/bench_mining_scaling
-//   $ ./build/bench/bench_mining_scaling --smoke     # CI: tiny n, 1 rep
+//   $ DPE_BENCH_N=544 ./build/bench/bench_mining_scaling
+//   $ ./build/bench/bench_mining_scaling --smoke     # CI: tiny n, 3 reps
 //
 // Speedup is bounded by the physical core count; the header line reports
 // what the machine offers so a 1x result on a 1-core container reads as
 // what it is.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "engine/matrix_builder.h"
@@ -31,14 +40,25 @@ using namespace dpe;
 
 namespace {
 
-bool SameLabels(const mining::Labels& a, const mining::Labels& b) {
-  return a == b;
-}
-
 int Fatal(const char* what) {
   std::fprintf(stderr, "FATAL: parallel %s differs from serial reference\n",
                what);
   return 1;
+}
+
+/// One timed configuration: a miner on the pool of `threads` workers
+/// ("serial" = no pool).
+struct Row {
+  const char* miner;
+  std::string threads;
+  std::function<void()> run;
+  std::vector<double> ms;
+};
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
 }
 
 }  // namespace
@@ -52,10 +72,13 @@ int main(int argc, char** argv) {
   if (const char* env = std::getenv("DPE_BENCH_N")) {
     n = static_cast<size_t>(std::atoll(env));
   }
+  const size_t reps = smoke ? 3 : 25;
 
   std::printf("== mining scaling: serial vs N-thread kernels ==\n\n");
-  std::printf("log size n = %zu, hardware threads = %u%s\n\n", n,
-              std::thread::hardware_concurrency(), smoke ? " (smoke)" : "");
+  std::printf("log size n = %zu, hardware threads = %u, median of %zu "
+              "alternating reps%s\n\n",
+              n, std::thread::hardware_concurrency(), reps,
+              smoke ? " (smoke)" : "");
 
   workload::Scenario s = bench::MakeShop(42, 60, n);
   engine::MeasureRegistry registry = engine::MeasureRegistry::WithBuiltins();
@@ -73,6 +96,7 @@ int main(int argc, char** argv) {
 
   bench::JsonReport report("mining_scaling");
   report.Add("n", static_cast<double>(n));
+  report.Add("reps", static_cast<double>(reps));
 
   mining::KMedoidsOptions kopt;
   kopt.k = 4;
@@ -84,88 +108,86 @@ int main(int argc, char** argv) {
   oopt.d = 0.6;
 
   const auto serial_km = mining::KMedoids(m, kopt);
-  const auto serial_db = mining::Dbscan(m, dopt);
   const auto serial_out = mining::DistanceBasedOutliers(m, oopt);
   DPE_BENCH_CHECK(serial_km);
-  DPE_BENCH_CHECK(serial_db);
   DPE_BENCH_CHECK(serial_out);
 
-  struct Row {
-    const char* miner;
-    double serial_ms;
-  };
-  // The pooled miners first; hierarchical, last, has only its serial row.
-  Row rows[4] = {{"kmedoids", 0.0}, {"dbscan", 0.0}, {"outlier", 0.0},
-                 {"hierarchical", 0.0}};
-  rows[0].serial_ms = bench::TimeMs([&] { DPE_BENCH_CHECK(mining::KMedoids(m, kopt)); });
-  rows[1].serial_ms = bench::TimeMs([&] { DPE_BENCH_CHECK(mining::Dbscan(m, dopt)); });
-  rows[2].serial_ms =
-      bench::TimeMs([&] { DPE_BENCH_CHECK(mining::DistanceBasedOutliers(m, oopt)); });
-  rows[3].serial_ms = bench::TimeMs([&] { DPE_BENCH_CHECK(mining::CompleteLink(m)); });
-
-  std::printf("%-14s %8s %12s %9s %10s\n", "miner", "threads", "run ms",
-              "speedup", "identical");
-  for (const Row& row : rows) {
-    std::printf("%-14s %8s %12.2f %9s %10s\n", row.miner, "serial",
-                row.serial_ms, "1.00x", "-");
-    report.Add("run_ms", row.serial_ms,
-               {{"miner", row.miner}, {"threads", "serial"}});
-  }
-  std::printf("\n");
-
+  // Rows are grouped by miner; each miner's serial row comes first and is
+  // what its speedups divide.
+  std::vector<std::unique_ptr<common::ThreadPool>> pools;
+  std::vector<Row> rows;
+  rows.push_back({"kmedoids", "serial",
+                  [&] { DPE_BENCH_CHECK(mining::KMedoids(m, kopt)); }, {}});
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    common::ThreadPool pool(threads);
-    const std::string threads_str = std::to_string(threads);
-
+    pools.push_back(std::make_unique<common::ThreadPool>(threads));
     mining::KMedoidsOptions kp = kopt;
-    kp.pool = &pool;
+    kp.pool = pools.back().get();
     auto km = mining::KMedoids(m, kp);
     DPE_BENCH_CHECK(km);
-    if (!SameLabels(km->labels, serial_km->labels) ||
+    if (km->labels != serial_km->labels ||
         km->medoids != serial_km->medoids ||
         km->total_deviation != serial_km->total_deviation ||
         km->iterations != serial_km->iterations) {
       return Fatal("kmedoids");
     }
-    double km_ms = bench::TimeMs([&] { DPE_BENCH_CHECK(mining::KMedoids(m, kp)); });
-
-    mining::DbscanOptions dp = dopt;
-    dp.pool = &pool;
-    auto db = mining::Dbscan(m, dp);
-    DPE_BENCH_CHECK(db);
-    if (!SameLabels(db->labels, serial_db->labels) ||
-        db->cluster_count != serial_db->cluster_count) {
-      return Fatal("dbscan");
-    }
-    double db_ms = bench::TimeMs([&] { DPE_BENCH_CHECK(mining::Dbscan(m, dp)); });
-
+    rows.push_back({"kmedoids", std::to_string(threads),
+                    [&m, kp] { DPE_BENCH_CHECK(mining::KMedoids(m, kp)); },
+                    {}});
+  }
+  rows.push_back({"outlier", "serial",
+                  [&] {
+                    DPE_BENCH_CHECK(mining::DistanceBasedOutliers(m, oopt));
+                  },
+                  {}});
+  for (size_t p = 0; p < pools.size(); ++p) {
     mining::OutlierOptions op = oopt;
-    op.pool = &pool;
+    op.pool = pools[p].get();
     auto out = mining::DistanceBasedOutliers(m, op);
     DPE_BENCH_CHECK(out);
     if (out->is_outlier != serial_out->is_outlier ||
         out->outliers != serial_out->outliers) {
       return Fatal("outlier");
     }
-    double out_ms = bench::TimeMs(
-        [&] { DPE_BENCH_CHECK(mining::DistanceBasedOutliers(m, op)); });
+    rows.push_back({"outlier", std::to_string(pools[p]->thread_count()),
+                    [&m, op] {
+                      DPE_BENCH_CHECK(mining::DistanceBasedOutliers(m, op));
+                    },
+                    {}});
+  }
+  rows.push_back({"dbscan", "serial",
+                  [&] { DPE_BENCH_CHECK(mining::Dbscan(m, dopt)); }, {}});
+  rows.push_back({"hierarchical", "serial",
+                  [&] { DPE_BENCH_CHECK(mining::CompleteLink(m)); }, {}});
 
-    const double ms[3] = {km_ms, db_ms, out_ms};
-    for (size_t r = 0; r < 3; ++r) {
-      std::printf("%-14s %8zu %12.2f %8.2fx %10s\n", rows[r].miner, threads,
-                  ms[r], rows[r].serial_ms / (ms[r] > 0 ? ms[r] : 1e-9),
-                  "yes");
-      report.Add("run_ms", ms[r],
-                 {{"miner", rows[r].miner}, {"threads", threads_str}});
+  for (size_t rep = 0; rep < reps; ++rep) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      Row& row = rows[(rep + i) % rows.size()];
+      row.ms.push_back(bench::TimeMs(row.run));
     }
-    std::printf("\n");
+  }
+
+  std::printf("%-14s %8s %12s %9s %10s\n", "miner", "threads", "median ms",
+              "speedup", "identical");
+  double serial_ms = 0.0;
+  for (const Row& row : rows) {
+    const double ms = Median(row.ms);
+    if (row.threads == "serial") {
+      serial_ms = ms;
+      std::printf("%-14s %8s %12.3f %9s %10s\n", row.miner, "serial", ms,
+                  "1.00x", "-");
+    } else {
+      std::printf("%-14s %8s %12.3f %8.2fx %10s\n", row.miner,
+                  row.threads.c_str(), ms, serial_ms / (ms > 0 ? ms : 1e-9),
+                  "yes");
+    }
+    report.Add("run_ms", ms, {{"miner", row.miner}, {"threads", row.threads}});
   }
 
   report.Write();
   std::printf(
-      "(every parallel run above was verified bit-identical to the serial "
+      "\n(every pooled run above was verified bit-identical to the serial "
       "reference\nbefore timing; speedup saturates at the physical core "
-      "count. hierarchical\nruns serially whatever the pool, so it has only "
-      "its serial row.)\n");
+      "count. DBSCAN and\ncomplete link run serially whatever the pool, so "
+      "each has only its serial row.)\n");
   return 0;
 }

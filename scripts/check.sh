@@ -152,20 +152,23 @@ ctest --test-dir build-asan --output-on-failure \
 echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # The lease protocol's value is exactly its behavior under concurrency:
 # heartbeat threads renewing while worker loops acquire, the driver's poll
-# loop racing worker threads, /stats snapshotting a live board. Async
-# builds share each measure's distance triangle, so EngineTest.Async* races
-# two builds of one measure against ClearCache, and the seeded triangle
-# differential suite interleaves async builds, background compaction,
-# ClearCache, restarts and shard drives (whose merged rows go through the
-# same triangle and journal writes) on one engine. TSan the suites that
-# exercise those interleavings (plus the backoff/fault primitives they are
-# built from); the full matrix stays with ASan above.
+# loop racing worker threads, /stats snapshotting a live board. The engine
+# has one caller thread, but its any-thread calls (engine.h's threading
+# contract) run beside it: EngineTest.BuildsRacingClearCacheStayBitIdentical
+# races builds against ClearCache on the triangle map,
+# EngineTest.AnyThreadReadsRacingLogMutations races the telemetry readers
+# against SetLog/AddQuery, and the seeded triangle differential suite
+# interleaves background compaction, ClearCache, restarts and shard drives
+# (whose merged rows go through the same triangle and journal writes) on
+# one engine. TSan the suites that exercise those interleavings (plus the
+# backoff/fault primitives they are built from); the full matrix stays with
+# ASan above.
 cmake -B build-tsan -S . -DDPE_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j"$JOBS" \
       --target dpe_engine_tests dpe_common_tests
 (cd build-tsan && ./dpe_engine_tests \
-      --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*:EngineTest.Async*:Seeds/TriangleDifferentialTest.*')
+      --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*:EngineTest.BuildsRacingClearCacheStayBitIdentical:EngineTest.AnyThreadReadsRacingLogMutations:Seeds/TriangleDifferentialTest.*')
 (cd build-tsan && ./dpe_common_tests \
       --gtest_filter='BackoffTest.*:FaultInjectorTest.*')
 # Log-sink registry: concurrent emitters vs. sink swaps (the regression

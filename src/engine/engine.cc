@@ -7,6 +7,7 @@
 #include <string_view>
 #include <utility>
 
+#include "obs/json.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 
@@ -100,14 +101,15 @@ Engine::~Engine() {
   // pool, the triangles and the trace buffer — everything torn down below.
   pusher_.reset();
   telemetry_.reset();
-  // Async build tasks capture `this`; members destruct in reverse
-  // declaration order, so without this barrier a still-queued task could
-  // touch the triangles/store after they are gone.
+  // The compaction task captures `this`; members destruct in reverse
+  // declaration order, so without this barrier a still-queued cycle could
+  // touch the store after it is gone.
   pool_.Wait();
 }
 
 void Engine::SetLog(std::vector<sql::SelectQuery> log) {
   queries_ = std::move(log);
+  log_size_.store(queries_.size(), std::memory_order_release);
   ClearCache();
   MutexLock lock(store_mu_);
   store_.reset();
@@ -128,12 +130,12 @@ Status Engine::AddQuery(sql::SelectQuery query) {
     }
   }
   queries_.push_back(std::move(query));
+  log_size_.store(queries_.size(), std::memory_order_release);
   return Status::OK();
 }
 
 Result<const distance::QueryDistanceMeasure*> Engine::MeasureFor(
     const std::string& name) {
-  MutexLock lock(measures_mu_);
   auto it = measures_.find(name);
   if (it == measures_.end()) {
     DPE_ASSIGN_OR_RETURN(auto measure, registry_.Create(name));
@@ -146,48 +148,9 @@ Result<distance::DistanceMatrix> Engine::BuildMatrix(
     const std::string& measure_name, BuildReport* report) {
   DPE_ASSIGN_OR_RETURN(const distance::QueryDistanceMeasure* measure,
                        MeasureFor(measure_name));
-  return BuildMatrixOn(builder_, queries_, *measure, measure_name, report);
-}
-
-std::future<Result<distance::DistanceMatrix>> Engine::BuildMatrixAsync(
-    const std::string& measure_name) {
-  using BuildResult = Result<distance::DistanceMatrix>;
-
-  // A private measure instance per task: overlapping builds must not race
-  // on measure-internal state (Prepare is a single-threaded contract).
-  Result<std::unique_ptr<distance::QueryDistanceMeasure>> measure = [&] {
-    MutexLock lock(measures_mu_);
-    return registry_.Create(measure_name);
-  }();
-  if (!measure.ok()) {
-    std::promise<BuildResult> failed;
-    failed.set_value(measure.status());
-    return failed.get_future();
-  }
-
-  auto promise = std::make_shared<std::promise<BuildResult>>();
-  std::future<BuildResult> future = promise->get_future();
-  pool_.Submit([this, promise, measure_name,
-                owned = std::shared_ptr(std::move(*measure)),
-                queries = queries_] {
-    // Serial builder: a nested ParallelFor on the engine's own pool from
-    // inside a pool task could starve the outer task. Same instrumentation
-    // as the sync path — async builds show up in the same trace/registry.
-    MatrixBuilder serial(nullptr,
-                         MatrixBuilderOptions{options_.block, metrics_,
-                                              &trace_});
-    promise->set_value(BuildMatrixOn(serial, queries, *owned, measure_name));
-  });
-  return future;
-}
-
-Result<distance::DistanceMatrix> Engine::BuildMatrixOn(
-    const MatrixBuilder& builder, const std::vector<sql::SelectQuery>& queries,
-    const distance::QueryDistanceMeasure& measure,
-    const std::string& measure_name, BuildReport* report) {
   BuildReport local;
   local.measure = measure_name;
-  local.n = queries.size();
+  local.n = queries_.size();
   local.cells_total =
       local.n < 2 ? 0 : static_cast<uint64_t>(local.n) * (local.n - 1) / 2;
 
@@ -199,7 +162,7 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixOn(
       &metrics_->histogram("engine.api_ms", {{"api", "build_matrix"},
                                              {"measure", measure_name}}));
   Result<distance::DistanceMatrix> result =
-      BuildMatrixStaged(builder, queries, measure, measure_name, local);
+      BuildMatrixStaged(*measure, measure_name, local);
   api_span.End();
 
   local.wall_ms = api_span.elapsed_ms();
@@ -215,10 +178,9 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixOn(
 }
 
 Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
-    const MatrixBuilder& builder, const std::vector<sql::SelectQuery>& queries,
     const distance::QueryDistanceMeasure& measure,
     const std::string& measure_name, BuildReport& report) {
-  const size_t n = queries.size();
+  const size_t n = queries_.size();
   auto stage_hist = [&](const char* stage) -> obs::Histogram& {
     return metrics_->histogram("build.stage_ms", {{"stage", stage}});
   };
@@ -227,7 +189,7 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
     obs::TraceSpan compute_span("build.compute", &trace_,
                                 &stage_hist("compute"));
     Result<distance::DistanceMatrix> m =
-        builder.Build(queries, measure, context_);
+        builder_.Build(queries_, measure, context_);
     compute_span.End();
     report.stages.push_back({"compute", compute_span.elapsed_ms()});
     if (m.ok()) report.cells_computed = report.cells_total;
@@ -258,14 +220,14 @@ Result<distance::DistanceMatrix> Engine::BuildMatrixStaged(
                                 &stage_hist("compute"));
     if (m.size() != n) m = distance::DistanceMatrix(n);
     DPE_RETURN_NOT_OK(
-        builder.ComputeRows(queries, measure, context_, r, n, &m));
+        builder_.ComputeRows(queries_, measure, context_, r, n, &m));
     compute_span.End();
     report.stages.push_back({"compute", compute_span.elapsed_ms()});
   }
 
   // Extend the triangle to n rows out of the result. Whatever happened to
-  // it meanwhile (a ClearCache, a concurrent build of the same measure), it
-  // ends up holding rows [0, n) with no gap.
+  // it meanwhile (a ClearCache from another thread), it ends up holding
+  // rows [0, n) with no gap.
   obs::TraceSpan copy_in_span("build.copy", &trace_);
   {
     MutexLock lock(cache_mu_);
@@ -400,11 +362,10 @@ Status Engine::SaveCheckpoint(const std::string& dir,
 
   DPE_ASSIGN_OR_RETURN(store::MatrixStore opened, store::MatrixStore::Open(dir));
   opened.set_fsync_policy(options_.fsync_policy);
-  // store_mu_ is held across export + write + truncate + attach so journal
-  // appends from in-flight async builds cannot interleave: they block, then
-  // land in the fresh (truncated) journal. A build extends its triangle
-  // before it journals, so rows it adds after the export below are
-  // journaled against the watermark this save sets.
+  // store_mu_ is held across export + write + truncate + attach, which
+  // orders the save against the background compaction task: a cycle that
+  // publishes first is superseded by this snapshot, and one that publishes
+  // later finds the store swapped and aborts.
   MutexLock lock(store_mu_);
   obs::TraceSpan export_span("checkpoint.export", &trace_);
   store::Snapshot snapshot;
@@ -522,6 +483,7 @@ Status Engine::LoadCheckpoint(const std::string& dir,
 
   obs::TraceSpan restore_span("checkpoint.restore", &trace_);
   queries_ = std::move(log);
+  log_size_.store(queries_.size(), std::memory_order_release);
   std::vector<std::string> measures;
   {
     MutexLock lock(store_mu_);
@@ -584,11 +546,14 @@ Status Engine::LoadCheckpoint(const std::string& dir,
   return Status::OK();
 }
 
-// The Run* methods hand the engine's pool to the mining kernels: the
-// miners' parallel maps + serial index-order reductions are bit-identical
-// to their serial references (tested), so batch callers get the speedup
-// without a semantics change. Run* executes on the caller's thread, never
-// inside a pool task, so the nested ParallelFor contract holds.
+// The Run* methods run on the caller's thread. k-medoids and DB(p, D)
+// outliers get the engine's pool: their parallel maps + serial index-order
+// reductions are bit-identical to their serial references (tested). On
+// 2 threads bench_mining_scaling reads anywhere from no gain to ~1.8x at
+// the stream workloads' n = 544-712, run to run; end to end, running both
+// serially made perfbench's stream_append arrivals slower. DBSCAN,
+// complete link and the kNN loop over the outliers run serially. ROADMAP
+// ("Which miners keep the pool") has the measurements.
 
 Result<mining::KMedoidsResult> Engine::RunKMedoids(
     const std::string& measure, const mining::KMedoidsOptions& options) {
@@ -610,10 +575,9 @@ Result<mining::DbscanResult> Engine::RunDbscan(
       &metrics_->histogram("engine.api_ms",
                            {{"api", "dbscan"}, {"measure", measure}}));
   DPE_ASSIGN_OR_RETURN(distance::DistanceMatrix m, BuildMatrix(measure));
-  mining::DbscanOptions pooled = options;
-  pooled.pool = &pool_;
-  pooled.metrics = metrics_;
-  return mining::Dbscan(m, pooled);
+  mining::DbscanOptions counted = options;
+  counted.metrics = metrics_;
+  return mining::Dbscan(m, counted);
 }
 
 Result<mining::Dendrogram> Engine::RunHierarchical(const std::string& measure) {
@@ -641,20 +605,14 @@ Result<OutlierKnnReport> Engine::RunOutlierKnn(
                        mining::DistanceBasedOutliers(m, pooled));
   metrics_->counter("mining.knn.queries")
       .Increment(report.outliers.outliers.size());
-  // kNN scoring of each outlier is independent; one report slot per
-  // outlier, filled in parallel, first failure in index order wins.
-  const std::vector<size_t>& outliers = report.outliers.outliers;
-  report.neighbors.assign(outliers.size(), {});
-  DPE_RETURN_NOT_OK(common::ParallelForStatus(
-      &pool_, 0, outliers.size(), 1, [&](size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          DPE_ASSIGN_OR_RETURN(
-              report.neighbors[r],
-              mining::NearestNeighbors(m, outliers[r], k,
-                                       context_.kernel_backend));
-        }
-        return Status::OK();
-      }));
+  // One kNN list per outlier, in index order; the first failure wins.
+  report.neighbors.reserve(report.outliers.outliers.size());
+  for (size_t outlier : report.outliers.outliers) {
+    DPE_ASSIGN_OR_RETURN(
+        std::vector<size_t> neighbors,
+        mining::NearestNeighbors(m, outlier, k, context_.kernel_backend));
+    report.neighbors.push_back(std::move(neighbors));
+  }
   return report;
 }
 
@@ -831,7 +789,7 @@ obs::StatsReport Engine::Stats() const {
        common::simd::BackendName(
            common::simd::KernelsFor(context_.kernel_backend).backend)},
       {"threads", std::to_string(pool_.thread_count())},
-      {"log_size", std::to_string(queries_.size())},
+      {"log_size", std::to_string(log_size())},
       {"cache_hit_rate", hit_rate},
       {"last_build_measure", last.measure},
   };
@@ -855,20 +813,12 @@ obs::StatsReport Engine::Stats() const {
       for (const LeaseInfo& lease : *table) {
         if (!first) leases.push_back(',');
         first = false;
-        // Hostnames are RFC-952 safe except for the rare embedded quote or
-        // backslash — escape just those two so the JSON stays well-formed
-        // no matter what the lease line carried.
-        std::string host;
-        for (char c : lease.holder_host) {
-          if (c == '"' || c == '\\') host.push_back('\\');
-          if (static_cast<unsigned char>(c) >= 0x20) host.push_back(c);
-        }
         leases += "{\"shard\":" + std::to_string(lease.shard_index);
         leases += ",\"held\":";
         leases += lease.held ? "true" : "false";
         leases += ",\"fresh\":";
         leases += lease.fresh ? "true" : "false";
-        leases += ",\"holder\":\"" + host + "\"";
+        leases += ",\"holder\":" + obs::JsonQuoted(lease.holder_host);
         leases += ",\"pid\":" + std::to_string(lease.holder_pid);
         leases += ",\"epoch\":" + std::to_string(lease.epoch);
         leases += ",\"renewals\":" + std::to_string(lease.renewals);
@@ -879,7 +829,7 @@ obs::StatsReport Engine::Stats() const {
     }
     leases += "]";
     report.extra_json.emplace_back("drive_matrix",
-                                   "\"" + drive_matrix + "\"");
+                                   obs::JsonQuoted(drive_matrix));
     report.extra_json.emplace_back("leases", std::move(leases));
   }
   return report;
@@ -896,10 +846,10 @@ std::string Engine::MetricsText() const {
 std::string Engine::HealthzJson() const {
   const BuildReport last = last_build_report();
   std::string json = "{\"status\":\"ok\"";
-  json += ",\"log_size\":" + std::to_string(queries_.size());
+  json += ",\"log_size\":" + std::to_string(log_size());
   json += ",\"checkpoint_attached\":";
   json += checkpoint_attached() ? "true" : "false";
-  json += ",\"last_build\":{\"measure\":\"" + last.measure + "\"";
+  json += ",\"last_build\":{\"measure\":" + obs::JsonQuoted(last.measure);
   json += ",\"n\":" + std::to_string(last.n);
   json += ",\"cells_total\":" + std::to_string(last.cells_total);
   json += ",\"cells_computed\":" + std::to_string(last.cells_computed);

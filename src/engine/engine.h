@@ -22,12 +22,17 @@
 // The engine works identically on the owner side (plaintext context) and the
 // provider side (encrypted artifacts in the context) — exactly like the
 // underlying measures.
+//
+// One caller drives it: requests run on the caller's thread, one at a time,
+// and fan out to the engine's pool only inside a call (the matrix build,
+// the k-medoids and DB(p, D) scans, shard work). Besides the caller, the
+// telemetry threads and the background compaction task read and compact
+// concurrently; the class comment lists which calls they may make.
 
 #ifndef DPE_ENGINE_ENGINE_H_
 #define DPE_ENGINE_ENGINE_H_
 
 #include <atomic>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -192,14 +197,31 @@ struct OutlierKnnReport {
   std::vector<std::vector<size_t>> neighbors;
 };
 
+/// Threading contract.
+///   - Caller-thread calls run one at a time, never concurrently with each
+///     other: SetLog, AddQuery, log(), BuildMatrix, RunKMedoids, RunDbscan,
+///     RunHierarchical, RunOutlierKnn, PlanShards, RunShardWorker,
+///     DriveShards, SaveCheckpoint, LoadCheckpoint and registry().
+///   - Any-thread calls may run on any thread, concurrently with the caller
+///     and with each other. The test that runs each alongside caller-thread
+///     work:
+///       CompactNow:
+///         CompactionTest.InterleavedAppendsDuringCompactionStayBitIdentical
+///       ClearCache: EngineTest.BuildsRacingClearCacheStayBitIdentical
+///       cache_stats, cache_size, cache_bytes_used, checkpoint_attached,
+///       checkpoint_generation, last_build_report, log_size, Stats,
+///       MetricsText, HealthzJson and trace():
+///         EngineTest.AnyThreadReadsRacingLogMutations (every one), and
+///         TelemetryE2eTest.ScrapeDuringAndAfterBuildOverRealHttp (through
+///         the four telemetry endpoints, over real HTTP)
 class Engine {
  public:
   /// `context` is captured by value (it only holds non-owning pointers; the
   /// pointees must outlive the engine).
   explicit Engine(const distance::MeasureContext& context,
                   EngineOptions options = {});
-  /// Drains in-flight async builds before any member is torn down (the
-  /// pool outlives the triangles/store only because of this barrier).
+  /// Stops and drains the background compaction task before any member is
+  /// torn down (the task captures `this`).
   ~Engine();
 
   /// Measure name -> factory table; custom measures register here.
@@ -215,7 +237,9 @@ class Engine {
   /// Appends one query, keeping all cached pairwise distances valid. With a
   /// checkpoint attached, the query is journaled so a restart replays it.
   Status AddQuery(sql::SelectQuery query);
-  size_t log_size() const { return queries_.size(); }
+  size_t log_size() const {
+    return log_size_.load(std::memory_order_acquire);
+  }
   const std::vector<sql::SelectQuery>& log() const { return queries_; }
 
   // -- Batch mining API ------------------------------------------------------
@@ -227,16 +251,6 @@ class Engine {
   /// counts (also retrievable afterwards via last_build_report()).
   Result<distance::DistanceMatrix> BuildMatrix(const std::string& measure,
                                                BuildReport* report = nullptr);
-
-  /// Non-blocking BuildMatrix: the build is scheduled on the engine's pool
-  /// and the caller overlaps other work (encryption I/O, another measure's
-  /// build) with it. The task builds serially inside its pool slot (nested
-  /// ParallelFor on the same pool could starve), shares the measure's
-  /// triangle, and uses a private measure instance so overlapping builds
-  /// never race.
-  /// The log must not be mutated while async builds are in flight.
-  std::future<Result<distance::DistanceMatrix>> BuildMatrixAsync(
-      const std::string& measure);
 
   Result<mining::KMedoidsResult> RunKMedoids(
       const std::string& measure, const mining::KMedoidsOptions& options);
@@ -383,7 +397,7 @@ class Engine {
   /// alive for the engine's lifetime so measure-internal memoization (the
   /// result measure's tuple-set cache) spans calls.
   Result<const distance::QueryDistanceMeasure*> MeasureFor(
-      const std::string& name) EXCLUDES(measures_mu_);
+      const std::string& name);
 
   /// One role of a sharded build: RunWorkerLoop or engine::DriveShards,
   /// which take the same parameters.
@@ -406,22 +420,11 @@ class Engine {
                               const MultiHostOptions& options)
       EXCLUDES(drive_mu_);
 
-  /// The cache-aware build over an explicit log/builder/measure — shared by
-  /// the sync path (pool-backed builder) and async tasks (serial builder on
-  /// a log snapshot). Fills `report` (when non-null) and stores a copy as
-  /// the engine's last build report.
-  Result<distance::DistanceMatrix> BuildMatrixOn(
-      const MatrixBuilder& builder,
-      const std::vector<sql::SelectQuery>& queries,
-      const distance::QueryDistanceMeasure& measure,
-      const std::string& measure_name, BuildReport* report = nullptr);
-
-  /// The staged body of BuildMatrixOn: copy the triangle's rows out,
-  /// compute the rest, extend the triangle, journal — each stage timed into
-  /// `report.stages` (and the build.stage_ms histograms / trace buffer).
+  /// The staged body of BuildMatrix over the engine's log and builder:
+  /// copy the triangle's rows out, compute the rest, extend the triangle,
+  /// journal — each stage timed into `report.stages` (and the
+  /// build.stage_ms histograms / trace buffer).
   Result<distance::DistanceMatrix> BuildMatrixStaged(
-      const MatrixBuilder& builder,
-      const std::vector<sql::SelectQuery>& queries,
       const distance::QueryDistanceMeasure& measure,
       const std::string& measure_name, BuildReport& report);
 
@@ -467,10 +470,12 @@ class Engine {
   CacheStats cache_stats_ GUARDED_BY(cache_mu_);
   mutable Mutex report_mu_;
   BuildReport last_build_ GUARDED_BY(report_mu_);
+  /// The log and the measure instances belong to the caller thread.
+  /// log_size_ mirrors queries_.size() for the any-thread readers.
   std::vector<sql::SelectQuery> queries_;
-  Mutex measures_mu_;  ///< also serializes registry lookups
+  std::atomic<size_t> log_size_{0};
   std::map<std::string, std::unique_ptr<distance::QueryDistanceMeasure>>
-      measures_ GUARDED_BY(measures_mu_);
+      measures_;
   /// Guards store_ itself (attach/detach), the watermarks, and serializes
   /// journal appends.
   mutable Mutex store_mu_;

@@ -1,8 +1,7 @@
 #include "mining/dbscan.h"
 
 #include <deque>
-
-#include "mining/parallel_util.h"
+#include <vector>
 
 namespace dpe::mining {
 
@@ -16,34 +15,17 @@ Result<DbscanResult> Dbscan(const distance::DistanceMatrix& m,
   result.labels.assign(n, -1);
   std::vector<bool> visited(n, false);
 
-  // With a pool, precompute all neighborhood lists up front — every list
-  // built by one task in index order, so it equals the lazy scan — and
-  // accept the O(sum of neighborhood sizes) memory. Without one, keep the
-  // serial reference's one-list-at-a-time lazy scan (O(n) transient).
-  const bool precomputed = options.pool != nullptr;
-  std::vector<std::vector<size_t>> precompute(precomputed ? n : 0);
-  if (precomputed) {
-    MaybeParallelFor(options.pool, 0, n, MiningGrain(n, options.pool),
-                     [&](size_t begin, size_t end) {
-                       for (size_t p = begin; p < end; ++p) {
-                         for (size_t q = 0; q < n; ++q) {
-                           if (m.AtUnchecked(p, q) <= options.epsilon) {
-                             precompute[p].push_back(q);  // includes p
-                           }
-                         }
-                       }
-                     });
-  }
-  uint64_t scans = precomputed ? n : 0;  // every list built exactly once
-  std::vector<size_t> lazy;
+  // One row scan per visit, into one reused buffer. The expansion copies a
+  // core point's list into the queue before the next scan overwrites it.
+  uint64_t scans = 0;
+  std::vector<size_t> buffer;
   auto neighbors = [&](size_t p) -> const std::vector<size_t>& {
-    if (precomputed) return precompute[p];
     ++scans;
-    lazy.clear();
+    buffer.clear();
     for (size_t q = 0; q < n; ++q) {
-      if (m.AtUnchecked(p, q) <= options.epsilon) lazy.push_back(q);
+      if (m.AtUnchecked(p, q) <= options.epsilon) buffer.push_back(q);
     }
-    return lazy;
+    return buffer;
   };
 
   int cluster = 0;

@@ -1,6 +1,7 @@
 // Internal helper for the parallel mining kernels: a pool-optional
-// ParallelFor. Every miner takes an optional common::ThreadPool* in its
-// options; nullptr means the serial reference path (one chunk, inline).
+// ParallelFor. k-medoids and DB(p, D) outliers take an optional
+// common::ThreadPool* in their options; nullptr means the serial reference
+// path (one chunk, inline). DBSCAN and complete link run serially.
 //
 // Determinism contract: miners only parallelize per-element maps (element i
 // is produced entirely by one task, in the same inner order as the serial

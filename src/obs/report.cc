@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace dpe::obs {
 
 namespace {
@@ -75,32 +77,13 @@ std::string Num(uint64_t v) {
   return buf;
 }
 
-std::string JsonString(const std::string& in) {
-  std::string out = "\"";
-  for (char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out.append(buf);
-    } else {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 std::string LabelsJson(const Labels& labels) {
   std::string out = "{";
   for (size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) out.push_back(',');
-    out.append(JsonString(labels[i].first));
+    out.append(JsonQuoted(labels[i].first));
     out.push_back(':');
-    out.append(JsonString(labels[i].second));
+    out.append(JsonQuoted(labels[i].second));
   }
   out.push_back('}');
   return out;
@@ -173,7 +156,7 @@ std::string SnapshotJson(const MetricsSnapshot& snapshot) {
   for (size_t i = 0; i < snapshot.samples.size(); ++i) {
     const MetricSample& s = snapshot.samples[i];
     if (i > 0) out.push_back(',');
-    out.append("\n  {\"name\":").append(JsonString(s.name));
+    out.append("\n  {\"name\":").append(JsonQuoted(s.name));
     out.append(",\"labels\":").append(LabelsJson(s.labels));
     switch (s.kind) {
       case MetricKind::kCounter:
@@ -224,19 +207,19 @@ std::string StatsReport::ToJson() const {
   std::string out = "{\n \"info\": {";
   for (size_t i = 0; i < info.size(); ++i) {
     if (i > 0) out.push_back(',');
-    out.append(JsonString(info[i].first));
+    out.append(JsonQuoted(info[i].first));
     out.push_back(':');
-    out.append(JsonString(info[i].second));
+    out.append(JsonQuoted(info[i].second));
   }
   out.append("},\n \"stages\": [");
   for (size_t i = 0; i < stages.size(); ++i) {
     if (i > 0) out.push_back(',');
-    out.append("{\"name\":").append(JsonString(stages[i].name));
+    out.append("{\"name\":").append(JsonQuoted(stages[i].name));
     out.append(",\"ms\":").append(Num(stages[i].ms)).push_back('}');
   }
   out.append("],\n \"metrics\": ").append(SnapshotJson(metrics));
   for (const auto& [key, value] : extra_json) {
-    out.append(",\n ").append(JsonString(key)).append(": ").append(value);
+    out.append(",\n ").append(JsonQuoted(key)).append(": ").append(value);
   }
   out.append("\n}\n");
   return out;

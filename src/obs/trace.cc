@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace dpe::obs {
 
 namespace {
@@ -18,26 +20,6 @@ std::chrono::steady_clock::time_point ProcessEpoch() {
   static const std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
   return epoch;
-}
-
-/// JSON string escaping for span names (quotes, backslashes, control chars).
-std::string JsonEscaped(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out.append(buf);
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -96,10 +78,10 @@ std::string TraceBuffer::ToChromeJson() const {
   char buf[128];
   for (size_t e = 0; e < events.size(); ++e) {
     const TraceEvent& ev = events[e];
-    out.append(e == 0 ? "\n {\"name\":\"" : ",\n {\"name\":\"");
-    out.append(JsonEscaped(ev.name));
+    out.append(e == 0 ? "\n {\"name\":" : ",\n {\"name\":");
+    out.append(JsonQuoted(ev.name));
     std::snprintf(buf, sizeof(buf),
-                  "\",\"cat\":\"dpe\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
+                  ",\"cat\":\"dpe\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
                   "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"depth\":%u}}",
                   ev.tid, static_cast<double>(ev.start_ns) / 1000.0,
                   static_cast<double>(ev.dur_ns) / 1000.0, ev.depth);

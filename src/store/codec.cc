@@ -261,15 +261,8 @@ std::string ShardManifestDefect(const ShardManifest& manifest) {
 
 // -- Framing -----------------------------------------------------------------
 
-Status WriteFramedFile(const std::string& path, uint32_t magic,
-                       std::string_view payload, uint32_t version,
-                       bool sync) {
-  Writer header;
-  header.PutU32(magic);
-  header.PutU32(version);
-  header.PutU64(payload.size());
-  header.PutU32(Crc32(payload));
-
+Status WriteFileAtomic(const std::string& path, std::string_view head,
+                       std::string_view body, bool sync) {
   // The tmp name is unique per (process, write): two processes — or two
   // racing lease holders that both think they own a shard — writing the
   // same destination concurrently must not scribble over each other's
@@ -286,32 +279,30 @@ Status WriteFramedFile(const std::string& path, uint32_t magic,
       return Status::Internal("store codec: cannot open " + tmp +
                               " for writing");
     }
-    out.write(header.buffer().data(),
-              static_cast<std::streamsize>(header.buffer().size()));
-    // Crash-injection point for the "die mid-frame-write" fault mode: the
-    // header (and only the header) is flushed to the tmp file first, so a
-    // death here leaves a deterministic torn tmp on disk — which readers
-    // never see (the rename below never happened) and stale-tmp cleanup
-    // can reclaim.
+    out.write(head.data(), static_cast<std::streamsize>(head.size()));
+    // Crash-injection point for the "die mid-write" fault mode: the head
+    // (and only the head) is flushed to the tmp file first, so a death here
+    // leaves a deterministic torn tmp on disk — which readers never see
+    // (the rename below never happened) and stale-tmp cleanup can reclaim.
     if (common::FaultInjector::Global().armed()) {
       out.flush();
       common::FaultInjector::Global().Fire("store.frame.mid_write");
     }
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    out.write(body.data(), static_cast<std::streamsize>(body.size()));
     out.flush();
     if (!out) {
       std::error_code cleanup_ec;
       std::filesystem::remove(tmp, cleanup_ec);
       return Status::Internal("store codec: short write to " + tmp);
     }
-    BytesWrittenCounter().Increment(header.buffer().size() + payload.size());
+    BytesWrittenCounter().Increment(head.size() + body.size());
   }
-  // Durability order matters: the payload must be on disk before the rename
-  // publishes it, and the rename must be on disk before callers take
-  // dependent actions (SaveCheckpoint deletes the journal right after this
-  // returns — a reordered power loss must not lose both). FsyncPolicy::
-  // kNever opts out of both syncs: still atomic against process death (the
-  // rename is), just not against power loss.
+  // Durability order matters: the bytes must be on disk before the rename
+  // publishes them, and the rename must be on disk before callers take
+  // dependent actions (SaveCheckpoint deletes the journal right after its
+  // snapshot write returns — a reordered power loss must not lose both).
+  // FsyncPolicy::kNever opts out of both syncs: still atomic against
+  // process death (the rename is), just not against power loss.
   if (sync) DPE_RETURN_NOT_OK(SyncPath(tmp));
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
@@ -323,6 +314,17 @@ Status WriteFramedFile(const std::string& path, uint32_t magic,
   if (!sync) return Status::OK();
   std::string parent = std::filesystem::path(path).parent_path().string();
   return SyncPath(parent.empty() ? "." : parent);
+}
+
+Status WriteFramedFile(const std::string& path, uint32_t magic,
+                       std::string_view payload, uint32_t version,
+                       bool sync) {
+  Writer header;
+  header.PutU32(magic);
+  header.PutU32(version);
+  header.PutU64(payload.size());
+  header.PutU32(Crc32(payload));
+  return WriteFileAtomic(path, header.buffer(), payload, sync);
 }
 
 Result<std::string> ReadFileBytes(const std::string& path) {

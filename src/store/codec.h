@@ -176,11 +176,20 @@ std::string ShardManifestDefect(const ShardManifest& manifest);
 
 // -- Framing -----------------------------------------------------------------
 
-/// Writes [magic][version][payload_len][crc32][payload] to `path` atomically
-/// (tmp file + rename), so readers never observe a half-written file. With
-/// `sync` false the fsync-before-rename and directory fsync are skipped
-/// (FsyncPolicy::kNever): crash-atomic against process death, not against
-/// power loss.
+/// Replaces `path` with `head` followed by `body`, atomically: both go to a
+/// tmp file unique to this process and write, which a rename then
+/// publishes, so readers never observe a half-written file. The
+/// store.frame.mid_write fault point fires between the two, with the head
+/// flushed. With `sync` false the fsync-before-rename and directory fsync
+/// are skipped (FsyncPolicy::kNever): crash-atomic against process death,
+/// not against power loss. Every atomic replace in the store goes through
+/// here: framed files below, and Scrub's journal rewrite.
+Status WriteFileAtomic(const std::string& path, std::string_view head,
+                       std::string_view body, bool sync);
+
+/// Writes [magic][version][payload_len][crc32][payload] to `path` through
+/// WriteFileAtomic, the 20-byte header as the head and the payload as the
+/// body.
 Status WriteFramedFile(const std::string& path, uint32_t magic,
                        std::string_view payload,
                        uint32_t version = kFormatVersion, bool sync = true);

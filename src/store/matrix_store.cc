@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <string_view>
-#include <unistd.h>
 
 #include "common/fault.h"
 #include "obs/metrics.h"
@@ -402,39 +401,6 @@ SnapshotSalvageResult SalvageSnapshotPayload(std::string_view payload) {
   }
   out.snapshot = AssembleSnapshot(std::move(*core), std::move(triangles));
   return out;
-}
-
-/// Atomic non-framed file replacement (the journal rewrite path — journals
-/// carry per-record CRCs, not a whole-file frame). Same unique-tmp + rename
-/// discipline as the codec's framed writer.
-Status WriteFileAtomic(const std::string& path, std::string_view bytes,
-                       bool sync) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Internal("matrix store: cannot open " + tmp +
-                              " for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code cleanup_ec;
-      fs::remove(tmp, cleanup_ec);
-      return Status::Internal("matrix store: short write to " + tmp);
-    }
-  }
-  if (sync) DPE_RETURN_NOT_OK(SyncPath(tmp));
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return Status::Internal("matrix store: rename " + tmp + " -> " + path +
-                            " failed");
-  }
-  if (!sync) return Status::OK();
-  std::string parent = fs::path(path).parent_path().string();
-  return SyncPath(parent.empty() ? "." : parent);
 }
 
 /// Parses "<stem>.<g>.dpe" -> g. False for every other name — shard, lease
@@ -975,9 +941,9 @@ Result<ScrubReport> MatrixStore::Scrub() {
     }
     report.journal_records_checked += keep.size() + quarantined_records;
     if (quarantined_records == 0 && !scan.torn_tail) continue;  // clean file
-    std::string rewritten = JournalPrologue();
-    for (const std::string& payload : keep) AppendRecord(payload, &rewritten);
-    DPE_RETURN_NOT_OK(WriteFileAtomic(path, rewritten,
+    std::string records;
+    for (const std::string& payload : keep) AppendRecord(payload, &records);
+    DPE_RETURN_NOT_OK(WriteFileAtomic(path, JournalPrologue(), records,
                                       fsync_policy_ != FsyncPolicy::kNever));
     report.journal_rewritten = true;
     report.journal_records_quarantined += quarantined_records;

@@ -239,7 +239,8 @@ class MatrixStore {
   //
   // Fault points (common/fault.h) fire between the steps:
   // store.compaction.{rotate,before_snapshot,after_snapshot,after_manifest,
-  // before_cleanup}, plus store.frame.mid_write inside each framed write.
+  // before_cleanup}, plus store.frame.mid_write inside each atomic file
+  // write (store::WriteFileAtomic).
 
   /// Rotates the journal: future appends go to generation gen+1, freezing
   /// the gen-g journal for folding. `has_work` is false when the frozen
@@ -268,7 +269,7 @@ class MatrixStore {
 
   /// Verifies every snapshot chunk and journal record of the current
   /// generation, quarantines damaged extents, and rewrites the damaged
-  /// files without them (atomic tmp + rename), so a following strict load
+  /// files without them (store::WriteFileAtomic), so a following strict load
   /// succeeds with the surviving state. A triangle is a prefix of rows, so
   /// a damaged chunk truncates its measure to the rows before it and the
   /// measure's later chunks are dropped too. A corrupt MANIFEST is rebuilt from

@@ -21,6 +21,7 @@
 #include "engine/engine.h"
 #include "engine/matrix_builder.h"
 #include "engine/measure_registry.h"
+#include "tests/json_test_util.h"
 #include "tests/scenario_test_util.h"
 #include "workload/scenarios.h"
 
@@ -719,8 +720,10 @@ TEST_F(DriverTest, StatsExposesTheLeaseTableWhileADriveIsActive) {
   e.SetLog(s.log);
 
   // Pin shard 0 with an external fresh lease so the drive must wait for
-  // it: while it waits, Stats() must render the live lease table.
-  auto external = OpenBoard(1, 60000, "host-external");
+  // it: while it waits, Stats() must render the live lease table. The
+  // holder's host carries a quote and a control character, which the
+  // table must escape, not drop.
+  auto external = OpenBoard(1, 60000, "host-external\"\x01");
   ASSERT_TRUE(*external->TryAcquire(0));
 
   std::thread driver_thread([&] {
@@ -742,7 +745,10 @@ TEST_F(DriverTest, StatsExposesTheLeaseTableWhileADriveIsActive) {
   EXPECT_NE(json.find("\"drive_matrix\": \"token\""), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"leases\""), std::string::npos);
-  EXPECT_NE(json.find("host-external"), std::string::npos);
+  EXPECT_NE(json.find("\"holder\":\"host-external\\\"\\u0001\""),
+            std::string::npos)
+      << json;
+  EXPECT_TRUE(testutil::JsonIsBalanced(json)) << json;
   EXPECT_NE(json.find("\"renewals\""), std::string::npos);
   EXPECT_NE(json.find("\"cells\""), std::string::npos)
       << "the lease table must carry per-worker progress";

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "distance/token_distance.h"
+#include "tests/json_test_util.h"
 #include "tests/scenario_test_util.h"
 #include "workload/scenarios.h"
 
@@ -175,76 +176,11 @@ TEST(EngineTest, BatchMiningMatchesDirectCalls) {
   }
 }
 
-TEST(EngineTest, AsyncBuildMatchesSerialReference) {
-  workload::Scenario s = Shop(21, 20);
-  Engine engine(s.Context(), {.threads = 2});
-  engine.SetLog(s.log);
-
-  auto future = engine.BuildMatrixAsync("token");
-  auto built = future.get();
-  ASSERT_TRUE(built.ok()) << built.status();
-
-  distance::TokenDistance token;
-  auto serial = distance::DistanceMatrix::Compute(s.log, token, s.Context());
-  ASSERT_TRUE(serial.ok());
-  ExpectBitIdentical(*serial, *built);
-
-  // The async build shares the cache: a following sync build is all hits.
-  auto second = engine.BuildMatrix("token");
-  ASSERT_TRUE(second.ok());
-  const size_t pairs = 20 * 19 / 2;
-  EXPECT_EQ(engine.cache_stats().hits, pairs);
-  ExpectBitIdentical(*serial, *second);
-}
-
-TEST(EngineTest, AsyncBuildsOverlapAcrossMeasures) {
-  workload::Scenario s = Shop(23, 24);
-  Engine engine(s.Context(), {.threads = 2});
-  engine.SetLog(s.log);
-
-  // Two in-flight builds at once; neither blocks the caller.
-  auto token_future = engine.BuildMatrixAsync("token");
-  auto structure_future = engine.BuildMatrixAsync("structure");
-  auto token = token_future.get();
-  auto structure = structure_future.get();
-  ASSERT_TRUE(token.ok()) << token.status();
-  ASSERT_TRUE(structure.ok()) << structure.status();
-
-  distance::TokenDistance token_measure;
-  auto token_serial =
-      distance::DistanceMatrix::Compute(s.log, token_measure, s.Context());
-  ASSERT_TRUE(token_serial.ok());
-  ExpectBitIdentical(*token_serial, *token);
-
-  auto structure_sync = engine.BuildMatrix("structure");
-  ASSERT_TRUE(structure_sync.ok());
-  ExpectBitIdentical(*structure_sync, *structure);
-}
-
-TEST(EngineTest, DestructorDrainsInFlightAsyncBuilds) {
-  workload::Scenario s = Shop(27, 18);
-  // The future is deliberately dropped without get(): the engine's
-  // destructor must block until the task is done, or the task would touch
-  // destroyed members (caught by the ASan run of this suite).
-  Engine engine(s.Context(), {.threads = 2});
-  engine.SetLog(s.log);
-  engine.BuildMatrixAsync("token");
-  engine.BuildMatrixAsync("structure");
-}
-
-TEST(EngineTest, AsyncBuildOfUnknownMeasureFailsFast) {
-  workload::Scenario s = Shop(2, 5);
-  Engine engine(s.Context(), {.threads = 2});
-  engine.SetLog(s.log);
-  auto future = engine.BuildMatrixAsync("bogus");
-  EXPECT_EQ(future.get().status().code(), StatusCode::kNotFound);
-}
-
-TEST(EngineTest, AsyncBuildsRacingClearCacheStayBitIdentical) {
-  // Two async builds of one measure share its triangle while another thread
-  // keeps dropping it: every result must still be bit-identical, and the
-  // triangle never holds a gap. Under TSan this is the race detector for
-  // the shared triangle map.
+TEST(EngineTest, BuildsRacingClearCacheStayBitIdentical) {
+  // Builds of one measure on this thread extend its triangle while another
+  // thread keeps dropping it: every result must still be bit-identical, and
+  // the triangle never holds a gap. Under TSan this is the race detector
+  // for the triangle map.
   workload::Scenario s = Shop(25, 20);
   Engine engine(s.Context(), {.threads = 2});
   engine.SetLog(s.log);
@@ -259,15 +195,10 @@ TEST(EngineTest, AsyncBuildsRacingClearCacheStayBitIdentical) {
       std::this_thread::yield();
     }
   });
-  for (int round = 0; round < 8; ++round) {
-    auto first = engine.BuildMatrixAsync("token");
-    auto second = engine.BuildMatrixAsync("token");
-    auto a = first.get();
-    auto b = second.get();
-    ASSERT_TRUE(a.ok()) << a.status();
-    ASSERT_TRUE(b.ok()) << b.status();
-    ExpectBitIdentical(*serial, *a);
-    ExpectBitIdentical(*serial, *b);
+  for (int round = 0; round < 16; ++round) {
+    auto built = engine.BuildMatrix("token");
+    ASSERT_TRUE(built.ok()) << built.status();
+    ExpectBitIdentical(*serial, *built);
   }
   stop.store(true, std::memory_order_relaxed);
   clearer.join();
@@ -276,6 +207,46 @@ TEST(EngineTest, AsyncBuildsRacingClearCacheStayBitIdentical) {
   ASSERT_TRUE(warm.ok());
   ExpectBitIdentical(*serial, *warm);
   EXPECT_EQ(engine.cache_size(), 20u * 19 / 2);
+}
+
+TEST(EngineTest, AnyThreadReadsRacingLogMutations) {
+  // The telemetry threads read the engine while the caller replaces and
+  // grows the log. Under TSan this is the race detector for the log size
+  // that log_size(), Stats() and HealthzJson() report; the other readers
+  // of the threading contract ride along.
+  workload::Scenario s = Shop(29, 64);
+  Engine engine(s.Context(), {.threads = 2});
+  std::atomic<bool> stop{false}, reading{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      EXPECT_LE(engine.log_size(), 64u);
+      EXPECT_NE(engine.HealthzJson().find("\"status\":\"ok\""),
+                std::string::npos);
+      EXPECT_FALSE(engine.Stats().info.empty());
+      EXPECT_FALSE(engine.MetricsText().empty());
+      engine.cache_stats();
+      engine.cache_size();
+      engine.cache_bytes_used();
+      engine.checkpoint_attached();
+      engine.checkpoint_generation();
+      engine.last_build_report();
+      engine.trace().ToChromeJson();
+      reading.store(true, std::memory_order_relaxed);
+    }
+  });
+  while (!reading.load(std::memory_order_relaxed)) std::this_thread::yield();
+  for (int round = 0; round < 20; ++round) {
+    engine.SetLog({});
+    for (const sql::SelectQuery& q : s.log) {
+      EXPECT_TRUE(engine.AddQuery(q).ok());
+    }
+    if (round % 5 == 0) {
+      EXPECT_TRUE(engine.BuildMatrix("token").ok());
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_EQ(engine.log_size(), 64u);
 }
 
 TEST(EngineTest, CacheByteBudgetIsEnforcedDuringBuilds) {
@@ -341,6 +312,27 @@ TEST(EngineTest, RegistryAcceptsCustomMeasure) {
   ASSERT_TRUE(mine.ok());
   ASSERT_TRUE(builtin.ok());
   ExpectBitIdentical(*mine, *builtin);
+}
+
+TEST(EngineTest, HealthzJsonQuotesTheMeasureName) {
+  // Register accepts any non-empty name; /healthz must still be JSON.
+  workload::Scenario s = Shop(5, 8);
+  Engine engine(s.Context(), {.threads = 2});
+  engine.SetLog(s.log);
+  ASSERT_TRUE(engine.registry()
+                  .Register("we\"ird\\name",
+                            [] {
+                              return std::make_unique<
+                                  distance::TokenDistance>();
+                            })
+                  .ok());
+  ASSERT_TRUE(engine.BuildMatrix("we\"ird\\name").ok());
+  const std::string json = engine.HealthzJson();
+  EXPECT_NE(json.find("\"measure\":\"we\\\"ird\\\\name\""),
+            std::string::npos)
+      << json;
+  EXPECT_TRUE(testutil::JsonIsBalanced(json)) << json;
+  EXPECT_TRUE(testutil::JsonIsBalanced(engine.Stats().ToJson()));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,16 +58,23 @@ TEST(TelemetryE2eTest, ScrapeDuringAndAfterBuildOverRealHttp) {
   const int port = engine.telemetry_port();
   ASSERT_GT(port, 0);
 
-  // Scrape while a build is (potentially still) in flight: the server must
-  // answer valid exposition text concurrently with the compute.
-  auto future = engine.BuildMatrixAsync("token");
-  obs::HttpResponse mid;
+  // Scrape while a build is (potentially still) in flight on the caller's
+  // thread: the server must answer every endpoint concurrently with the
+  // compute.
+  bool built = false;
+  std::thread caller([&] { built = engine.BuildMatrix("token").ok(); });
   std::string error;
-  ASSERT_TRUE(obs::HttpGet("127.0.0.1", port, "/metrics", 5000, &mid, &error))
-      << error;
-  EXPECT_EQ(mid.status_code, 200);
-  EXPECT_NE(mid.body.find("# TYPE "), std::string::npos);
-  ASSERT_TRUE(future.get().ok());
+  for (const char* path : {"/metrics", "/healthz", "/stats", "/trace"}) {
+    obs::HttpResponse mid;
+    EXPECT_TRUE(obs::HttpGet("127.0.0.1", port, path, 5000, &mid, &error))
+        << path << ": " << error;
+    EXPECT_EQ(mid.status_code, 200) << path;
+    if (std::string_view(path) == "/metrics") {
+      EXPECT_NE(mid.body.find("# TYPE "), std::string::npos);
+    }
+  }
+  caller.join();
+  ASSERT_TRUE(built);
 
   // After the build, the scraped counter is exact.
   obs::HttpResponse done;

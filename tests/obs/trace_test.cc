@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "tests/json_test_util.h"
 
 namespace dpe::obs {
 namespace {
@@ -177,23 +178,7 @@ TEST(TraceTest, ExportIsSafeAgainstConcurrentSpanCompletion) {
   const auto validate = [](const std::string& json, int round) {
     ASSERT_NE(json.find("\"traceEvents\""), std::string::npos);
     ASSERT_EQ(json.back(), '\n');
-    long depth = 0;
-    bool in_string = false, escaped = false;
-    for (char c : json) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = !in_string;
-      } else if (!in_string && (c == '{' || c == '[')) {
-        ++depth;
-      } else if (!in_string && (c == '}' || c == ']')) {
-        --depth;
-        ASSERT_GE(depth, 0);
-      }
-    }
-    ASSERT_EQ(depth, 0) << "unbalanced JSON in round " << round;
+    ASSERT_TRUE(testutil::JsonIsBalanced(json)) << "round " << round;
   };
   for (int round = 0;
        live_writers.load(std::memory_order_relaxed) > 0 && round < 200;

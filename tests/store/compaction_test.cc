@@ -7,7 +7,8 @@
 // MANIFEST) recovers to either the old or the new generation with the
 // exact same materialized state, never a mix. The fork-based crash tests
 // arm common/fault.h die points in a child process and assert the parent
-// can reopen, see the reference state bit-for-bit, and compact again.
+// can reopen, see the reference state bit-for-bit, and compact again;
+// ScrubCrashTest kills Scrub's journal rewrite the same way.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -457,6 +458,73 @@ TEST_F(CheckpointCrashTest, KillDuringEitherWriteCommitsAllOrNothing) {
       }
     }
   }
+}
+
+/// Forked-child body: arm one die point and scrub `dir`; exits 0 only if
+/// the fault never fired.
+[[noreturn]] void ScrubThenExit(const std::string& dir,
+                                const std::string& spec) {
+  if (!common::FaultInjector::Global().Arm(spec)) _exit(10);
+  auto store = MatrixStore::OpenExisting(dir);
+  if (!store.ok()) _exit(11);
+  if (!store->Scrub().ok()) _exit(12);
+  _exit(0);
+}
+
+class ScrubCrashTest : public CompactionTest {};
+
+TEST_F(ScrubCrashTest, KillDuringTheJournalRewriteLeavesARepairableStore) {
+  // Scrub rewrites a damaged journal through the same atomic writer as
+  // every framed file. A kill inside that rewrite leaves the damaged
+  // journal in place; a second scrub then repairs the store to exactly
+  // what an uninterrupted scrub leaves.
+  const fs::path seeded = fs::path(dir_) / "seeded";
+  {
+    auto store = MatrixStore::Open(seeded.string());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->WriteSnapshot(BaseSnapshot()).ok());
+    SeedJournal(*store);
+  }
+  // Flip the last byte of the last record's payload: its checksum fails,
+  // the two records before it survive.
+  const fs::path journal = seeded / "journal.0.dpe";
+  std::string damaged = ReadAllBytes(journal);
+  damaged.back() = static_cast<char>(damaged.back() ^ 0x42);
+  WriteBytes(journal, damaged);
+
+  const fs::path reference_dir = fs::path(dir_) / "reference";
+  const fs::path killed_dir = fs::path(dir_) / "killed";
+  fs::copy(seeded, reference_dir, fs::copy_options::recursive);
+  fs::copy(seeded, killed_dir, fs::copy_options::recursive);
+  {
+    auto store = MatrixStore::OpenExisting(reference_dir.string());
+    ASSERT_TRUE(store.ok());
+    auto report = store->Scrub();
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_TRUE(report->journal_rewritten);
+  }
+  auto expected = Materialize(reference_dir.string());
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(expected->queries.size(), 4u);
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ScrubThenExit(killed_dir.string(), "store.frame.mid_write=die");
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  ASSERT_EQ(WEXITSTATUS(wstatus), 137) << "the fault point never fired";
+  EXPECT_EQ(ReadAllBytes(killed_dir / "journal.0.dpe"), damaged)
+      << "the torn rewrite replaced the journal";
+
+  auto reopened = MatrixStore::OpenExisting(killed_dir.string());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto report = reopened->Scrub();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->journal_rewritten);
+  auto recovered = Materialize(killed_dir.string());
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(*recovered, *expected);
 }
 
 }  // namespace
