@@ -1,42 +1,49 @@
-// Per-kernel throughput of every runnable SIMD backend against scalar —
-// the microbench behind the distance-layer speedup claims.
+// Per-kernel throughput of the distance-layer kernels: the sorted-u32
+// intersection on every runnable backend, and Myers' edit distance over
+// u32 ids and bytes (portable, so timed once).
 //
-// For each kernel (sorted-u32 intersection, Myers/DP edit distance over u32
-// ids and bytes, argmin) and each backend RunnableBackends() reports, the
-// bench first PROVES bit-identity against the scalar table on the exact
-// workload it is about to time (a mismatch aborts the run — a fast wrong
-// kernel must never produce a number), then reports ns/op and the speedup
-// over scalar. Results land in BENCH_simd_kernels.json at the
-// repo root for CI's perf-trajectory archive.
+// Before timing a kernel, the bench checks it against its oracle on the
+// exact workload it is about to time: std::set_intersection for the
+// intersection, the Levenshtein measure's two-row DP
+// (distance::EditDistance) for edit distance. A mismatch aborts the run —
+// a fast wrong kernel must never produce a number. It reports ns/op, and
+// for the intersection the speedup over scalar. Results land in
+// BENCH_simd_kernels.json at the repo root for CI's perf-trajectory
+// archive.
 //
 //   ./bench_simd_kernels           # full sizes
 //   ./bench_simd_kernels --smoke   # tiny sizes for CI (still verifies)
 //
-// On hardware without AVX2/SSE4.2 (or a -DDPE_DISABLE_SIMD build) only the
-// scalar backend runs: the bench then degenerates to a bit-identity check
-// plus a scalar baseline, which is exactly what a 1-CPU/no-SIMD CI leg is
-// for.
+// On hardware without AVX2 (or a -DDPE_DISABLE_SIMD build) only the scalar
+// backend runs: the bench then degenerates to an oracle check plus a
+// scalar baseline, which is exactly what a 1-CPU/no-SIMD CI leg is for.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/simd.h"
+#include "distance/levenshtein_distance.h"
 #include "engine/engine.h"
 
 namespace {
 
-using dpe::common::simd::ArgMinResult;
 using dpe::common::simd::BackendName;
+using dpe::common::simd::EditDistanceBytes;
+using dpe::common::simd::EditDistanceU32;
 using dpe::common::simd::KernelBackend;
 using dpe::common::simd::KernelsFor;
 using dpe::common::simd::KernelTable;
 using dpe::common::simd::RunnableBackends;
+using dpe::distance::EditDistance;
 
 std::vector<uint32_t> SortedUnique(std::mt19937& rng, size_t n,
                                    uint32_t max_value) {
@@ -46,14 +53,36 @@ std::vector<uint32_t> SortedUnique(std::mt19937& rng, size_t n,
   return {s.begin(), s.end()};
 }
 
-double NsPerOp(double ms, size_t ops) { return ms * 1e6 / static_cast<double>(ops); }
+size_t ReferenceIntersect(const std::vector<uint32_t>& a,
+                          const std::vector<uint32_t>& b) {
+  std::vector<uint32_t> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+  return out.size();
+}
 
-[[noreturn]] void IdentityFailure(const char* kernel, KernelBackend backend) {
+[[noreturn]] void OracleFailure(const char* kernel, const char* backend) {
   std::fprintf(stderr,
-               "FATAL: %s kernel on backend %s deviates from scalar — "
+               "FATAL: %s kernel (%s) deviates from its oracle — "
                "refusing to time a wrong kernel\n",
-               kernel, BackendName(backend));
+               kernel, backend);
   std::exit(1);
+}
+
+/// Best-of-`reps` ns per call of `op(p)` over p in [0, ops).
+template <typename Op>
+double BestNsPerOp(size_t ops, int reps, Op op) {
+  volatile size_t sink = 0;
+  double best_ms = 1e100;
+  for (int r = 0; r < reps; ++r) {
+    best_ms = std::min(best_ms, dpe::bench::TimeMs([&] {
+      size_t acc = 0;
+      for (size_t p = 0; p < ops; ++p) acc += op(p);
+      sink = acc;
+    }));
+  }
+  (void)sink;
+  return best_ms * 1e6 / static_cast<double>(ops);
 }
 
 }  // namespace
@@ -64,15 +93,13 @@ int main(int argc, char** argv) {
   const size_t set_len = smoke ? 48 : 96;
   const size_t seq_len = smoke ? 40 : 72;
   const size_t str_len = smoke ? 120 : 240;
-  const size_t row_len = smoke ? 256 : 4096;
   const int reps = smoke ? 1 : 5;
 
   std::mt19937 rng(20260729);
   dpe::bench::JsonReport report("simd_kernels");
-  const KernelTable& scalar = KernelsFor(KernelBackend::kScalar);
 
   // Workloads, generated once and shared by every backend so the numbers
-  // are comparable (and the identity check runs on the timed inputs).
+  // are comparable (and the oracle check runs on the timed inputs).
   std::vector<std::vector<uint32_t>> sets(2 * pairs);
   for (auto& s : sets) s = SortedUnique(rng, set_len, 4 * set_len);
   std::vector<std::vector<uint32_t>> skew_small(pairs), skew_big(8);
@@ -94,199 +121,73 @@ int main(int argc, char** argv) {
       for (char& c : s) c = static_cast<char>(ch(rng));
     }
   }
-  std::vector<double> row(row_len);
-  {
-    std::uniform_real_distribution<double> value(0.0, 1.0);
-    for (double& d : row) d = value(rng);
-  }
 
   std::printf("SIMD kernel bench: %zu pairs/op-batch%s\n", pairs,
               smoke ? " (smoke)" : "");
   std::printf("%-14s %-8s %12s %10s\n", "kernel", "backend", "ns/op",
               "vs scalar");
 
-  struct Timed {
-    const char* kernel;
+  // -- intersection, per backend: balanced sizes, then skewed (galloping) --
+  // `operands(p)` returns pair p's two sets.
+  auto time_intersect = [&](const char* kernel, auto operands) {
     double scalar_ns = 0.0;
-  };
-  Timed rows[5] = {{"intersect"}, {"intersect-skew"}, {"edit-u32"},
-                   {"edit-bytes"}, {"argmin"}};
-
-  for (KernelBackend backend : RunnableBackends()) {
-    const KernelTable& k = KernelsFor(backend);
-
-    // -- intersect (balanced sizes) --
-    {
+    for (KernelBackend backend : RunnableBackends()) {
+      const KernelTable& k = KernelsFor(backend);
+      auto op = [&](size_t p) {
+        const auto& [a, b] = operands(p);
+        return k.intersect(a.data(), a.size(), b.data(), b.size());
+      };
       for (size_t p = 0; p < pairs; ++p) {
-        const auto& a = sets[2 * p];
-        const auto& b = sets[2 * p + 1];
-        if (k.intersect(a.data(), a.size(), b.data(), b.size()) !=
-            scalar.intersect(a.data(), a.size(), b.data(), b.size())) {
-          IdentityFailure("intersect", backend);
+        const auto& [a, b] = operands(p);
+        if (op(p) != ReferenceIntersect(a, b)) {
+          OracleFailure(kernel, BackendName(backend));
         }
       }
-      volatile size_t sink = 0;
-      double best_ms = 1e100;
-      for (int r = 0; r < reps; ++r) {
-        best_ms = std::min(best_ms, dpe::bench::TimeMs([&] {
-          size_t acc = 0;
-          for (size_t p = 0; p < pairs; ++p) {
-            const auto& a = sets[2 * p];
-            const auto& b = sets[2 * p + 1];
-            acc += k.intersect(a.data(), a.size(), b.data(), b.size());
-          }
-          sink = acc;
-        }));
-      }
-      (void)sink;
-      const double ns = NsPerOp(best_ms, pairs);
-      if (backend == KernelBackend::kScalar) rows[0].scalar_ns = ns;
-      std::printf("%-14s %-8s %12.1f %9.2fx\n", "intersect",
-                  BackendName(backend), ns, rows[0].scalar_ns / ns);
+      const double ns = BestNsPerOp(pairs, reps, op);
+      if (backend == KernelBackend::kScalar) scalar_ns = ns;
+      std::printf("%-14s %-8s %12.1f %9.2fx\n", kernel, BackendName(backend),
+                  ns, scalar_ns / ns);
       report.Add("ns_per_op", ns,
-                 {{"kernel", "intersect"}, {"backend", BackendName(backend)}});
-      report.Add("speedup_vs_scalar", rows[0].scalar_ns / ns,
-                 {{"kernel", "intersect"}, {"backend", BackendName(backend)}});
+                 {{"kernel", kernel}, {"backend", BackendName(backend)}});
+      report.Add("speedup_vs_scalar", scalar_ns / ns,
+                 {{"kernel", kernel}, {"backend", BackendName(backend)}});
     }
+  };
+  time_intersect("intersect", [&](size_t p) {
+    return std::tie(sets[2 * p], sets[2 * p + 1]);
+  });
+  time_intersect("intersect-skew", [&](size_t p) {
+    return std::tie(skew_small[p], skew_big[p % skew_big.size()]);
+  });
 
-    // -- intersect (skewed sizes: the galloping path) --
-    {
-      for (size_t p = 0; p < pairs; ++p) {
-        const auto& a = skew_small[p];
-        const auto& b = skew_big[p % skew_big.size()];
-        if (k.intersect(a.data(), a.size(), b.data(), b.size()) !=
-            scalar.intersect(a.data(), a.size(), b.data(), b.size())) {
-          IdentityFailure("intersect-skew", backend);
-        }
-      }
-      volatile size_t sink = 0;
-      double best_ms = 1e100;
-      for (int r = 0; r < reps; ++r) {
-        best_ms = std::min(best_ms, dpe::bench::TimeMs([&] {
-          size_t acc = 0;
-          for (size_t p = 0; p < pairs; ++p) {
-            const auto& a = skew_small[p];
-            const auto& b = skew_big[p % skew_big.size()];
-            acc += k.intersect(a.data(), a.size(), b.data(), b.size());
-          }
-          sink = acc;
-        }));
-      }
-      (void)sink;
-      const double ns = NsPerOp(best_ms, pairs);
-      if (backend == KernelBackend::kScalar) rows[1].scalar_ns = ns;
-      std::printf("%-14s %-8s %12.1f %9.2fx\n", "intersect-skew",
-                  BackendName(backend), ns, rows[1].scalar_ns / ns);
-      report.Add("ns_per_op", ns, {{"kernel", "intersect-skew"},
-                                   {"backend", BackendName(backend)}});
-      report.Add("speedup_vs_scalar", rows[1].scalar_ns / ns,
-                 {{"kernel", "intersect-skew"},
-                  {"backend", BackendName(backend)}});
+  // -- edit distance: portable, so one row per kernel --
+  auto time_edit = [&](const char* kernel, size_t edit_pairs, auto op,
+                       auto oracle) {
+    for (size_t p = 0; p < edit_pairs; ++p) {
+      if (op(p) != oracle(p)) OracleFailure(kernel, "portable");
     }
-
-    // -- edit distance over u32 id sequences --
-    {
-      const size_t edit_pairs = smoke ? pairs : pairs / 20;
-      for (size_t p = 0; p < edit_pairs; ++p) {
+    const double ns = BestNsPerOp(edit_pairs, reps, op);
+    std::printf("%-14s %-8s %12.1f %10s\n", kernel, "portable", ns, "-");
+    report.Add("ns_per_op", ns, {{"kernel", kernel}});
+  };
+  time_edit(
+      "edit-u32", smoke ? pairs : pairs / 20,
+      [&](size_t p) {
         const auto& a = seqs[2 * p];
         const auto& b = seqs[2 * p + 1];
-        if (k.edit_u32(a.data(), a.size(), b.data(), b.size()) !=
-            scalar.edit_u32(a.data(), a.size(), b.data(), b.size())) {
-          IdentityFailure("edit-u32", backend);
-        }
-      }
-      volatile size_t sink = 0;
-      double best_ms = 1e100;
-      for (int r = 0; r < reps; ++r) {
-        best_ms = std::min(best_ms, dpe::bench::TimeMs([&] {
-          size_t acc = 0;
-          for (size_t p = 0; p < edit_pairs; ++p) {
-            const auto& a = seqs[2 * p];
-            const auto& b = seqs[2 * p + 1];
-            acc += k.edit_u32(a.data(), a.size(), b.data(), b.size());
-          }
-          sink = acc;
-        }));
-      }
-      (void)sink;
-      const double ns = NsPerOp(best_ms, edit_pairs);
-      if (backend == KernelBackend::kScalar) rows[2].scalar_ns = ns;
-      std::printf("%-14s %-8s %12.1f %9.2fx\n", "edit-u32",
-                  BackendName(backend), ns, rows[2].scalar_ns / ns);
-      report.Add("ns_per_op", ns,
-                 {{"kernel", "edit-u32"}, {"backend", BackendName(backend)}});
-      report.Add("speedup_vs_scalar", rows[2].scalar_ns / ns,
-                 {{"kernel", "edit-u32"}, {"backend", BackendName(backend)}});
-    }
-
-    // -- edit distance over byte strings --
-    {
-      const size_t edit_pairs = smoke ? pairs : pairs / 40;
-      for (size_t p = 0; p < edit_pairs; ++p) {
+        return EditDistanceU32(a.data(), a.size(), b.data(), b.size());
+      },
+      [&](size_t p) { return EditDistance(seqs[2 * p], seqs[2 * p + 1]); });
+  time_edit(
+      "edit-bytes", smoke ? pairs : pairs / 40,
+      [&](size_t p) {
         const auto& a = strs[2 * p];
         const auto& b = strs[2 * p + 1];
-        if (k.edit_bytes(a.data(), a.size(), b.data(), b.size()) !=
-            scalar.edit_bytes(a.data(), a.size(), b.data(), b.size())) {
-          IdentityFailure("edit-bytes", backend);
-        }
-      }
-      volatile size_t sink = 0;
-      double best_ms = 1e100;
-      for (int r = 0; r < reps; ++r) {
-        best_ms = std::min(best_ms, dpe::bench::TimeMs([&] {
-          size_t acc = 0;
-          for (size_t p = 0; p < edit_pairs; ++p) {
-            const auto& a = strs[2 * p];
-            const auto& b = strs[2 * p + 1];
-            acc += k.edit_bytes(a.data(), a.size(), b.data(), b.size());
-          }
-          sink = acc;
-        }));
-      }
-      (void)sink;
-      const double ns = NsPerOp(best_ms, edit_pairs);
-      if (backend == KernelBackend::kScalar) rows[3].scalar_ns = ns;
-      std::printf("%-14s %-8s %12.1f %9.2fx\n", "edit-bytes",
-                  BackendName(backend), ns, rows[3].scalar_ns / ns);
-      report.Add("ns_per_op", ns,
-                 {{"kernel", "edit-bytes"}, {"backend", BackendName(backend)}});
-      report.Add("speedup_vs_scalar", rows[3].scalar_ns / ns,
-                 {{"kernel", "edit-bytes"}, {"backend", BackendName(backend)}});
-    }
+        return EditDistanceBytes(a.data(), a.size(), b.data(), b.size());
+      },
+      [&](size_t p) { return EditDistance(strs[2 * p], strs[2 * p + 1]); });
 
-    // -- argmin over a matrix row --
-    {
-      const ArgMinResult expect_min = scalar.argmin(row.data(), row.size());
-      const ArgMinResult got_min = k.argmin(row.data(), row.size());
-      if (got_min.value != expect_min.value ||
-          got_min.index != expect_min.index) {
-        IdentityFailure("argmin", backend);
-      }
-      const size_t iters = smoke ? 200 : 20000;
-      volatile double sink = 0.0;
-      double best_ms = 1e100;
-      for (int r = 0; r < reps; ++r) {
-        best_ms = std::min(best_ms, dpe::bench::TimeMs([&] {
-          double acc = 0.0;
-          for (size_t it = 0; it < iters; ++it) {
-            acc += k.argmin(row.data(), row.size()).value;
-          }
-          sink = acc;
-        }));
-      }
-      (void)sink;
-      const double ns = NsPerOp(best_ms, iters);
-      if (backend == KernelBackend::kScalar) rows[4].scalar_ns = ns;
-      std::printf("%-14s %-8s %12.1f %9.2fx\n", "argmin",
-                  BackendName(backend), ns, rows[4].scalar_ns / ns);
-      report.Add("ns_per_op", ns,
-                 {{"kernel", "argmin"}, {"backend", BackendName(backend)}});
-      report.Add("speedup_vs_scalar", rows[4].scalar_ns / ns,
-                 {{"kernel", "argmin"}, {"backend", BackendName(backend)}});
-    }
-  }
-
-  std::printf("bit-identity verified for every backend before timing\n");
+  std::printf("every kernel matched its oracle before timing\n");
   report.Add("backends", static_cast<double>(RunnableBackends().size()));
 
   // One small end-to-end matrix build through the resolved-best backend, so

@@ -20,16 +20,20 @@ echo "== dpe_lint: layer DAG / banned APIs / include hygiene =="
 ./build/dpe_lint .
 
 echo "== scalar-forced backend: dispatch-sensitive suites rerun =="
-# The SIMD dispatch (common/simd.h) honors DPE_KERNEL_BACKEND; rerunning
-# the kernel-touching suites pinned to scalar keeps the fallback path green
-# on hardware where auto-dispatch would otherwise always pick AVX2/SSE4.2.
+# The kernel dispatch (common/simd.h) honors DPE_KERNEL_BACKEND, and the
+# scalar backend differs from AVX2 only in the set-intersection merge
+# behind the token, structure and result distances. Rerunning the suites
+# that reach it pinned to scalar keeps that merge green on hardware where
+# auto-dispatch would always pick AVX2: integration holds the paper's
+# end-to-end checks (DPE preservation, mining equivalence and kNN).
 DPE_KERNEL_BACKEND=scalar ctest --test-dir build --output-on-failure \
-      -R '^(common|distance|engine|mining|store)$'
+      -R '^(common|distance|engine|mining|store|integration)$'
 
 echo "== bench smoke: scaling + kernel benches compile-and-run =="
 # --smoke uses tiny sizes; the binaries hard-fail if any parallel,
-# featurized, sharded or SIMD-backend result deviates from its
-# serial/direct/scalar reference, and all emit BENCH_*.json (at the repo
+# featurized or sharded result deviates from its serial/direct reference,
+# or any kernel from its oracle (std::set_intersection per backend, a
+# two-row DP for edit distance), and all emit BENCH_*.json (at the repo
 # root, wherever they are invoked from) for the perf trajectory.
 (cd build && ./bench/bench_distance_scaling --smoke > /dev/null)
 (cd build && ./bench/bench_mining_scaling --smoke > /dev/null)
@@ -177,8 +181,8 @@ cmake --build build-tsan -j"$JOBS" --target dpe_obs_tests
 (cd build-tsan && ./dpe_obs_tests --gtest_filter='LogTest.*')
 
 echo "== scalar-only compile: DPE_DISABLE_SIMD build + kernel suites =="
-# Simulates a non-x86 target: the SIMD backends are not even compiled, and
-# the dispatch-sensitive suites must pass on the pure scalar table.
+# Simulates a non-x86 target: the AVX2 backend is not even compiled, and
+# the dispatch-sensitive suites must pass on the scalar table alone.
 cmake -B build-noscalar-simd -S . -DDPE_DISABLE_SIMD=ON \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-noscalar-simd -j"$JOBS" \

@@ -21,59 +21,7 @@ namespace dpe::common::simd {
 
 namespace {
 
-// -- Scalar reference kernels ------------------------------------------------
-//
-// These ARE the semantics: every other backend is tested bit-identical to
-// them. The intersection is the same branch-light merge the featurized
-// Jaccard path has always used; the edit distance is the same two-row DP
-// as the Levenshtein measure's reference; argmin mirrors the serial loop in
-// kNN selection.
-
-size_t IntersectScalar(const uint32_t* a, size_t na, const uint32_t* b,
-                       size_t nb) {
-  size_t i = 0, j = 0, count = 0;
-  while (i < na && j < nb) {
-    const uint32_t x = a[i], y = b[j];
-    count += static_cast<size_t>(x == y);
-    i += static_cast<size_t>(x <= y);
-    j += static_cast<size_t>(y <= x);
-  }
-  return count;
-}
-
-template <typename Sym>
-size_t EditDistanceDp(const Sym* a, size_t n, const Sym* b, size_t m) {
-  std::vector<size_t> prev(m + 1), cur(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = j;
-  for (size_t i = 1; i <= n; ++i) {
-    cur[0] = i;
-    for (size_t j = 1; j <= m; ++j) {
-      const size_t substitution = prev[j - 1] + (a[i - 1] != b[j - 1] ? 1 : 0);
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, substitution});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[m];
-}
-
-size_t EditU32Scalar(const uint32_t* a, size_t na, const uint32_t* b,
-                     size_t nb) {
-  return EditDistanceDp(a, na, b, nb);
-}
-
-size_t EditBytesScalar(const char* a, size_t na, const char* b, size_t nb) {
-  return EditDistanceDp(a, na, b, nb);
-}
-
-ArgMinResult ArgMinScalar(const double* v, size_t n) {
-  ArgMinResult best{v[0], 0};
-  for (size_t i = 1; i < n; ++i) {
-    if (v[i] < best.value) best = {v[i], i};  // strict: first min wins ties
-  }
-  return best;
-}
-
-// -- Galloping intersection (shared by the SIMD backends) --------------------
+// -- Galloping intersection (every backend) ----------------------------------
 //
 // When one set is much smaller than the other, a linear merge touches every
 // element of the big set; galloping binary-searches each small element in an
@@ -111,14 +59,35 @@ size_t IntersectGallopOrdered(const uint32_t* a, size_t na, const uint32_t* b,
                   : IntersectGallop(b, nb, a, na);
 }
 
-// -- Myers bit-parallel edit distance (SSE4.2/AVX2 backends) -----------------
+// -- Scalar intersection -----------------------------------------------------
+
+// The branchless merge, also the tail of the AVX2 block loop.
+size_t MergeScalar(const uint32_t* a, size_t na, const uint32_t* b,
+                   size_t nb) {
+  size_t i = 0, j = 0, count = 0;
+  while (i < na && j < nb) {
+    const uint32_t x = a[i], y = b[j];
+    count += static_cast<size_t>(x == y);
+    i += static_cast<size_t>(x <= y);
+    j += static_cast<size_t>(y <= x);
+  }
+  return count;
+}
+
+size_t IntersectScalar(const uint32_t* a, size_t na, const uint32_t* b,
+                       size_t nb) {
+  if (Skewed(na, nb)) return IntersectGallopOrdered(a, na, b, nb);
+  return MergeScalar(a, na, b, nb);
+}
+
+// -- Myers bit-parallel edit distance (every CPU) ----------------------------
 //
 // Hyyrö's formulation of Myers' algorithm: one 64-bit word carries 64 DP
 // cells as vertical-delta bit vectors, advanced per text symbol with ~15
 // word ops; patterns longer than 64 use the blocked variant with the
 // horizontal delta carried between words. The score it maintains is the
-// exact DP value D[m][j], so the result is bit-identical to the reference
-// DP — an integer, tested on block-boundary and adversarial inputs.
+// exact DP value D[m][j], so the result is the integer the two-row DP
+// computes — tested on block-boundary and adversarial inputs.
 //
 // The symbol alphabet is open-ended (interned u32 token ids), so the
 // match-bit table Peq is built per call over the pattern's distinct
@@ -244,57 +213,17 @@ size_t MyersEdit(const Sym* a, size_t na, const Sym* b, size_t nb) {
   return static_cast<size_t>(score);
 }
 
-size_t EditU32Myers(const uint32_t* a, size_t na, const uint32_t* b,
-                    size_t nb) {
-  return MyersEdit(a, na, b, nb);
-}
-
-size_t EditBytesMyers(const char* a, size_t na, const char* b, size_t nb) {
-  // Map char through unsigned char so equal bytes intern to equal symbols
-  // regardless of char's signedness.
-  return MyersEdit(reinterpret_cast<const unsigned char*>(a), na,
-                   reinterpret_cast<const unsigned char*>(b), nb);
-}
-
 #if DPE_SIMD_X86
 
-// -- SSE4.2 4x4 block intersection -------------------------------------------
+// -- AVX2 8x8 block intersection ---------------------------------------------
 //
-// Compare a 4-lane block of A against the 4 rotations of a 4-lane block of
-// B: every (a, b) lane pair meets exactly once, the OR of the equality
+// Compare an 8-lane block of A against the 8 rotations of an 8-lane block
+// of B: every (a, b) lane pair meets exactly once, the OR of the equality
 // masks marks A-lanes with a match (each A element matches at most one B
 // element — the inputs are unique), and popcount(movemask) counts them.
 // Whichever block's max is smaller is exhausted and advances; on equal
 // maxes both advance (any cross match involving the consumed elements was
 // already counted). The tail falls back to the scalar merge.
-
-__attribute__((target("sse4.2"))) size_t IntersectSse42(const uint32_t* a,
-                                                        size_t na,
-                                                        const uint32_t* b,
-                                                        size_t nb) {
-  if (Skewed(na, nb)) return IntersectGallopOrdered(a, na, b, nb);
-  size_t i = 0, j = 0, count = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    const __m128i r0 = _mm_cmpeq_epi32(va, vb);
-    const __m128i r1 =
-        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1)));
-    const __m128i r2 =
-        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2)));
-    const __m128i r3 =
-        _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3)));
-    const __m128i any = _mm_or_si128(_mm_or_si128(r0, r1), _mm_or_si128(r2, r3));
-    count += static_cast<size_t>(
-        __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(any))));
-    const uint32_t amax = a[i + 3], bmax = b[j + 3];
-    i += amax <= bmax ? 4 : 0;
-    j += bmax <= amax ? 4 : 0;
-  }
-  return count + IntersectScalar(a + i, na - i, b + j, nb - j);
-}
-
-// -- AVX2 8x8 block intersection ---------------------------------------------
 
 __attribute__((target("avx2"))) size_t IntersectAvx2(const uint32_t* a,
                                                      size_t na,
@@ -338,94 +267,31 @@ __attribute__((target("avx2"))) size_t IntersectAvx2(const uint32_t* a,
       j += bmax <= amax ? 8 : 0;
     }
   }
-  return count + IntersectScalar(a + i, na - i, b + j, nb - j);
-}
-
-// -- AVX2 argmin -------------------------------------------------------------
-//
-// Four strided lanes each keep their first minimum (strict < on the
-// compare/blend); the horizontal reduction then picks the lowest value
-// and, among equal values, the lowest index — exactly the serial
-// first-min-wins scan, lane by lane (a lane's kept index is its stream's
-// first occurrence; the global first occurrence wins the final index
-// tie-break).
-
-__attribute__((target("avx2"))) ArgMinResult ArgMinAvx2(const double* v,
-                                                        size_t n) {
-  size_t i = 0;
-  ArgMinResult best{v[0], 0};
-  if (n >= 8) {
-    __m256d vmin = _mm256_loadu_pd(v);
-    __m256i vidx = _mm256_set_epi64x(3, 2, 1, 0);
-    __m256i cur = vidx;
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (i = 4; i + 4 <= n; i += 4) {
-      cur = _mm256_add_epi64(cur, step);
-      const __m256d vals = _mm256_loadu_pd(v + i);
-      const __m256d lt = _mm256_cmp_pd(vals, vmin, _CMP_LT_OQ);
-      vmin = _mm256_blendv_pd(vmin, vals, lt);
-      vidx = _mm256_blendv_epi8(vidx, cur, _mm256_castpd_si256(lt));
-    }
-    alignas(32) double lane_val[4];
-    alignas(32) int64_t lane_idx[4];
-    _mm256_store_pd(lane_val, vmin);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_idx), vidx);
-    best = {lane_val[0], static_cast<size_t>(lane_idx[0])};
-    for (int lane = 1; lane < 4; ++lane) {
-      const size_t idx = static_cast<size_t>(lane_idx[lane]);
-      if (lane_val[lane] < best.value ||
-          (lane_val[lane] == best.value && idx < best.index)) {
-        best = {lane_val[lane], idx};
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    if (v[i] < best.value) best = {v[i], i};
-  }
-  return best;
+  return count + MergeScalar(a + i, na - i, b + j, nb - j);
 }
 
 #endif  // DPE_SIMD_X86
 
 // -- Backend tables and resolution -------------------------------------------
 
-constexpr KernelTable kScalarTable = {
-    KernelBackend::kScalar, IntersectScalar, EditU32Scalar,
-    EditBytesScalar,        ArgMinScalar,
-};
+constexpr KernelTable kScalarTable = {KernelBackend::kScalar, IntersectScalar};
 
 #if DPE_SIMD_X86
-constexpr KernelTable kSse42Table = {
-    KernelBackend::kSse42, IntersectSse42, EditU32Myers,
-    EditBytesMyers,        ArgMinScalar,
-};
-
-constexpr KernelTable kAvx2Table = {
-    KernelBackend::kAvx2, IntersectAvx2, EditU32Myers,
-    EditBytesMyers,       ArgMinAvx2,
-};
+constexpr KernelTable kAvx2Table = {KernelBackend::kAvx2, IntersectAvx2};
 #endif
 
 const KernelTable& TableOf(KernelBackend backend) {
 #if DPE_SIMD_X86
-  switch (backend) {
-    case KernelBackend::kAvx2:
-      return kAvx2Table;
-    case KernelBackend::kSse42:
-      return kSse42Table;
-    default:
-      return kScalarTable;
-  }
+  if (backend == KernelBackend::kAvx2) return kAvx2Table;
 #else
   (void)backend;
-  return kScalarTable;
 #endif
+  return kScalarTable;
 }
 
 KernelBackend DetectBackendUncached() {
 #if DPE_SIMD_X86
   if (__builtin_cpu_supports("avx2")) return KernelBackend::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return KernelBackend::kSse42;
 #endif
   return KernelBackend::kScalar;
 }
@@ -442,14 +308,24 @@ KernelBackend ResolveAuto() {
 
 }  // namespace
 
+size_t EditDistanceU32(const uint32_t* a, size_t na, const uint32_t* b,
+                       size_t nb) {
+  return MyersEdit(a, na, b, nb);
+}
+
+size_t EditDistanceBytes(const char* a, size_t na, const char* b, size_t nb) {
+  // Map char through unsigned char so equal bytes intern to equal symbols
+  // regardless of char's signedness.
+  return MyersEdit(reinterpret_cast<const unsigned char*>(a), na,
+                   reinterpret_cast<const unsigned char*>(b), nb);
+}
+
 const char* BackendName(KernelBackend backend) {
   switch (backend) {
     case KernelBackend::kAuto:
       return "auto";
     case KernelBackend::kScalar:
       return "scalar";
-    case KernelBackend::kSse42:
-      return "sse4.2";
     case KernelBackend::kAvx2:
       return "avx2";
   }
@@ -459,11 +335,10 @@ const char* BackendName(KernelBackend backend) {
 Result<KernelBackend> ParseBackend(std::string_view name) {
   if (name == "auto") return KernelBackend::kAuto;
   if (name == "scalar") return KernelBackend::kScalar;
-  if (name == "sse4.2" || name == "sse42") return KernelBackend::kSse42;
   if (name == "avx2") return KernelBackend::kAvx2;
   return Status::InvalidArgument(
       "unknown kernel backend '" + std::string(name) +
-      "' (expected auto, scalar, sse4.2 or avx2)");
+      "' (expected auto, scalar or avx2)");
 }
 
 KernelBackend ApplyEnvBackendOverride(std::string_view value,
@@ -502,11 +377,9 @@ KernelBackend DetectBackend() {
 const std::vector<KernelBackend>& RunnableBackends() {
   static const std::vector<KernelBackend> runnable = [] {
     std::vector<KernelBackend> v{KernelBackend::kScalar};
-#if DPE_SIMD_X86
-    const KernelBackend best = DetectBackendUncached();
-    if (best >= KernelBackend::kSse42) v.push_back(KernelBackend::kSse42);
-    if (best >= KernelBackend::kAvx2) v.push_back(KernelBackend::kAvx2);
-#endif
+    if (DetectBackend() == KernelBackend::kAvx2) {
+      v.push_back(KernelBackend::kAvx2);
+    }
     return v;
   }();
   return runnable;

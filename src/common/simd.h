@@ -1,33 +1,32 @@
-// Runtime-dispatched SIMD kernels for the distance hot paths.
+// Distance-layer kernels: a runtime-dispatched sorted-set intersection and
+// two portable edit-distance functions.
 //
-// The O(n²) pairwise-distance loop is the system's dominant cost, and its
-// inner kernels — sorted-id set intersection (token/structure/result
-// Jaccard), edit distance over interned id sequences (Levenshtein), the
-// argmin reduction over matrix rows (kNN scoring) — are exact
-// integer/double computations. That makes a SIMD backend *testable*, not
-// approximate: every backend must produce the bit-identical distance the
-// scalar reference produces, a property the test suite enforces on
-// adversarial inputs.
+// The O(n²) pairwise-distance loop is the system's dominant cost. Its
+// inner kernels are exact integer computations: |A ∩ B| of two sorted id
+// sets (token/structure/result Jaccard) and the Levenshtein distance of
+// two sequences. Only one of them depends on the instruction set — the
+// merge of two intersection operands of balanced size — so only that one
+// is dispatched:
+//   intersect   scalar: branchless merge | AVX2: 8x8 permute block
+//               (both gallop when one set is >= 32x the other)
+// Myers' bit-parallel edit distance (EditDistanceU32, EditDistanceBytes)
+// and galloping are plain C++ and run on every CPU.
+//
+// Every backend returns the exact count std::set_intersection does, a
+// property the test suite enforces on adversarial inputs, so a backend can
+// change speed but never a distance.
 //
 // Dispatch is resolved at runtime, once, from three sources (highest
 // priority first):
 //   1. an explicit KernelBackend carried in the distance MeasureContext
 //      (set from EngineOptions::kernel_backend — per-engine override),
-//   2. the DPE_KERNEL_BACKEND environment variable ("scalar", "sse4.2",
-//      "avx2", "auto") — the CI/testing override,
-//   3. CPU feature detection (AVX2 > SSE4.2 > scalar).
+//   2. the DPE_KERNEL_BACKEND environment variable ("scalar", "avx2",
+//      "auto") — the CI/testing override,
+//   3. CPU feature detection (AVX2 > scalar).
 // A backend that is not compiled in or not runnable on this CPU degrades
-// to the best runnable one below it — distances are backend-invariant, so
-// a fallback can only ever change speed, never results. Engine entry
-// points additionally validate an explicitly requested backend so a
-// misconfiguration fails loudly instead of silently running scalar.
-//
-// Kernel/backends matrix (see README "Performance"):
-//   intersect   scalar merge | SSE4.2 4x4 shuffle block + gallop
-//                            | AVX2 8x8 permute block + gallop
-//   edit_u32 /  scalar two-row DP | SSE4.2/AVX2: Myers bit-parallel
-//   edit_bytes    (64 DP cells per word op; blocked for length > 64)
-//   argmin      scalar scan | AVX2 4-lane compare/blend (SSE4.2 = scalar)
+// to scalar. Engine entry points additionally validate an explicitly
+// requested backend so a misconfiguration fails loudly instead of
+// silently running scalar.
 //
 // On non-x86 targets only the scalar backend is compiled; building with
 // -DDPE_DISABLE_SIMD simulates that on x86 (used by CI to keep the scalar
@@ -47,51 +46,39 @@ namespace dpe::common::simd {
 
 enum class KernelBackend : uint8_t {
   kAuto = 0,    ///< resolve from env, then CPU detection
-  kScalar = 1,  ///< portable reference kernels (always available)
-  kSse42 = 2,   ///< SSE4.2 block intersection; bit-parallel edit distance
-  kAvx2 = 3,    ///< AVX2 everything
+  kScalar = 1,  ///< branchless merge (always available)
+  kAvx2 = 2,    ///< AVX2 8x8 block merge
 };
 
-/// Stable lowercase name ("auto", "scalar", "sse4.2", "avx2").
+/// Stable lowercase name ("auto", "scalar", "avx2").
 const char* BackendName(KernelBackend backend);
 
-/// Inverse of BackendName; also accepts "sse42". InvalidArgument otherwise.
+/// Inverse of BackendName. InvalidArgument otherwise.
 Result<KernelBackend> ParseBackend(std::string_view name);
 
-/// Result of an argmin reduction: the minimum value and the *lowest* index
-/// attaining it (ties resolve to the earliest element, matching a serial
-/// first-min scan).
-struct ArgMinResult {
-  double value = 0.0;
-  size_t index = 0;
-};
-
-/// One backend's kernel set. All kernels are pure functions; every backend
-/// returns bit-identical results to the scalar entries (exact counts and
-/// IEEE doubles — no reassociation of inexact arithmetic anywhere).
+/// One backend's kernel. Every backend returns the exact count.
 struct KernelTable {
   KernelBackend backend = KernelBackend::kScalar;
 
   /// |A ∩ B| of two sorted unique u32 arrays (either may be empty).
   size_t (*intersect)(const uint32_t* a, size_t na, const uint32_t* b,
                       size_t nb) = nullptr;
-  /// Unit-cost Levenshtein distance between two u32 id sequences — the
-  /// exact integer the reference DP computes.
-  size_t (*edit_u32)(const uint32_t* a, size_t na, const uint32_t* b,
-                     size_t nb) = nullptr;
-  /// Unit-cost Levenshtein distance between two byte strings.
-  size_t (*edit_bytes)(const char* a, size_t na, const char* b,
-                       size_t nb) = nullptr;
-  /// (min value, lowest index attaining it) of v[0..n); n must be >= 1.
-  ArgMinResult (*argmin)(const double* v, size_t n) = nullptr;
 };
+
+/// Unit-cost Levenshtein distance between two u32 id sequences (Myers'
+/// bit-parallel algorithm; the exact integer the two-row DP computes).
+size_t EditDistanceU32(const uint32_t* a, size_t na, const uint32_t* b,
+                       size_t nb);
+
+/// Unit-cost Levenshtein distance between two byte strings.
+size_t EditDistanceBytes(const char* a, size_t na, const char* b, size_t nb);
 
 /// Best backend this CPU can run (ignores overrides). kScalar on non-x86
 /// or when compiled with DPE_DISABLE_SIMD.
 KernelBackend DetectBackend();
 
 /// Backends compiled in AND runnable on this CPU, kScalar first. The
-/// property tests iterate this to compare every backend against scalar.
+/// property tests iterate this to check every backend against an oracle.
 const std::vector<KernelBackend>& RunnableBackends();
 
 /// True when `backend` appears in RunnableBackends() (kAuto is always
@@ -115,8 +102,8 @@ KernelBackend ApplyEnvBackendOverride(std::string_view value,
 
 /// Kernel table for `backend`. kAuto resolves DPE_KERNEL_BACKEND, then
 /// DetectBackend(), and caches the answer. A non-runnable explicit backend
-/// degrades to the best runnable backend below it (results are identical
-/// by construction; use ValidateBackend for loud failure).
+/// degrades to scalar (results are identical by construction; use
+/// ValidateBackend for loud failure).
 const KernelTable& KernelsFor(KernelBackend backend);
 
 /// KernelsFor(kAuto) — the process-wide default table.

@@ -2,9 +2,9 @@
 //
 // Two representations: node-based std::set (the reference path) and sorted
 // unique id spans (the featurized hot path — see distance/features.h). The
-// span path dispatches |A n B| to the runtime-selected SIMD kernel backend
-// (common/simd.h: scalar merge / SSE4.2 4x4 block / AVX2 8x8 block, with a
-// galloping path for skewed sizes). Every backend computes the same exact
+// span path dispatches |A n B| to the runtime-selected kernel backend
+// (common/simd.h: a scalar branchless merge or an AVX2 8x8 block; both
+// gallop for skewed sizes). Every backend computes the same exact
 // cardinalities, so the distances are bit-identical across representations
 // AND backends — a tested property.
 

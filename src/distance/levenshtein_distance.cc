@@ -12,25 +12,6 @@ namespace dpe::distance {
 
 namespace {
 
-// The DP only reads element (in)equality, so it runs unchanged over string
-// vectors (reference), interned id vectors and raw character strings — the
-// equality pattern, hence every table cell, is identical across them.
-template <typename Seq>
-size_t EditDistanceSeq(const Seq& a, const Seq& b) {
-  const size_t n = a.size(), m = b.size();
-  std::vector<size_t> prev(m + 1), cur(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = j;
-  for (size_t i = 1; i <= n; ++i) {
-    cur[0] = i;
-    for (size_t j = 1; j <= m; ++j) {
-      size_t substitution = prev[j - 1] + (a[i - 1] != b[j - 1] ? 1 : 0);
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, substitution});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[m];
-}
-
 double Normalized(size_t edits, size_t len_a, size_t len_b) {
   const size_t longest = std::max(len_a, len_b);
   if (longest == 0) return 0.0;
@@ -39,11 +20,6 @@ double Normalized(size_t edits, size_t len_a, size_t len_b) {
 
 }  // namespace
 
-size_t EditDistance(const std::vector<std::string>& a,
-                    const std::vector<std::string>& b) {
-  return EditDistanceSeq(a, b);
-}
-
 Result<double> LevenshteinDistance::Distance(const sql::SelectQuery& q1,
                                              const sql::SelectQuery& q2,
                                              const MeasureContext& context) const {
@@ -51,21 +27,18 @@ Result<double> LevenshteinDistance::Distance(const sql::SelectQuery& q1,
     const QueryFeatures* f1 = context.features->Find(q1);
     const QueryFeatures* f2 = context.features->Find(q2);
     if (f1 != nullptr && f2 != nullptr) {
-      // Featurized hot path: the dispatched edit-distance kernel (scalar
-      // two-row DP, or the bit-parallel Myers kernel on the SIMD backends —
-      // an exact integer either way, so bit-identical across backends).
-      const common::simd::KernelTable& kernels =
-          common::simd::KernelsFor(context.kernel_backend);
+      // Featurized hot path: Myers' bit-parallel edit distance, the exact
+      // integer EditDistance computes.
       if (granularity_ == Granularity::kTokenSequence) {
-        return Normalized(
-            kernels.edit_u32(f1->token_seq.data(), f1->token_seq.size(),
-                             f2->token_seq.data(), f2->token_seq.size()),
-            f1->token_seq.size(), f2->token_seq.size());
+        return Normalized(common::simd::EditDistanceU32(
+                              f1->token_seq.data(), f1->token_seq.size(),
+                              f2->token_seq.data(), f2->token_seq.size()),
+                          f1->token_seq.size(), f2->token_seq.size());
       }
       const std::string_view s1 = f1->sql, s2 = f2->sql;
-      return Normalized(
-          kernels.edit_bytes(s1.data(), s1.size(), s2.data(), s2.size()),
-          s1.size(), s2.size());
+      return Normalized(common::simd::EditDistanceBytes(s1.data(), s1.size(),
+                                                        s2.data(), s2.size()),
+                        s1.size(), s2.size());
     }
   }
 

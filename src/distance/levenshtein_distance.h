@@ -15,13 +15,36 @@
 #ifndef DPE_DISTANCE_LEVENSHTEIN_DISTANCE_H_
 #define DPE_DISTANCE_LEVENSHTEIN_DISTANCE_H_
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
 #include "distance/measure.h"
 
 namespace dpe::distance {
 
-/// Plain edit distance between two string vectors (exposed for tests).
-size_t EditDistance(const std::vector<std::string>& a,
-                    const std::vector<std::string>& b);
+/// Plain two-row DP edit distance: the un-featurized reference, and the
+/// oracle the tests and bench_simd_kernels check Myers' kernel against. It
+/// reads only element (in)equality, so it runs unchanged over string
+/// vectors, interned id vectors and raw character strings: the equality
+/// pattern, hence every table cell, is the same across them, and the
+/// featurized path's Myers kernel (common/simd.h) returns the same integer.
+template <typename Seq>
+size_t EditDistance(const Seq& a, const Seq& b) {
+  const size_t n = a.size(), m = b.size();
+  std::vector<size_t> prev(m + 1), cur(m + 1);
+  for (size_t j = 0; j <= m; ++j) prev[j] = j;
+  for (size_t i = 1; i <= n; ++i) {
+    cur[0] = i;
+    for (size_t j = 1; j <= m; ++j) {
+      size_t substitution = prev[j - 1] + (a[i - 1] != b[j - 1] ? 1 : 0);
+      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, substitution});
+    }
+    std::swap(prev, cur);
+  }
+  return prev[m];
+}
 
 class LevenshteinDistance final : public QueryDistanceMeasure {
  public:

@@ -1,7 +1,10 @@
 #include "distance/matrix.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace dpe::distance {
@@ -36,7 +39,12 @@ Result<double> DistanceMatrix::MaxAbsDifference(const DistanceMatrix& a,
   }
   double max_diff = 0.0;
   for (size_t i = 0; i < a.cells_.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(a.cells_[i] - b.cells_[i]));
+    const double x = a.cells_[i], y = b.cells_[i];
+    if (std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y)) continue;
+    const double diff = std::fabs(x - y);
+    // std::max would drop a NaN and report the cell as equal.
+    if (std::isnan(diff)) return std::numeric_limits<double>::quiet_NaN();
+    max_diff = std::max(max_diff, diff);
   }
   return max_diff;
 }

@@ -39,8 +39,9 @@ class DistanceMatrix {
     cells_[j * n_ + i] = d;
   }
 
-  /// Contiguous row i (n doubles) — the input the SIMD argmin kernel (kNN
-  /// selection) consumes. i must be < size().
+  /// Contiguous row i (n doubles), for readers that scan a whole row in
+  /// place (kNN selection, complete link, triangle copies). i must be
+  /// < size().
   const double* RowUnchecked(size_t i) const {
     assert(i < n_ && "DistanceMatrix::RowUnchecked out of range");
     return cells_.data() + i * n_;
@@ -54,7 +55,10 @@ class DistanceMatrix {
   /// Bounds-checked symmetric write.
   Status Set(size_t i, size_t j, double d);
 
-  /// Max |a - b| over all cells; matrices must have equal size.
+  /// Max |a - b| over all cells; matrices must have equal size. Cells with
+  /// identical bits differ by 0 (+inf against +inf included). A NaN against
+  /// any other value makes the result NaN, so `== 0.0` never passes it.
+  /// -0.0 against +0.0 differs by 0; only a bit comparison tells them apart.
   static Result<double> MaxAbsDifference(const DistanceMatrix& a,
                                          const DistanceMatrix& b);
 

@@ -46,11 +46,11 @@ struct MeasureContext {
   /// without it (or for queries outside the cache) every measure falls back
   /// to extraction on the fly, bit-identically.
   const FeatureCache* features = nullptr;
-  /// Which SIMD kernel backend the measures' hot loops dispatch to
+  /// Which backend the Jaccard measures' set intersection dispatches to
   /// (common/simd.h). kAuto resolves env + CPU detection; an explicit value
   /// (from EngineOptions::kernel_backend, or forced by tests) pins the
-  /// backend. Every backend is bit-identical to scalar, so this knob can
-  /// only change speed, never distances — a tested property.
+  /// backend. Every backend returns the exact count, so this knob can only
+  /// change speed, never distances — a tested property.
   common::simd::KernelBackend kernel_backend =
       common::simd::KernelBackend::kAuto;
 };

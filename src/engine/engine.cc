@@ -608,9 +608,8 @@ Result<OutlierKnnReport> Engine::RunOutlierKnn(
   // One kNN list per outlier, in index order; the first failure wins.
   report.neighbors.reserve(report.outliers.outliers.size());
   for (size_t outlier : report.outliers.outliers) {
-    DPE_ASSIGN_OR_RETURN(
-        std::vector<size_t> neighbors,
-        mining::NearestNeighbors(m, outlier, k, context_.kernel_backend));
+    DPE_ASSIGN_OR_RETURN(std::vector<size_t> neighbors,
+                         mining::NearestNeighbors(m, outlier, k));
     report.neighbors.push_back(std::move(neighbors));
   }
   return report;

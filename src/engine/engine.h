@@ -65,11 +65,12 @@ struct EngineOptions {
   size_t threads = 0;
   /// Tile edge of the blocked matrix build.
   size_t block = 64;
-  /// SIMD kernel backend for the distance hot paths (common/simd.h).
-  /// kAuto resolves the DPE_KERNEL_BACKEND env var, then CPU detection
-  /// (AVX2 > SSE4.2 > scalar). An explicit value pins the backend for
-  /// every build this engine runs; build entry points reject a backend
-  /// this CPU cannot run. All backends produce bit-identical distances.
+  /// Kernel backend of the set intersection behind the token, structure
+  /// and result distances (common/simd.h). kAuto resolves the
+  /// DPE_KERNEL_BACKEND env var, then CPU detection (AVX2 > scalar). An
+  /// explicit value pins the backend for every build this engine runs;
+  /// build entry points reject a backend this CPU cannot run. All backends
+  /// produce bit-identical distances.
   common::simd::KernelBackend kernel_backend =
       common::simd::KernelBackend::kAuto;
   /// When the persistent store fsyncs (store/codec.h): kNever trades

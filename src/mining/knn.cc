@@ -1,65 +1,46 @@
 #include "mining/knn.h"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <map>
-#include <numeric>
-
-#include "common/simd.h"
+#include <string>
 
 namespace dpe::mining {
 
 Result<std::vector<size_t>> NearestNeighbors(
     const distance::DistanceMatrix& m, size_t i, size_t k,
-    common::simd::KernelBackend backend) {
+    common::simd::KernelBackend /*backend*/) {
   const size_t n = m.size();
   if (i >= n) return Status::OutOfRange("point index out of range");
   if (k >= n) return Status::InvalidArgument("k must be < n");
-  // Snapshot row i once: the selection below then reads a flat array
-  // instead of doing 2-4 matrix accesses per comparison.
-  std::vector<double> row(n);
-  for (size_t j = 0; j < n; ++j) row[j] = m.AtUnchecked(i, j);
-
-  if (4 * k < n) {
-    // Small k (the usual kNN case): k rounds of the vectorized argmin
-    // reduction (common/simd.h), O(k·n/width). Repeatedly extracting the
-    // (min value, lowest index) pair and masking it out enumerates
-    // neighbours in exactly (distance, index) order — the same sequence the
-    // stable sort below produces, so both paths are bit-identical (tested).
-    row[i] = std::numeric_limits<double>::infinity();  // never its own NN
-    const common::simd::KernelTable& kernels =
-        common::simd::KernelsFor(backend);
-    std::vector<size_t> order;
-    order.reserve(k);
-    for (size_t round = 0; round < k; ++round) {
-      const common::simd::ArgMinResult best = kernels.argmin(row.data(), n);
-      order.push_back(best.index);
-      row[best.index] = std::numeric_limits<double>::infinity();
-    }
-    return order;
-  }
-
+  const double* row = m.RowUnchecked(i);
   std::vector<size_t> order;
   order.reserve(n - 1);
   for (size_t j = 0; j < n; ++j) {
-    if (j != i) order.push_back(j);
+    if (j == i) continue;  // never its own neighbour
+    if (std::isnan(row[j])) {
+      // NaN is unordered: the comparator below would be no strict weak
+      // order, and the selection would be arbitrary.
+      return Status::InvalidArgument("NearestNeighbors: cell (" +
+                                     std::to_string(i) + ", " +
+                                     std::to_string(j) + ") is NaN");
+    }
+    order.push_back(j);
   }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (row[a] != row[b]) return row[a] < row[b];
-    return a < b;
-  });
-  order.resize(k);
-  return order;
+  std::partial_sort(order.begin(), order.begin() + k, order.end(),
+                    [row](size_t a, size_t b) {
+                      return row[a] < row[b] || (row[a] == row[b] && a < b);
+                    });
+  // Exactly k indices: callers keep one list per query.
+  return std::vector<size_t>(order.begin(), order.begin() + k);
 }
 
 Result<int> KnnClassify(const distance::DistanceMatrix& m, const Labels& labels,
-                        size_t i, size_t k,
-                        common::simd::KernelBackend backend) {
+                        size_t i, size_t k) {
   if (labels.size() != m.size()) {
     return Status::InvalidArgument("labels size must match matrix size");
   }
-  DPE_ASSIGN_OR_RETURN(std::vector<size_t> nn,
-                       NearestNeighbors(m, i, k, backend));
+  DPE_ASSIGN_OR_RETURN(std::vector<size_t> nn, NearestNeighbors(m, i, k));
   std::map<int, size_t> votes;
   for (size_t j : nn) ++votes[labels[j]];
   int best_label = -1;

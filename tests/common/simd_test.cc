@@ -1,11 +1,12 @@
-// Property tests for the runtime-dispatched SIMD kernel backend: every
-// backend compiled in AND runnable on this CPU must return bit-identical
-// results to the scalar reference kernels, on adversarial inputs — empty
-// inputs, disjoint and identical sets, 1-element-vs-huge skew (the
-// galloping path), and sizes straddling every SIMD width (4/8 lanes for
-// the intersection, the 64-bit word boundary for the Myers edit kernel).
-// On a scalar-only build (non-x86 or -DDPE_DISABLE_SIMD) the loops
-// degenerate to scalar-vs-scalar and still pass — that is the point.
+// Property tests for the distance-layer kernels. Every backend compiled in
+// AND runnable on this CPU must return the exact intersection count
+// std::set_intersection does, on adversarial inputs — empty inputs,
+// disjoint and identical sets, 1-element-vs-huge skew (the galloping
+// path), and sizes straddling the 8-lane AVX2 block. Myers' edit distance
+// must equal the Levenshtein measure's two-row DP (distance::EditDistance)
+// at the 64-bit word boundaries, over bytes and over an open u32 alphabet.
+// On a scalar-only build (non-x86 or -DDPE_DISABLE_SIMD) the backend loops
+// run scalar alone and still check it against the oracle.
 
 #include "common/simd.h"
 
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "distance/levenshtein_distance.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 
@@ -56,10 +58,11 @@ TEST(BackendOverrideTest, UnparseableValueFallsBackWithWarning) {
       [&captured](const obs::LogRecord& r) { captured.push_back(r); });
   const uint64_t before = FallbackCount();
 
+  // "sse4.2" is not a backend name.
   const KernelBackend resolved =
-      ApplyEnvBackendOverride("bogus", KernelBackend::kSse42);
+      ApplyEnvBackendOverride("sse4.2", KernelBackend::kAvx2);
 
-  EXPECT_EQ(resolved, KernelBackend::kSse42);
+  EXPECT_EQ(resolved, KernelBackend::kAvx2);
   EXPECT_EQ(FallbackCount(), before + 1);
   ASSERT_EQ(captured.size(), 1u);
   EXPECT_EQ(captured[0].level, obs::LogLevel::kWarn);
@@ -102,13 +105,14 @@ size_t ReferenceIntersect(const std::vector<uint32_t>& a,
 }
 
 TEST(BackendResolutionTest, NamesRoundTrip) {
-  for (KernelBackend b : {KernelBackend::kAuto, KernelBackend::kScalar,
-                          KernelBackend::kSse42, KernelBackend::kAvx2}) {
+  for (KernelBackend b :
+       {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kAvx2}) {
     auto parsed = ParseBackend(BackendName(b));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, b);
   }
-  EXPECT_TRUE(ParseBackend("sse42").ok());  // alias
+  EXPECT_EQ(ParseBackend("sse4.2").status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseBackend("neon").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseBackend("").status().code(), StatusCode::kInvalidArgument);
@@ -134,7 +138,7 @@ TEST(BackendResolutionTest, TablesReportTheirBackendAndAutoResolves) {
   EXPECT_NE(Kernels().backend, KernelBackend::kAuto);
 }
 
-TEST(IntersectKernelTest, AdversarialCasesMatchScalarOnEveryBackend) {
+TEST(IntersectKernelTest, AdversarialCasesAreExactOnEveryBackend) {
   const std::vector<uint32_t> empty;
   std::vector<uint32_t> ramp(100);
   for (uint32_t i = 0; i < 100; ++i) ramp[i] = 3 * i;
@@ -158,9 +162,8 @@ TEST(IntersectKernelTest, AdversarialCasesMatchScalarOnEveryBackend) {
   }
 }
 
-TEST(IntersectKernelTest, SizesStraddlingSimdWidthMatchScalar) {
+TEST(IntersectKernelTest, SizesStraddlingSimdWidthAreExact) {
   std::mt19937 rng(20260729);
-  const KernelTable& scalar = KernelsFor(KernelBackend::kScalar);
   for (size_t na : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u,
                     32u, 33u, 64u}) {
     for (size_t nb : {0u, 1u, 3u, 4u, 5u, 8u, 9u, 16u, 17u, 33u, 100u}) {
@@ -168,8 +171,6 @@ TEST(IntersectKernelTest, SizesStraddlingSimdWidthMatchScalar) {
         const auto a = SortedUnique(rng, na, density);
         const auto b = SortedUnique(rng, nb, density);
         const size_t expect = ReferenceIntersect(a, b);
-        ASSERT_EQ(scalar.intersect(a.data(), a.size(), b.data(), b.size()),
-                  expect);
         for (KernelBackend backend : RunnableBackends()) {
           const KernelTable& k = KernelsFor(backend);
           EXPECT_EQ(k.intersect(a.data(), a.size(), b.data(), b.size()),
@@ -208,7 +209,11 @@ TEST(IntersectKernelTest, SkewedSizesTakeTheGallopPathAndStayExact) {
   }
 }
 
-TEST(EditKernelTest, KnownDistancesOnEveryBackend) {
+size_t EditBytes(const std::string& a, const std::string& b) {
+  return EditDistanceBytes(a.data(), a.size(), b.data(), b.size());
+}
+
+TEST(EditKernelTest, KnownDistances) {
   struct Case {
     std::string a, b;
     size_t d;
@@ -218,112 +223,49 @@ TEST(EditKernelTest, KnownDistancesOnEveryBackend) {
       {"abc", "abc", 0},   {"kitten", "sitting", 3},
       {"abc", "xyz", 3},   {"ab", "ba", 2},      {"a", "ab", 1},
   };
-  for (KernelBackend backend : RunnableBackends()) {
-    const KernelTable& k = KernelsFor(backend);
-    for (const Case& c : cases) {
-      EXPECT_EQ(k.edit_bytes(c.a.data(), c.a.size(), c.b.data(), c.b.size()),
-                c.d)
-          << BackendName(backend) << " '" << c.a << "' vs '" << c.b << "'";
-    }
+  for (const Case& c : cases) {
+    EXPECT_EQ(EditBytes(c.a, c.b), c.d) << "'" << c.a << "' vs '" << c.b << "'";
   }
 }
 
-TEST(EditKernelTest, WordBoundaryLengthsMatchScalarDp) {
+TEST(EditKernelTest, WordBoundaryLengthsMatchTheDp) {
   // The Myers kernel switches to multi-word bookkeeping past 64 symbols:
   // lengths 63/64/65 and 127/128/129 are where a carry or top-bit bug
-  // would show. Compare against the scalar DP on random strings over a
-  // small alphabet (maximizing matches, the hard case for Peq handling).
+  // would show. Compare against the DP on random strings over a small
+  // alphabet (maximizing matches, the hard case for Peq handling), and
+  // over bytes above 0x7f (a signed char must not split a symbol).
   std::mt19937 rng(7);
-  std::uniform_int_distribution<int> sym('a', 'd');
-  const KernelTable& scalar = KernelsFor(KernelBackend::kScalar);
-  for (size_t la : {1u, 31u, 63u, 64u, 65u, 100u, 127u, 128u, 129u, 200u}) {
-    for (size_t lb : {0u, 1u, 63u, 64u, 65u, 129u}) {
-      std::string a(la, 'x'), b(lb, 'x');
-      for (char& c : a) c = static_cast<char>(sym(rng));
-      for (char& c : b) c = static_cast<char>(sym(rng));
-      const size_t expect =
-          scalar.edit_bytes(a.data(), la, b.data(), lb);
-      for (KernelBackend backend : RunnableBackends()) {
-        const KernelTable& k = KernelsFor(backend);
-        EXPECT_EQ(k.edit_bytes(a.data(), la, b.data(), lb), expect)
-            << BackendName(backend) << " la=" << la << " lb=" << lb;
+  for (int high : {0, 1}) {
+    std::uniform_int_distribution<int> sym(high ? 0xfc : 'a',
+                                           high ? 0xff : 'd');
+    for (size_t la : {1u, 31u, 63u, 64u, 65u, 100u, 127u, 128u, 129u, 200u}) {
+      for (size_t lb : {0u, 1u, 63u, 64u, 65u, 129u}) {
+        std::string a(la, 'x'), b(lb, 'x');
+        for (char& c : a) c = static_cast<char>(sym(rng));
+        for (char& c : b) c = static_cast<char>(sym(rng));
+        const size_t expect = distance::EditDistance(a, b);
+        EXPECT_EQ(EditBytes(a, b), expect) << "la=" << la << " lb=" << lb;
         // Symmetry (the kernel may swap pattern/text internally).
-        EXPECT_EQ(k.edit_bytes(b.data(), lb, a.data(), la), expect)
-            << BackendName(backend) << " swapped la=" << la << " lb=" << lb;
+        EXPECT_EQ(EditBytes(b, a), expect)
+            << "swapped la=" << la << " lb=" << lb;
       }
     }
   }
 }
 
-TEST(EditKernelTest, U32SequencesWithOpenAlphabetMatchScalarDp) {
+TEST(EditKernelTest, U32SequencesWithOpenAlphabetMatchTheDp) {
   // Interned token ids: sparse, unbounded alphabet — exercises the hashed
   // Peq rows (including text symbols absent from the pattern).
   std::mt19937 rng(13);
-  const KernelTable& scalar = KernelsFor(KernelBackend::kScalar);
   for (int round = 0; round < 60; ++round) {
     std::uniform_int_distribution<size_t> len(0, 150);
     std::uniform_int_distribution<uint32_t> sym(0, round % 2 ? 5 : 1000000);
     std::vector<uint32_t> a(len(rng)), b(len(rng));
     for (uint32_t& v : a) v = sym(rng);
     for (uint32_t& v : b) v = sym(rng);
-    const size_t expect =
-        scalar.edit_u32(a.data(), a.size(), b.data(), b.size());
-    for (KernelBackend backend : RunnableBackends()) {
-      const KernelTable& k = KernelsFor(backend);
-      EXPECT_EQ(k.edit_u32(a.data(), a.size(), b.data(), b.size()), expect)
-          << BackendName(backend) << " round " << round;
-    }
-  }
-}
-
-TEST(ArgMinKernelTest, TiesResolveToTheLowestIndexOnEveryBackend) {
-  // All-equal rows, duplicated minima at lane boundaries, and the minimum
-  // planted at every position of an 19-element row.
-  for (KernelBackend backend : RunnableBackends()) {
-    const KernelTable& k = KernelsFor(backend);
-    const std::vector<double> flat(17, 0.25);
-    ArgMinResult r = k.argmin(flat.data(), flat.size());
-    EXPECT_EQ(r.value, 0.25) << BackendName(backend);
-    EXPECT_EQ(r.index, 0u) << BackendName(backend);
-
-    for (size_t pos = 0; pos < 19; ++pos) {
-      std::vector<double> v(19, 0.5);
-      v[pos] = 0.125;
-      v[(pos + 7) % 19] = pos == (pos + 7) % 19 ? 0.125 : 0.25;
-      r = k.argmin(v.data(), v.size());
-      EXPECT_EQ(r.value, 0.125) << BackendName(backend) << " pos=" << pos;
-      EXPECT_EQ(r.index, pos) << BackendName(backend) << " pos=" << pos;
-      // Duplicate the minimum later: the earlier index must still win.
-      v[18] = 0.125;
-      r = k.argmin(v.data(), v.size());
-      EXPECT_EQ(r.index, std::min<size_t>(pos, 18))
-          << BackendName(backend) << " pos=" << pos;
-    }
-  }
-}
-
-TEST(ArgMinKernelTest, RandomRowsMatchScalarAcrossWidths) {
-  std::mt19937 rng(99);
-  std::uniform_real_distribution<double> value(0.0, 1.0);
-  // Few distinct values => frequent exact ties, the adversarial case.
-  std::uniform_int_distribution<int> coarse(0, 3);
-  const KernelTable& scalar = KernelsFor(KernelBackend::kScalar);
-  for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 16u, 17u, 64u, 65u,
-                   257u}) {
-    for (int round = 0; round < 20; ++round) {
-      std::vector<double> v(n);
-      for (double& d : v) {
-        d = round % 2 ? value(rng) : coarse(rng) * 0.25;
-      }
-      const ArgMinResult expect = scalar.argmin(v.data(), n);
-      for (KernelBackend backend : RunnableBackends()) {
-        const ArgMinResult got = KernelsFor(backend).argmin(v.data(), n);
-        EXPECT_EQ(got.value, expect.value)
-            << BackendName(backend) << " n=" << n;
-        EXPECT_EQ(got.index, expect.index)
-            << BackendName(backend) << " n=" << n;
-      }
-    }
+    EXPECT_EQ(EditDistanceU32(a.data(), a.size(), b.data(), b.size()),
+              distance::EditDistance(a, b))
+        << "round " << round;
   }
 }
 

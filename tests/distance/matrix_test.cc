@@ -1,13 +1,15 @@
 // Regression tests for the bounds-checked DistanceMatrix accessors (at/set
 // used to silently read/write out of bounds for any caller other than
-// MaxAbsDifference), plus the DistanceTriangle row layout and its round
-// trips through a matrix.
+// MaxAbsDifference), MaxAbsDifference's NaN and signed-zero rules, plus the
+// DistanceTriangle row layout and its round trips through a matrix.
 
 #include "distance/matrix.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 namespace dpe::distance {
@@ -59,6 +61,32 @@ TEST(DistanceMatrixTest, MaxAbsDifferenceSizeMismatch) {
   DistanceMatrix a(2), b(3);
   EXPECT_EQ(DistanceMatrix::MaxAbsDifference(a, b).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(DistanceMatrixTest, MaxAbsDifferenceIsNanWhenANanMeetsAnotherValue) {
+  // A NaN cell must never read as a difference of 0.
+  DistanceMatrix a(3), b(3);
+  a.set(0, 2, std::numeric_limits<double>::quiet_NaN());
+  b.set(0, 2, 0.5);
+  EXPECT_TRUE(std::isnan(DistanceMatrix::MaxAbsDifference(a, b).value()));
+  EXPECT_TRUE(std::isnan(DistanceMatrix::MaxAbsDifference(b, a).value()));
+}
+
+TEST(DistanceMatrixTest, MaxAbsDifferenceOfSignedZerosIsZero) {
+  DistanceMatrix a(2), b(2);
+  a.set(0, 1, -0.0);
+  b.set(0, 1, 0.0);
+  EXPECT_EQ(DistanceMatrix::MaxAbsDifference(a, b).value(), 0.0);
+}
+
+TEST(DistanceMatrixTest, MaxAbsDifferenceOfIdenticalBitsIsZero) {
+  // Equal NaN bits and +inf against +inf are no difference, though
+  // NaN - NaN and inf - inf are both NaN.
+  DistanceMatrix a(3);
+  a.set(0, 1, std::numeric_limits<double>::quiet_NaN());
+  a.set(0, 2, std::numeric_limits<double>::infinity());
+  const DistanceMatrix b = a;
+  EXPECT_EQ(DistanceMatrix::MaxAbsDifference(a, b).value(), 0.0);
 }
 
 /// A symmetric n x n matrix with distinct cells: d(i, j) = i + j / 64.

@@ -7,39 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <utility>
 
 #include "distance/access_area_distance.h"
 #include "distance/result_distance.h"
 #include "distance/token_distance.h"
 #include "engine/measure_registry.h"
+#include "tests/scenario_test_util.h"
 #include "workload/scenarios.h"
 
 namespace dpe::engine {
 namespace {
 
 using common::ThreadPool;
-
-workload::Scenario Shop(uint64_t seed, size_t log_size) {
-  workload::ScenarioOptions opt;
-  opt.seed = seed;
-  opt.rows_per_relation = 40;
-  opt.log_size = log_size;
-  auto s = workload::MakeShopScenario(opt);
-  EXPECT_TRUE(s.ok()) << s.status();
-  return std::move(s).value();
-}
-
-/// EXPECT bit-identical equality cell by cell (== on doubles, no tolerance).
-void ExpectBitIdentical(const distance::DistanceMatrix& a,
-                        const distance::DistanceMatrix& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < a.size(); ++j) {
-      EXPECT_EQ(a.at(i, j), b.at(i, j)) << "cell (" << i << ", " << j << ")";
-    }
-  }
-}
+using testutil::ExpectBitIdentical;
+using testutil::Shop;
 
 TEST(MatrixBuilderTest, ParallelEqualsSerialAcrossSizesAndThreads) {
   MeasureRegistry registry = MeasureRegistry::WithBuiltins();

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
 #include "mining/knn.h"
 #include "mining/outlier.h"
+#include "tests/mining/random_matrices.h"
 
 namespace dpe::mining {
 namespace {
@@ -65,6 +70,61 @@ TEST(KnnTest, NeighborsSortedByDistanceThenIndex) {
   m.set(2, 3, 0.6);
   auto nn = NearestNeighbors(m, 0, 3).value();
   EXPECT_EQ(nn, (std::vector<size_t>{2, 1, 3}));  // tie 1 vs 3 -> lower index
+}
+
+TEST(KnnTest, SelectionMatchesAFullStableSortForEveryK) {
+  // The selection's order is the plaintext (distance, index) order: a
+  // stable sort of the other indices by distance, cut at k. Tie-heavy
+  // matrices (11 levels) make that index tie-break decide most positions.
+  const size_t n = 37;
+  for (uint32_t seed = 1; seed <= 3; ++seed) {
+    for (const distance::DistanceMatrix& m :
+         {testutil::TieHeavyMatrix(n, seed), testutil::SmoothMatrix(n, seed)}) {
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<size_t> expect;
+        for (size_t j = 0; j < n; ++j) {
+          if (j != i) expect.push_back(j);
+        }
+        std::stable_sort(expect.begin(), expect.end(), [&](size_t a, size_t b) {
+          return m.at(i, a) < m.at(i, b);
+        });
+        for (size_t k = 1; k < n; ++k) {
+          auto nn = NearestNeighbors(m, i, k);
+          ASSERT_TRUE(nn.ok()) << nn.status();
+          EXPECT_EQ(*nn, std::vector<size_t>(expect.begin(),
+                                             expect.begin() + k))
+              << "seed " << seed << ", point " << i << ", k " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(KnnTest, InfiniteCellsNeverReturnThePointItself) {
+  // Row 0 is +inf everywhere but d(0, 8): the second neighbour is the
+  // lowest-indexed +inf cell, never point 0 itself.
+  const double inf = std::numeric_limits<double>::infinity();
+  distance::DistanceMatrix m(9);
+  for (size_t j = 1; j < 9; ++j) m.set(0, j, inf);
+  m.set(0, 8, 0.5);
+  EXPECT_EQ(NearestNeighbors(m, 0, 2).value(), (std::vector<size_t>{8, 1}));
+  EXPECT_EQ(NearestNeighbors(m, 0, 8).value(),
+            (std::vector<size_t>{8, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(KnnTest, NanCellIsInvalidArgument) {
+  distance::DistanceMatrix m(9);
+  for (size_t i = 0; i < 9; ++i) {
+    for (size_t j = i + 1; j < 9; ++j) m.set(i, j, 0.5);
+  }
+  m.set(0, 3, std::numeric_limits<double>::quiet_NaN());
+  auto nn = NearestNeighbors(m, 3, 2);
+  ASSERT_FALSE(nn.ok());
+  EXPECT_EQ(nn.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nn.status().message().find("(3, 0)"), std::string::npos)
+      << nn.status();
+  // Rows without the NaN cell are unaffected.
+  EXPECT_EQ(NearestNeighbors(m, 1, 2).value(), (std::vector<size_t>{0, 2}));
 }
 
 TEST(KnnTest, BoundsChecked) {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iomanip>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,13 +32,22 @@ inline workload::Scenario Shop(uint64_t seed, size_t log_size) {
   return std::move(s).value();
 }
 
-/// Asserts max |a - b| == 0 — bit-identity, not approximate equality.
+/// Asserts every cell of `a` has the bit pattern of the same cell of `b` —
+/// bit-identity, so a NaN never equals 0.5 and -0.0 never equals +0.0 —
+/// and names the first cell that differs.
 inline void ExpectBitIdentical(const distance::DistanceMatrix& a,
                                const distance::DistanceMatrix& b) {
   ASSERT_EQ(a.size(), b.size());
-  auto diff = distance::DistanceMatrix::MaxAbsDifference(a, b);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_EQ(*diff, 0.0);
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t j = 0; j < a.size(); ++j) {
+      const double x = a.at(i, j), y = b.at(i, j);
+      if (std::bit_cast<uint64_t>(x) != std::bit_cast<uint64_t>(y)) {
+        ADD_FAILURE() << "first differing cell (" << i << ", " << j
+                      << "): " << std::setprecision(17) << x << " vs " << y;
+        return;
+      }
+    }
+  }
 }
 
 /// Merges `dir`, where every shard of `plan` already landed, the one way
