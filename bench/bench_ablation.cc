@@ -1,4 +1,5 @@
-// Experiment A1 — ablations of the design choices DESIGN.md calls out:
+// Experiment A1 — ablations of the design choices this implementation makes
+// where the paper leaves room:
 //  (a) global vs per-attribute DET constant keys for token distance
 //      (the counterexample found during design);
 //  (b) Def. 4 vs Def. 1 for the result measure: per-column CryptDB keys

@@ -2,7 +2,9 @@
 // computation over the encrypted artifacts vs the owner-side plaintext
 // computation, as the log grows. Also measures the feature-precompute
 // pipeline: the featurized single-thread build (O(n·lex + n²·merge)) vs the
-// legacy per-pair re-lexing path (O(n²·lex)), verified bit-identical.
+// legacy path, a serial loop over the per-pair reference
+// measure.Distance(q1, q2) that re-lexes both queries (O(n²·lex)), verified
+// bit-identical.
 // Emits BENCH_distance_scaling.json.
 //
 //   $ ./build/bench/bench_distance_scaling           # full sweep, n up to 256
@@ -17,6 +19,25 @@
 using namespace dpe;
 using namespace dpe::core;
 
+namespace {
+
+/// The legacy matrix: every pair through the per-pair reference path.
+Result<distance::DistanceMatrix> ReferenceMatrix(
+    const std::vector<sql::SelectQuery>& log,
+    const distance::QueryDistanceMeasure& measure,
+    const distance::MeasureContext& ctx) {
+  distance::DistanceMatrix m(log.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    for (size_t j = i + 1; j < log.size(); ++j) {
+      DPE_ASSIGN_OR_RETURN(double d, measure.Distance(log[i], log[j], ctx));
+      m.set(i, j, d);
+    }
+  }
+  return m;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
@@ -25,8 +46,9 @@ int main(int argc, char** argv) {
   bench::JsonReport report("distance_scaling");
 
   std::printf("== P3a: feature pipeline, per-pair re-lexing vs precompute ==\n\n");
-  std::printf("(serial 1-thread builds; legacy = DistanceMatrix::Compute,\n"
-              " featurized = MatrixBuilder precompute + merge kernels)\n\n");
+  std::printf("(serial 1-thread builds; legacy = per-pair reference\n"
+              " measure.Distance(q1, q2), featurized = MatrixBuilder\n"
+              " precompute + merge kernels)\n\n");
   std::printf("%-12s %6s %12s %14s %8s %10s\n", "measure", "n", "legacy ms",
               "featurized ms", "speedup", "max|delta|");
   {
@@ -38,7 +60,7 @@ int main(int argc, char** argv) {
       for (MeasureKind kind :
            {MeasureKind::kToken, MeasureKind::kStructure}) {
         auto measure = MakeMeasure(kind);
-        auto legacy = distance::DistanceMatrix::Compute(s.log, *measure, ctx);
+        auto legacy = ReferenceMatrix(s.log, *measure, ctx);
         DPE_BENCH_CHECK(legacy);
         auto featurized = serial_builder.Build(s.log, *measure, ctx);
         DPE_BENCH_CHECK(featurized);
@@ -51,7 +73,7 @@ int main(int argc, char** argv) {
           return 1;
         }
         double legacy_ms = bench::TimeMs([&] {
-          DPE_BENCH_CHECK(distance::DistanceMatrix::Compute(s.log, *measure, ctx));
+          DPE_BENCH_CHECK(ReferenceMatrix(s.log, *measure, ctx));
         });
         double feat_ms = bench::TimeMs(
             [&] { DPE_BENCH_CHECK(serial_builder.Build(s.log, *measure, ctx)); });
@@ -70,8 +92,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n== P3b: distance-matrix computation, plain vs encrypted ==\n\n");
 
-  // Both sides go through the engine's blocked parallel builder (the bit-
-  // identical replacement for the serial DistanceMatrix::Compute).
+  // Both sides go through the engine's blocked parallel builder with one
+  // measure instance: a build prepares its own state and keeps none.
   common::ThreadPool pool;
   engine::MatrixBuilder builder(&pool);
   std::printf("(engine matrix builder, %zu threads)\n\n", pool.thread_count());
@@ -88,8 +110,7 @@ int main(int argc, char** argv) {
       auto artifacts = enc.EncryptAll();
       DPE_BENCH_CHECK(artifacts);
 
-      auto measure_plain = MakeMeasure(kind);
-      auto measure_enc = MakeMeasure(kind);
+      auto measure = MakeMeasure(kind);
 
       distance::MeasureContext plain_ctx;
       plain_ctx.database = &s.database;
@@ -105,11 +126,11 @@ int main(int argc, char** argv) {
       }
 
       double plain_ms = bench::TimeMs([&] {
-        DPE_BENCH_CHECK(builder.Build(s.log, *measure_plain, plain_ctx));
+        DPE_BENCH_CHECK(builder.Build(s.log, *measure, plain_ctx));
       });
       double enc_ms = bench::TimeMs([&] {
         DPE_BENCH_CHECK(
-            builder.Build(artifacts->encrypted_log, *measure_enc, enc_ctx));
+            builder.Build(artifacts->encrypted_log, *measure, enc_ctx));
       });
       std::printf("%-12s %6zu %12.1f %12.1f %8.2f\n", MeasureKindName(kind), n,
                   plain_ms, enc_ms, enc_ms / (plain_ms > 0 ? plain_ms : 1e-9));

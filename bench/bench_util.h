@@ -1,4 +1,4 @@
-// Shared setup helpers for the experiment binaries (DESIGN.md §4).
+// Shared setup helpers for the experiment binaries under bench/.
 
 #ifndef DPE_BENCH_BENCH_UTIL_H_
 #define DPE_BENCH_BENCH_UTIL_H_

@@ -164,15 +164,17 @@ echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # against SetLog/AddQuery, and the seeded triangle differential suite
 # interleaves background compaction, ClearCache, restarts and shard drives
 # (whose merged rows go through the same triangle and journal writes) on
-# one engine. TSan the suites that exercise those interleavings (plus the
-# backoff/fault primitives they are built from); the full matrix stays with
-# ASan above.
+# one engine. MatrixBuilderTest's 4-thread builds of the result and
+# access-area measures have every tile thread read one prepared log (the
+# state each measure's Prepare builds for a build). TSan the suites that
+# exercise those interleavings (plus the backoff/fault primitives they are
+# built from); the full matrix stays with ASan above.
 cmake -B build-tsan -S . -DDPE_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j"$JOBS" \
       --target dpe_engine_tests dpe_common_tests
 (cd build-tsan && ./dpe_engine_tests \
-      --gtest_filter='DriverTest.*:ShardTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*:EngineTest.BuildsRacingClearCacheStayBitIdentical:EngineTest.AnyThreadReadsRacingLogMutations:Seeds/TriangleDifferentialTest.*')
+      --gtest_filter='DriverTest.*:ShardTest.*:MatrixBuilderTest.*:ThreadPoolTest.*:ParallelForTest.*:CompactionTest.*:EngineTest.BuildsRacingClearCacheStayBitIdentical:EngineTest.AnyThreadReadsRacingLogMutations:Seeds/TriangleDifferentialTest.*')
 (cd build-tsan && ./dpe_common_tests \
       --gtest_filter='BackoffTest.*:FaultInjectorTest.*')
 # Log-sink registry: concurrent emitters vs. sink swaps (the regression

@@ -203,9 +203,8 @@ CandidateAudit TestProbNames(const std::string& slot, MeasureKind measure,
     enc_ctx.database = &*artifacts->encrypted_db;
     enc_ctx.exec_options = &artifacts->provider_options;
   }
-  std::unique_ptr<distance::QueryDistanceMeasure> m2 = MakeMeasure(measure);
   Result<distance::DistanceMatrix> scrambled =
-      distance::DistanceMatrix::Compute(artifacts->encrypted_log, *m2, enc_ctx);
+      distance::DistanceMatrix::Compute(artifacts->encrypted_log, *m, enc_ctx);
   if (!scrambled.ok()) {
     // Scrambled names break provider-side computation entirely.
     audit.preserves = false;

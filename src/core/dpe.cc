@@ -8,7 +8,6 @@ Result<DpeMatrices> ComputeBothMatrices(MeasureKind kind,
                                         const db::Database& plain_db,
                                         const db::DomainRegistry& plain_domains) {
   std::unique_ptr<distance::QueryDistanceMeasure> measure = MakeMeasure(kind);
-  std::unique_ptr<distance::QueryDistanceMeasure> enc_measure = MakeMeasure(kind);
 
   distance::MeasureContext plain_ctx;
   plain_ctx.database = &plain_db;
@@ -30,7 +29,7 @@ Result<DpeMatrices> ComputeBothMatrices(MeasureKind kind,
                        distance::DistanceMatrix::Compute(log, *measure, plain_ctx));
   DPE_ASSIGN_OR_RETURN(
       out.encrypted,
-      distance::DistanceMatrix::Compute(artifacts.encrypted_log, *enc_measure,
+      distance::DistanceMatrix::Compute(artifacts.encrypted_log, *measure,
                                         enc_ctx));
   return out;
 }

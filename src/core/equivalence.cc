@@ -313,7 +313,8 @@ Result<EquivalenceReport> CheckResultEquivalence(
     }
 
     // kCiphertext: aggregate queries are validated in decrypted mode only
-    // (Paillier aggregates are probabilistic; DESIGN.md).
+    // (Paillier encryption is probabilistic, so two equal aggregates have
+    // different ciphertexts).
     if (HasAggregate(q)) {
       ++report.skipped;
       continue;

@@ -7,10 +7,10 @@
 //   result equivalence       c = result_tuples   (Def. 4)
 //   access-area equivalence  c = access_A        (§IV-B-4)
 //
-// Result equivalence has two modes (DESIGN.md §2, HOM fine point):
-// kCiphertext compares byte-wise at the onion layer (exact for aggregate-free
-// queries), kDecrypted compares after owner-side decryption (the CryptDB
-// proxy view; covers aggregate queries).
+// Result equivalence has two modes, because Paillier (HOM) aggregates are
+// probabilistic: kCiphertext compares byte-wise at the onion layer (exact
+// for aggregate-free queries), kDecrypted compares after owner-side
+// decryption (the CryptDB proxy view; covers aggregate queries).
 
 #ifndef DPE_CORE_EQUIVALENCE_H_
 #define DPE_CORE_EQUIVALENCE_H_

@@ -429,8 +429,9 @@ Result<Literal> LogEncryptor::EncryptConstant(const std::string& column_key,
       // *numeric* images via a keyed PRF. This keeps the token substitution
       // role-independent: the integer 5 used as a predicate constant and as
       // a LIMIT count is one token of the query string and must have one
-      // image (see DESIGN.md, token fine point). Still class DET: keyed,
-      // deterministic, injective up to PRF collisions.
+      // image (LogEncryptorTest.TokenSchemeLimitGetsSameImageAsEqualConstant).
+      // Still class DET: keyed, deterministic, injective up to PRF
+      // collisions.
       if (spec_.global_const_key) {
         const Bytes prf_key = keys_->Derive(purpose);
         if (literal.kind() == Literal::Kind::kInt) {

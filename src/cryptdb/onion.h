@@ -53,7 +53,8 @@ struct OnionLayout {
   /// measure: per-column keys satisfy Def. 4 (item-wise result equivalence)
   /// but not Def. 1 — plaintext result tuples can coincide across different
   /// attributes (cid = 17 vs age = 17), which per-column ciphertexts never
-  /// do. See DESIGN.md and bench_ablation.
+  /// do. bench_ablation (A1b) measures both settings;
+  /// CryptDbTest.SharedValueKeysLinkEqualValuesAcrossColumns pins this one.
   bool shared_value_keys = false;
 
   ColumnOnionConfig ConfigFor(const std::string& column_key) const {

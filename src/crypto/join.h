@@ -4,8 +4,8 @@
 // Columns assigned to the same join group share one derived key, so equal
 // plaintexts in different columns of a group produce equal ciphertexts and
 // equi-joins execute unmodified over the encrypted database. This mirrors
-// the effect of CryptDB's JOIN-ADJ *after* adjustment (our substitution for
-// the pairing-based construction; see DESIGN.md §2).
+// the effect of CryptDB's JOIN-ADJ *after* adjustment, in place of its
+// pairing-based construction: cross-column equality shows from the start.
 
 #ifndef DPE_CRYPTO_JOIN_H_
 #define DPE_CRYPTO_JOIN_H_

@@ -8,7 +8,8 @@
 //    coins per recursion node. Deviation from the original: the per-node
 //    split is sampled uniformly from the feasible window instead of from the
 //    exact hypergeometric distribution. This affects only the POPF security
-//    equivalence, never order preservation or determinism (DESIGN.md §2).
+//    equivalence, never order preservation or determinism (both checked by
+//    tests/crypto/ope_property_test.cc).
 //
 //  * DictionaryOpe — stateful and exactly order-preserving over a known
 //    domain (the paper's access-area measure already requires sharing the

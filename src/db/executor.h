@@ -37,7 +37,8 @@ struct ExecuteOptions {
 /// even when the numbers coincide. This is forced by the encrypted setting —
 /// the provider computes counts in the clear and cannot map them into the
 /// DET value space — and is applied identically on the plaintext side so
-/// that the measure is the same function on both sides (DESIGN.md §2).
+/// that the measure is the same function on both sides
+/// (CounterexampleTest.CountNeverMatchesProjectedValues).
 enum class OutputKind : char {
   kPlain = 'p',   ///< projected attribute value
   kCount = 'c',   ///< COUNT(...) result

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "sql/lexer.h"
@@ -21,12 +22,9 @@ Result<RawQueryFeatures> ExtractRawFeatures(const sql::SelectQuery& query) {
   return raw;
 }
 
-FeatureCache FeatureCache::Intern(
-    const std::vector<const sql::SelectQuery*>& queries,
-    std::vector<RawQueryFeatures> raw) {
+FeatureCache FeatureCache::Intern(std::vector<RawQueryFeatures> raw) {
   FeatureCache cache;
   cache.features_.resize(raw.size());
-  cache.index_.reserve(raw.size());
 
   // Exact upper bound on the arena: per query, the token sequence, its
   // deduplicated copy (<= sequence length) and the structure ids. Reserving
@@ -86,24 +84,19 @@ FeatureCache FeatureCache::Intern(
     f.token_seq = span_of(seq_begin, seq_end);
     f.token_ids = span_of(ids_begin, ids_end);
     f.structure_ids = span_of(st_begin, st_end);
-
-    cache.index_.emplace(queries[q], q);
   }
   return cache;
 }
 
 Result<FeatureCache> FeatureCache::Compute(
     const std::vector<sql::SelectQuery>& queries) {
-  std::vector<const sql::SelectQuery*> pointers;
-  pointers.reserve(queries.size());
   std::vector<RawQueryFeatures> raw;
   raw.reserve(queries.size());
   for (const sql::SelectQuery& q : queries) {
     DPE_ASSIGN_OR_RETURN(RawQueryFeatures r, ExtractRawFeatures(q));
-    pointers.push_back(&q);
     raw.push_back(std::move(r));
   }
-  return Intern(pointers, std::move(raw));
+  return Intern(std::move(raw));
 }
 
 }  // namespace dpe::distance

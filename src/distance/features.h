@@ -1,13 +1,13 @@
 // Per-query feature precomputation — the fix for the O(n²) re-tokenization
 // in the token-family measures.
 //
-// Without it, every Distance(q1, q2) call re-prints and re-lexes *both*
-// queries: an n-query matrix build performs O(n²) feature extractions for an
+// The reference Distance(q1, q2) re-prints and re-lexes *both* queries: an
+// n-query matrix built that way performs O(n²) feature extractions for an
 // O(n) input. A FeatureCache extracts each query's features exactly once —
 // canonical SQL text, interned token ids (sorted set + ordered sequence),
-// interned structure-feature ids — and the measures' hot paths then run
-// SIMD merge/edit kernels over sorted id spans instead of re-lexing SQL per
-// pair.
+// interned structure-feature ids — and the measures' prepared logs
+// (distance/measure.h) then run SIMD merge/edit kernels over sorted id
+// spans, read by log index, instead of re-lexing SQL per pair.
 //
 // Storage is structure-of-arrays: every interned id of every query lives in
 // ONE flat uint32_t arena, laid out per query in log order
@@ -34,15 +34,15 @@
 //   2. FeatureCache::Intern   — assign ids across the whole log and pack
 //      the arena; serial, cheap (hash-map inserts over already-extracted
 //      strings).
-// FeatureCache::Compute does both serially (the reference path).
+// FeatureCache::Compute does both serially.
 
 #ifndef DPE_DISTANCE_FEATURES_H_
 #define DPE_DISTANCE_FEATURES_H_
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -75,12 +75,11 @@ struct RawQueryFeatures {
 /// Prints, lexes and featurizes one query (phase 1).
 Result<RawQueryFeatures> ExtractRawFeatures(const sql::SelectQuery& query);
 
-/// Precomputed features of a query log, looked up by query identity (the
-/// address of the log's SelectQuery object). A cache is built against one
-/// specific query vector and must not outlive it. Move-only: QueryFeatures
-/// spans alias the arena, so moving transfers them validly (the arena's
-/// heap buffer moves with it) but copying would leave the copy's spans
-/// aliasing the original.
+/// Precomputed features of a query log, addressed by log index: entry i
+/// belongs to the i-th query the cache was computed from. Move-only:
+/// QueryFeatures spans alias the arena, so moving transfers them validly
+/// (the arena's heap buffer moves with it) but copying would leave the
+/// copy's spans aliasing the original.
 ///
 /// Threading contract: the cache is built once (Build populates the SoA
 /// arena, possibly via ParallelFor) and is immutable afterwards, so
@@ -96,22 +95,19 @@ class FeatureCache {
   FeatureCache(const FeatureCache&) = delete;
   FeatureCache& operator=(const FeatureCache&) = delete;
 
-  /// Reference path: extract + intern every query, serially.
+  /// Extracts + interns every query, serially.
   static Result<FeatureCache> Compute(
       const std::vector<sql::SelectQuery>& queries);
 
-  /// Phase 2: interns already-extracted raw features. `queries[i]` is the
-  /// query `raw[i]` was extracted from; the vectors must be aligned. Arena
-  /// order follows input order, so callers passing queries in log order get
-  /// the tile-contiguous layout the blocked builder wants.
-  static FeatureCache Intern(const std::vector<const sql::SelectQuery*>& queries,
-                             std::vector<RawQueryFeatures> raw);
+  /// Phase 2: interns already-extracted raw features; entry i is `raw[i]`.
+  /// Arena order follows input order, so callers passing queries in log
+  /// order get the tile-contiguous layout the blocked builder wants.
+  static FeatureCache Intern(std::vector<RawQueryFeatures> raw);
 
-  /// Features of `q`, or nullptr when `q` is not one of the cached log's
-  /// objects (callers then fall back to extraction on the fly).
-  const QueryFeatures* Find(const sql::SelectQuery& q) const {
-    auto it = index_.find(&q);
-    return it == index_.end() ? nullptr : &features_[it->second];
+  /// Features of query i; i must be < size().
+  const QueryFeatures& operator[](size_t i) const {
+    assert(i < features_.size() && "FeatureCache index out of range");
+    return features_[i];
   }
 
   size_t size() const { return features_.size(); }
@@ -120,7 +116,6 @@ class FeatureCache {
   const std::vector<uint32_t>& arena() const { return arena_; }
 
  private:
-  std::unordered_map<const sql::SelectQuery*, size_t> index_;
   std::vector<QueryFeatures> features_;
   /// One flat pool of interned ids; QueryFeatures spans slice it. Reserved
   /// to its exact upper bound before any span is taken, so it never

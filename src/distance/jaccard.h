@@ -1,7 +1,7 @@
 // Jaccard set distance: d(A, B) = 1 - |A n B| / |A u B|; d(0, 0) = 0.
 //
 // Two representations: node-based std::set (the reference path) and sorted
-// unique id spans (the featurized hot path — see distance/features.h). The
+// unique id spans (the prepared path — see distance/features.h). The
 // span path dispatches |A n B| to the runtime-selected kernel backend
 // (common/simd.h: a scalar branchless merge or an AVX2 8x8 block; both
 // gallop for skewed sizes). Every backend computes the same exact
@@ -16,9 +16,11 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/simd.h"
+#include "distance/measure.h"
 
 namespace dpe::distance {
 
@@ -72,6 +74,26 @@ inline double JaccardDistanceSorted(
   const size_t uni = a.size() + b.size() - intersection;
   return 1.0 - static_cast<double>(intersection) / static_cast<double>(uni);
 }
+
+/// The prepared log of token, structure and result: one sorted unique id set
+/// per log index, viewing a FeatureCache or `arena`, which the log owns (a
+/// moved vector keeps its buffer, so spans into it stay valid).
+class SortedSetsLog final : public PreparedLog {
+ public:
+  SortedSetsLog(std::vector<std::span<const uint32_t>> sets,
+                std::vector<uint32_t> arena,
+                common::simd::KernelBackend backend)
+      : arena_(std::move(arena)), sets_(std::move(sets)), backend_(backend) {}
+
+  double Distance(size_t i, size_t j) const override {
+    return JaccardDistanceSorted(sets_[i], sets_[j], backend_);
+  }
+
+ private:
+  std::vector<uint32_t> arena_;
+  std::vector<std::span<const uint32_t>> sets_;
+  common::simd::KernelBackend backend_;
+};
 
 }  // namespace dpe::distance
 

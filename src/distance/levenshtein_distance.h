@@ -58,6 +58,9 @@ class LevenshteinDistance final : public QueryDistanceMeasure {
                                                        : "levenshtein-char";
   }
   SharedInformation Shared() const override { return {true, false, false}; }
+  Result<std::unique_ptr<PreparedLog>> Prepare(
+      std::span<const sql::SelectQuery> queries, const FeatureCache& features,
+      const MeasureContext& context) const override;
   Result<double> Distance(const sql::SelectQuery& q1, const sql::SelectQuery& q2,
                           const MeasureContext& context) const override;
 

@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
+
+#include "distance/features.h"
 
 namespace dpe::distance {
 
@@ -52,13 +55,13 @@ Result<double> DistanceMatrix::MaxAbsDifference(const DistanceMatrix& a,
 Result<DistanceMatrix> DistanceMatrix::Compute(
     const std::vector<sql::SelectQuery>& queries,
     const QueryDistanceMeasure& measure, const MeasureContext& context) {
-  DPE_RETURN_NOT_OK(measure.Prepare(queries, context));
+  DPE_ASSIGN_OR_RETURN(FeatureCache features, FeatureCache::Compute(queries));
+  DPE_ASSIGN_OR_RETURN(std::unique_ptr<PreparedLog> prepared,
+                       measure.Prepare(queries, features, context));
   DistanceMatrix m(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     for (size_t j = i + 1; j < queries.size(); ++j) {
-      DPE_ASSIGN_OR_RETURN(double d,
-                           measure.Distance(queries[i], queries[j], context));
-      m.set(i, j, d);
+      m.set(i, j, prepared->Distance(i, j));
     }
   }
   return m;

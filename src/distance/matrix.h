@@ -62,9 +62,9 @@ class DistanceMatrix {
   static Result<double> MaxAbsDifference(const DistanceMatrix& a,
                                          const DistanceMatrix& b);
 
-  /// Computes all pairwise distances of `queries` under `measure`, serially.
-  /// This is the reference implementation the engine's parallel builder is
-  /// tested bit-identical against.
+  /// Computes all pairwise distances of `queries` under `measure`, serially,
+  /// through measure.Prepare. The engine's parallel builder is tested
+  /// bit-identical against it.
   static Result<DistanceMatrix> Compute(
       const std::vector<sql::SelectQuery>& queries,
       const QueryDistanceMeasure& measure, const MeasureContext& context);

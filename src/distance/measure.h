@@ -6,10 +6,16 @@
 // implementations run on plaintext and on ciphertext: on the encrypted side
 // the context simply carries the encrypted database / encrypted domains and
 // the provider-side execution options.
+//
+// Prepare turns one log into a PreparedLog that answers Distance(i, j) by
+// log index and cannot fail; the matrix builders run it. Distance(q1, q2,
+// context) is the per-pair reference the property tests hold it to, bit for
+// bit. A measure keeps no state between calls.
 
 #ifndef DPE_DISTANCE_MEASURE_H_
 #define DPE_DISTANCE_MEASURE_H_
 
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,12 +46,6 @@ struct MeasureContext {
   const db::ExecuteOptions* exec_options = nullptr;
   /// Attribute domains (access-area distance).
   const db::DomainRegistry* domains = nullptr;
-  /// Precomputed per-query features (distance/features.h), set by the
-  /// engine's MatrixBuilder for the duration of one build. Optional: with
-  /// it the log-only measures skip re-printing/re-lexing SQL per pair;
-  /// without it (or for queries outside the cache) every measure falls back
-  /// to extraction on the fly, bit-identically.
-  const FeatureCache* features = nullptr;
   /// Which backend the Jaccard measures' set intersection dispatches to
   /// (common/simd.h). kAuto resolves env + CPU detection; an explicit value
   /// (from EngineOptions::kernel_backend, or forced by tests) pins the
@@ -53,6 +53,21 @@ struct MeasureContext {
   /// change speed, never distances — a tested property.
   common::simd::KernelBackend kernel_backend =
       common::simd::KernelBackend::kAuto;
+};
+
+/// A measure's distances over one prepared log, by log index. Immutable, so
+/// any number of threads may call Distance at once. It may view the
+/// FeatureCache it was prepared from, which must outlive it.
+class PreparedLog {
+ public:
+  PreparedLog() = default;
+  PreparedLog(const PreparedLog&) = delete;
+  PreparedLog& operator=(const PreparedLog&) = delete;
+  virtual ~PreparedLog() = default;
+
+  /// d(queries[i], queries[j]), bit-identical to the reference path; i and
+  /// j must be below the prepared log's size.
+  virtual double Distance(size_t i, size_t j) const = 0;
 };
 
 class QueryDistanceMeasure {
@@ -65,19 +80,14 @@ class QueryDistanceMeasure {
   /// Which Table-I shared information this measure needs.
   virtual SharedInformation Shared() const = 0;
 
-  /// Optional per-log precomputation before many Distance calls (e.g. the
-  /// result measure executes each query once here instead of lazily).
-  /// Called single-threaded. Contract: after a successful Prepare over
-  /// `queries`, Distance must be safe to call concurrently for pairs drawn
-  /// from `queries` — the engine's parallel matrix builder relies on this.
-  virtual Status Prepare(std::span<const sql::SelectQuery> queries,
-                         const MeasureContext& context) const {
-    (void)queries;
-    (void)context;
-    return Status::OK();
-  }
+  /// Prepares `queries`, whose features are features[0, queries.size()).
+  /// Every error the reference path could raise for these queries (missing
+  /// shared information, a query that fails to execute) surfaces here.
+  virtual Result<std::unique_ptr<PreparedLog>> Prepare(
+      std::span<const sql::SelectQuery> queries, const FeatureCache& features,
+      const MeasureContext& context) const = 0;
 
-  /// d(q1, q2) in [0, 1].
+  /// Reference d(q1, q2) in [0, 1], computed from the two queries alone.
   virtual Result<double> Distance(const sql::SelectQuery& q1,
                                   const sql::SelectQuery& q2,
                                   const MeasureContext& context) const = 0;

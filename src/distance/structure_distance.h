@@ -12,6 +12,9 @@ class StructureDistance final : public QueryDistanceMeasure {
  public:
   std::string Name() const override { return "structure"; }
   SharedInformation Shared() const override { return {true, false, false}; }
+  Result<std::unique_ptr<PreparedLog>> Prepare(
+      std::span<const sql::SelectQuery> queries, const FeatureCache& features,
+      const MeasureContext& context) const override;
   Result<double> Distance(const sql::SelectQuery& q1, const sql::SelectQuery& q2,
                           const MeasureContext& context) const override;
 };

@@ -394,9 +394,9 @@ class Engine {
   const obs::MetricsPusher* metrics_pusher() const { return pusher_.get(); }
 
  private:
-  /// Instantiates (once) and returns the named measure. Instances are kept
-  /// alive for the engine's lifetime so measure-internal memoization (the
-  /// result measure's tuple-set cache) spans calls.
+  /// Instantiates (once) and returns the named measure. A measure holds no
+  /// per-log state (each build prepares its own), so one instance serves
+  /// every build.
   Result<const distance::QueryDistanceMeasure*> MeasureFor(
       const std::string& name);
 

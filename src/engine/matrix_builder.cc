@@ -18,8 +18,6 @@ Result<distance::FeatureCache> MatrixBuilder::PrecomputeFeatures(
   // Intern packs the SoA arena in log order, so a tile's query range
   // occupies one contiguous arena stripe and the tile's O(block²) pairs run
   // over warm, padding-free spans.
-  std::vector<const sql::SelectQuery*> selected(end);
-  for (size_t q = 0; q < end; ++q) selected[q] = &queries[q];
   std::vector<distance::RawQueryFeatures> raw(end);
 
   // Phase 1 — print + lex + featurize each query, one task per chunk.
@@ -37,20 +35,16 @@ Result<distance::FeatureCache> MatrixBuilder::PrecomputeFeatures(
 
   // Phase 2 — intern serially (cheap; deterministic id assignment).
   obs::TraceSpan intern_span("build.intern", options_.trace);
-  return distance::FeatureCache::Intern(selected, std::move(raw));
+  return distance::FeatureCache::Intern(std::move(raw));
 }
 
-Result<distance::MeasureContext> MatrixBuilder::PreparePrefix(
+Result<std::unique_ptr<distance::PreparedLog>> MatrixBuilder::PreparePrefix(
     const std::vector<sql::SelectQuery>& queries, size_t end,
     const distance::QueryDistanceMeasure& measure,
     const distance::MeasureContext& context,
     distance::FeatureCache* features) const {
   DPE_ASSIGN_OR_RETURN(*features, PrecomputeFeatures(queries, end));
-  distance::MeasureContext ctx = context;
-  ctx.features = features;
-
-  DPE_RETURN_NOT_OK(measure.Prepare(std::span(queries).first(end), ctx));
-  return ctx;
+  return measure.Prepare(std::span(queries).first(end), *features, context);
 }
 
 Result<distance::DistanceMatrix> MatrixBuilder::Build(
@@ -108,27 +102,25 @@ Status MatrixBuilder::ComputeRows(const std::vector<sql::SelectQuery>& queries,
   obs::TraceSpan prepare_span(
       "build.prepare", options_.trace,
       &metrics.histogram("build.stage_ms", {{"stage", "prepare"}}));
+  // `prepared` may view `features`, so `features` is declared first and
+  // outlives it.
   distance::FeatureCache features;
   DPE_ASSIGN_OR_RETURN(
-      distance::MeasureContext ctx,
+      const std::unique_ptr<distance::PreparedLog> prepared,
       PreparePrefix(queries, end, measure, context, &features));
   prepare_span.End();
 
-  // One tile per chunk; ParallelForStatus returns the first failing tile
-  // in schedule order (deterministic error selection). Each cell belongs
-  // to exactly one tile, and so does its mirror, so writing both halves
-  // inside the tile needs no second pass.
+  // One tile per chunk. Each cell belongs to exactly one tile, and so does
+  // its mirror, so writing both halves inside the tile needs no second
+  // pass.
   obs::TraceSpan tiles_span(
       "build.tiles", options_.trace,
       &metrics.histogram("build.stage_ms", {{"stage", "tiles"}}));
   const bool tile_spans =
       options_.trace != nullptr && options_.trace->enabled();
   DPE_RETURN_NOT_OK(common::ParallelForStatus(
-      pool_, 0, tiles.size(), 1, [&](size_t begin, size_t stop) -> Status {
-        // Pool workers inherit the build's trace buffer for the duration of
-        // this chunk, so crypto spans fired from measure code on a worker
-        // thread land in the same trace as the build that caused them.
-        obs::ScopedAmbientTrace ambient(options_.trace);
+      pool_, 0, tiles.size(), 1,
+      [&](size_t begin, size_t stop) -> Status {
         for (size_t t = begin; t < stop; ++t) {
           const auto [rb, cb] = tiles[t];
           std::optional<obs::TraceSpan> tile_span;
@@ -140,19 +132,16 @@ Status MatrixBuilder::ComputeRows(const std::vector<sql::SelectQuery>& queries,
           const size_t r_end = std::min(end, (rb + 1) * block);
           const size_t c_end = std::min(r_end, (cb + 1) * block);
           uint64_t tile_cells = 0;
-          // Column-major within the tile: the smaller index goes first, as
-          // in DistanceMatrix::Compute.
+          // Column-major within the tile: the smaller index goes first, as in
+          // DistanceMatrix::Compute.
           for (size_t c = cb * block; c < c_end; ++c) {
             for (size_t r = std::max(r_begin, c + 1); r < r_end; ++r) {
-              DPE_ASSIGN_OR_RETURN(
-                  const double d,
-                  measure.Distance(queries[c], queries[r], ctx));
-              m->SetUnchecked(c, r, d);
+              m->SetUnchecked(c, r, prepared->Distance(c, r));
               ++tile_cells;
             }
           }
-          // One add per completed tile covers its whole cell set —
-          // per-pair counting would perturb the hot path.
+          // One add per completed tile covers its whole cell set — per-pair
+          // counting would perturb the hot path.
           distance_calls.Increment(tile_cells);
           if (options_.progress_cells != nullptr) {
             options_.progress_cells->fetch_add(tile_cells,

@@ -2,10 +2,11 @@
 //
 // Before any distances are computed, the builder runs the feature-
 // precompute pipeline (distance/features.h): every query is printed, lexed
-// and featurized exactly once — in parallel on the pool — and the resulting
-// FeatureCache is threaded through the MeasureContext so each measure's hot
-// path consumes precomputed features instead of re-lexing SQL per pair.
-// That turns the matrix build from O(n²·lex) into O(n·lex + n²·merge).
+// and featurized exactly once — in parallel on the pool — and the measure
+// prepares the log from the resulting FeatureCache, so the tiles read it by
+// index instead of re-lexing SQL per pair and every error surfaces before
+// the first tile. That turns the matrix build from O(n²·lex) into
+// O(n·lex + n²·merge).
 //
 // The unit of work is a range of triangle rows: ComputeRows fills rows
 // [first, end), row r holding d(c, r) for every c < r. A cold build is rows
@@ -13,16 +14,17 @@
 // rows [a, b). The rows are cut into `block` x `block` squares of the lower
 // triangle; each square is one pool task that writes both halves of its
 // cells, so no two tasks ever write the same cell. Every cell carries the
-// exact value the serial, un-featurized DistanceMatrix::Compute produces
-// (featurization preserves the distances bit-for-bit), so the parallel
-// result is bit-identical to the serial one — a tested guarantee, not a
-// best-effort property.
+// exact value the serial DistanceMatrix::Compute and the per-pair reference
+// Distance(q1, q2) produce (preparation preserves the distances bit for
+// bit), so the parallel result is bit-identical to the serial one — a
+// tested guarantee, not a best-effort property.
 
 #ifndef DPE_ENGINE_MATRIX_BUILDER_H_
 #define DPE_ENGINE_MATRIX_BUILDER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -74,10 +76,10 @@ class MatrixBuilder {
 
   /// Fills triangle rows [first, end) of `m`: every cell (c, r) with c < r
   /// and first <= r < end becomes d(queries[c], queries[r]), written to both
-  /// halves; every other cell keeps its value. Only queries [0, end) are
-  /// featurized and prepared. OutOfRange unless first <= end <= n and
-  /// end <= m->size(); on a failing distance, the first failing tile in
-  /// schedule order wins.
+  /// halves; every other cell keeps its value. Queries [0, end) are
+  /// featurized and prepared on every call, however few rows are asked
+  /// for: an incremental result build re-executes the whole prefix.
+  /// OutOfRange unless first <= end <= n and end <= m->size().
   Status ComputeRows(const std::vector<sql::SelectQuery>& queries,
                      const distance::QueryDistanceMeasure& measure,
                      const distance::MeasureContext& context, size_t first,
@@ -93,10 +95,10 @@ class MatrixBuilder {
   Result<distance::FeatureCache> PrecomputeFeatures(
       const std::vector<sql::SelectQuery>& queries, size_t end) const;
 
-  /// Featurizes queries [0, end) and runs measure.Prepare over them.
-  /// Returns the context to compute distances with; `features` must
-  /// outlive it.
-  Result<distance::MeasureContext> PreparePrefix(
+  /// Featurizes queries [0, end) into `features` and prepares them under
+  /// `measure`. The prepared log may view `features`, which must outlive
+  /// it.
+  Result<std::unique_ptr<distance::PreparedLog>> PreparePrefix(
       const std::vector<sql::SelectQuery>& queries, size_t end,
       const distance::QueryDistanceMeasure& measure,
       const distance::MeasureContext& context,

@@ -1,4 +1,5 @@
-// Abstract syntax tree for the SQL subset of DESIGN.md §5.3.
+// Abstract syntax tree for the SQL subset of the query logs: one SELECT
+// statement, its clauses as SelectQuery lists them.
 //
 // The AST is the canonical in-memory form of a query: the lexer/parser build
 // it, the printer serializes it back to canonical SQL text, the KIT-DPE log

@@ -1,4 +1,4 @@
-// Hand-written SQL lexer for the grammar subset of DESIGN.md §5.3.
+// Hand-written SQL lexer for the grammar subset of sql/ast.h.
 
 #ifndef DPE_SQL_LEXER_H_
 #define DPE_SQL_LEXER_H_

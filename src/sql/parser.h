@@ -1,4 +1,5 @@
-// Recursive-descent parser for the SQL subset (DESIGN.md §5.3).
+// Recursive-descent parser for the SQL subset of sql/ast.h;
+// tests/sql/parser_test.cc pins each construct it accepts or rejects.
 
 #ifndef DPE_SQL_PARSER_H_
 #define DPE_SQL_PARSER_H_

@@ -40,8 +40,9 @@ TEST_F(EquivalenceTest, TokenEquivalenceHoldsForCanonicalScheme) {
 }
 
 TEST_F(EquivalenceTest, TokenEquivalenceFailsWithPerAttributeKeys) {
-  // The counterexample of DESIGN.md: per-attribute constant keys break token
-  // equivalence when the same literal occurs under two attributes.
+  // Per-attribute constant keys break token equivalence when the same
+  // literal occurs under two attributes (the distance-level counterexample
+  // is CounterexampleTest.PerAttributeDetKeysBreakTokenDistance).
   SchemeSpec spec = CanonicalScheme(MeasureKind::kToken);
   spec.global_const_key = false;
   LogEncryptor enc = Make(spec);

@@ -212,7 +212,7 @@ TEST_F(CryptDbTest, RewrittenStarParsesAndHasExplicitColumns) {
 }
 
 TEST_F(CryptDbTest, SharedValueKeysLinkEqualValuesAcrossColumns) {
-  // The result scheme's global JOIN usage mode (DESIGN.md finding 2): with
+  // The result scheme's global JOIN usage mode (OnionLayout, onion.h): with
   // shared_value_keys, equal typed values in different columns encrypt
   // identically, so cross-attribute plaintext tuple collisions survive.
   OnionLayout layout;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "distance/features.h"
 #include "sql/parser.h"
 
 namespace dpe::distance {
@@ -74,11 +77,30 @@ TEST_F(AccessAreaDistanceTest, PointInsideRangeIsOverlap) {
                    0.5);
 }
 
+TEST_F(AccessAreaDistanceTest, EmptyAreaEqualsUnaccessedAttribute) {
+  // b < 5 AND b > 10 accesses b with an empty area. Q2 does not access b,
+  // so b counts in |Attr| with delta 0 (empty against empty), as does a.
+  const auto q1 =
+      sql::Parse("SELECT a FROM r WHERE a = 5 AND b < 5 AND b > 10").value();
+  const auto q2 = sql::Parse("SELECT a FROM r WHERE a = 5").value();
+  for (const AccessAreaDistance::Options& options :
+       {AccessAreaDistance::Options{},
+        AccessAreaDistance::CanonicalDpeOptions()}) {
+    AccessAreaDistance measure(options);
+    EXPECT_EQ(measure.Distance(q1, q2, ctx_).value(), 0.0)
+        << "clip_to_domain " << options.extraction.clip_to_domain;
+  }
+}
+
 TEST_F(AccessAreaDistanceTest, RequiresDomains) {
   AccessAreaDistance measure;
   MeasureContext empty;
-  auto q = sql::Parse("SELECT a FROM r WHERE b = 1").value();
-  EXPECT_FALSE(measure.Distance(q, q, empty).ok());
+  const std::vector<sql::SelectQuery> log = {
+      sql::Parse("SELECT a FROM r WHERE b = 1").value()};
+  EXPECT_FALSE(measure.Distance(log[0], log[0], empty).ok());
+  auto features = FeatureCache::Compute(log).value();
+  EXPECT_EQ(measure.Prepare(log, features, empty).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(AccessAreaDistanceTest, SharedInformationDeclaresDomains) {

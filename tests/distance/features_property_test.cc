@@ -1,24 +1,31 @@
 // Property test for the feature-precompute pipeline: for every built-in
-// measure, the featurized hot path (MeasureContext.features set) returns
-// the exact same distance — bit-identical, not approximately equal — as the
-// un-featurized reference path, over every pair of a generated query log.
+// measure, the prepared path (FeatureCache::Compute, Prepare, then
+// Distance(i, j) by log index) returns the exact same distance —
+// bit-identical, not approximately equal — as the per-pair reference
+// Distance(q1, q2, context), over every pair of a generated query log.
 
 #include "distance/features.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "core/log_encryptor.h"
 #include "distance/access_area_distance.h"
 #include "distance/jaccard.h"
 #include "distance/levenshtein_distance.h"
 #include "distance/result_distance.h"
 #include "distance/structure_distance.h"
 #include "distance/token_distance.h"
+#include "sql/parser.h"
+#include "sql/printer.h"
 #include "tests/scenario_test_util.h"
 
 namespace dpe::distance {
@@ -31,6 +38,9 @@ std::vector<std::unique_ptr<QueryDistanceMeasure>> AllMeasures() {
   measures.push_back(std::make_unique<ResultDistance>());
   measures.push_back(std::make_unique<AccessAreaDistance>(
       AccessAreaDistance::CanonicalDpeOptions()));
+  AccessAreaDistance::Options x03 = AccessAreaDistance::CanonicalDpeOptions();
+  x03.x = 0.3;
+  measures.push_back(std::make_unique<AccessAreaDistance>(x03));
   measures.push_back(std::make_unique<LevenshteinDistance>(
       LevenshteinDistance::Granularity::kTokenSequence));
   measures.push_back(std::make_unique<LevenshteinDistance>(
@@ -41,20 +51,19 @@ std::vector<std::unique_ptr<QueryDistanceMeasure>> AllMeasures() {
 TEST(FeatureCacheTest, ComputesOneEntryPerQuery) {
   workload::Scenario s = testutil::Shop(7, 12);
   auto cache = FeatureCache::Compute(s.log).value();
-  EXPECT_EQ(cache.size(), s.log.size());
-  for (const sql::SelectQuery& q : s.log) {
-    const QueryFeatures* f = cache.Find(q);
-    ASSERT_NE(f, nullptr);
-    EXPECT_FALSE(f->sql.empty());
-    EXPECT_FALSE(f->token_seq.empty());
+  ASSERT_EQ(cache.size(), s.log.size());
+  for (size_t i = 0; i < cache.size(); ++i) {
+    const QueryFeatures& f = cache[i];
+    EXPECT_EQ(f.sql, sql::ToSql(s.log[i]));
+    EXPECT_FALSE(f.token_seq.empty());
     // token_ids is the sorted unique projection of token_seq.
-    std::vector<uint32_t> expect(f->token_seq.begin(), f->token_seq.end());
+    std::vector<uint32_t> expect(f.token_seq.begin(), f.token_seq.end());
     std::sort(expect.begin(), expect.end());
     expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
-    EXPECT_TRUE(std::equal(f->token_ids.begin(), f->token_ids.end(),
+    EXPECT_TRUE(std::equal(f.token_ids.begin(), f.token_ids.end(),
                            expect.begin(), expect.end()));
-    EXPECT_TRUE(std::is_sorted(f->structure_ids.begin(),
-                               f->structure_ids.end()));
+    EXPECT_TRUE(std::is_sorted(f.structure_ids.begin(),
+                               f.structure_ids.end()));
   }
 }
 
@@ -67,77 +76,110 @@ TEST(FeatureCacheTest, SpansSliceOneArenaInLogOrder) {
   const std::vector<uint32_t>& arena = cache.arena();
   const uint32_t* base = arena.data();
   const uint32_t* cursor = base;
-  for (const sql::SelectQuery& q : s.log) {
-    const QueryFeatures* f = cache.Find(q);
-    ASSERT_NE(f, nullptr);
+  for (size_t i = 0; i < cache.size(); ++i) {
+    const QueryFeatures& f = cache[i];
     // Per-query stripe: [token_seq][token_ids][structure_ids], contiguous.
-    EXPECT_EQ(f->token_seq.data(), cursor);
-    EXPECT_EQ(f->token_ids.data(), f->token_seq.data() + f->token_seq.size());
-    EXPECT_EQ(f->structure_ids.data(),
-              f->token_ids.data() + f->token_ids.size());
-    cursor = f->structure_ids.data() + f->structure_ids.size();
-    EXPECT_GE(f->token_seq.data(), base);
+    EXPECT_EQ(f.token_seq.data(), cursor);
+    EXPECT_EQ(f.token_ids.data(), f.token_seq.data() + f.token_seq.size());
+    EXPECT_EQ(f.structure_ids.data(),
+              f.token_ids.data() + f.token_ids.size());
+    cursor = f.structure_ids.data() + f.structure_ids.size();
+    EXPECT_GE(f.token_seq.data(), base);
     EXPECT_LE(cursor, base + arena.size());
   }
   EXPECT_EQ(cursor, base + arena.size());
 }
 
-TEST(FeatureCacheTest, FindIsIdentityBasedSoCopiesFallBack) {
-  workload::Scenario s = testutil::Shop(7, 4);
-  auto cache = FeatureCache::Compute(s.log).value();
-  sql::SelectQuery copy = s.log[0];
-  EXPECT_EQ(cache.Find(copy), nullptr);
-  EXPECT_NE(cache.Find(s.log[0]), nullptr);
+// The log the property runs on: a shop log, two exact repeats (the result
+// measure executes each distinct text once and shares its ids), and a pair
+// whose access areas differ only by an empty area on age (the
+// contradiction age < 20 AND age > 30), which must count like an
+// unaccessed attribute (delta 0).
+std::vector<sql::SelectQuery> PropertyLog(const workload::Scenario& s) {
+  std::vector<sql::SelectQuery> log = s.log;
+  log.push_back(s.log[3]);
+  log.push_back(s.log[7]);
+  log.push_back(sql::Parse("SELECT cid FROM customers WHERE cid = 5 AND "
+                           "age < 20 AND age > 30")
+                    .value());
+  log.push_back(sql::Parse("SELECT cid FROM customers WHERE cid = 5").value());
+  return log;
 }
 
-// The tentpole property: featurized == un-featurized, bit for bit, for all
-// six measures over all pairs. Separate measure instances per path so the
-// featurized one cannot reuse reference-path internal caches.
-TEST(FeaturizedDistanceProperty, BitIdenticalToReferenceForAllMeasures) {
-  workload::Scenario s = testutil::Shop(42, 30);
-  distance::MeasureContext reference_ctx = s.Context();
-  auto cache = FeatureCache::Compute(s.log).value();
-  distance::MeasureContext featurized_ctx = reference_ctx;
-  featurized_ctx.features = &cache;
-
-  auto reference_measures = AllMeasures();
-  auto featurized_measures = AllMeasures();
-  for (size_t mi = 0; mi < reference_measures.size(); ++mi) {
-    const QueryDistanceMeasure& reference = *reference_measures[mi];
-    const QueryDistanceMeasure& featurized = *featurized_measures[mi];
-    ASSERT_TRUE(reference.Prepare(s.log, reference_ctx).ok()) << reference.Name();
-    ASSERT_TRUE(featurized.Prepare(s.log, featurized_ctx).ok()) << featurized.Name();
-    for (size_t i = 0; i < s.log.size(); ++i) {
-      for (size_t j = i + 1; j < s.log.size(); ++j) {
-        auto expect = reference.Distance(s.log[i], s.log[j], reference_ctx);
-        auto got = featurized.Distance(s.log[i], s.log[j], featurized_ctx);
-        ASSERT_TRUE(expect.ok()) << reference.Name();
-        ASSERT_TRUE(got.ok()) << featurized.Name();
-        // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the claim is bit-identity.
-        EXPECT_EQ(*got, *expect)
-            << reference.Name() << " pair (" << i << ", " << j << ")";
+// Prepared == reference, bit for bit, for every measure whose Table-I
+// shared information `context` carries, over every ordered pair (i, j) of
+// `log`, the diagonal included.
+void ExpectPreparedEqualsReference(const std::vector<sql::SelectQuery>& log,
+                                   const MeasureContext& context,
+                                   const std::string& label) {
+  auto features = FeatureCache::Compute(log);
+  ASSERT_TRUE(features.ok()) << label << ": " << features.status();
+  size_t checked = 0;
+  for (const auto& measure : AllMeasures()) {
+    const SharedInformation shared = measure->Shared();
+    if ((shared.db_content && context.database == nullptr) ||
+        (shared.domains && context.domains == nullptr)) {
+      continue;
+    }
+    const std::string name = label + " " + measure->Name() + " #" +
+                             std::to_string(checked++);
+    auto prepared = measure->Prepare(log, *features, context);
+    ASSERT_TRUE(prepared.ok()) << name << ": " << prepared.status();
+    for (size_t i = 0; i < log.size(); ++i) {
+      for (size_t j = 0; j < log.size(); ++j) {
+        auto expect = measure->Distance(log[i], log[j], context);
+        ASSERT_TRUE(expect.ok()) << name << ": " << expect.status();
+        const double got = (*prepared)->Distance(i, j);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                  std::bit_cast<uint64_t>(*expect))
+            << name << " pair (" << i << ", " << j << "): " << got << " vs "
+            << *expect;
       }
     }
   }
+  EXPECT_GE(checked, 4u) << label;
 }
 
-// A query outside the cache falls back to extraction on the fly and still
-// matches the reference path exactly.
-TEST(FeaturizedDistanceProperty, UncachedQueryFallsBackBitIdentically) {
-  workload::Scenario s = testutil::Shop(3, 6);
-  std::vector<sql::SelectQuery> cached_log(s.log.begin(), s.log.end() - 1);
-  auto cache = FeatureCache::Compute(cached_log).value();
-  distance::MeasureContext ctx = s.Context();
-  distance::MeasureContext featurized_ctx = ctx;
-  featurized_ctx.features = &cache;
+// The tentpole property: the prepared path equals the per-pair reference
+// for all six measures (access-area also at a non-dyadic x, where a changed
+// summation order would show), on plaintext and on the ciphertexts of each
+// Table-I scheme.
+TEST(FeaturizedDistanceProperty, BitIdenticalToReferenceForAllMeasures) {
+  workload::Scenario s = testutil::Shop(42, 30);
+  const std::vector<sql::SelectQuery> log = PropertyLog(s);
+  ExpectPreparedEqualsReference(log, s.Context(), "plaintext");
 
-  TokenDistance token;
-  const sql::SelectQuery& outside = s.log.back();
-  auto expect = token.Distance(cached_log[0], outside, ctx);
-  auto got = token.Distance(cached_log[0], outside, featurized_ctx);
-  ASSERT_TRUE(expect.ok());
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *expect);
+  crypto::KeyManager keys("prepared-vs-reference");
+  core::LogEncryptor::Options options;
+  options.paillier_bits = 256;
+  options.ope_range_bits = 80;
+  options.rng_seed = "prepared";
+  for (core::MeasureKind kind :
+       {core::MeasureKind::kToken, core::MeasureKind::kStructure,
+        core::MeasureKind::kResult, core::MeasureKind::kAccessArea}) {
+    auto enc = core::LogEncryptor::Create(core::CanonicalScheme(kind), keys,
+                                          s.database, log, s.domains, options);
+    ASSERT_TRUE(enc.ok()) << enc.status();
+    auto artifacts = enc->EncryptAll();
+    ASSERT_TRUE(artifacts.ok()) << artifacts.status();
+    // The schemes that share more than the log share it here, so the
+    // result and access-area measures run on their own ciphertexts.
+    ASSERT_EQ(artifacts->encrypted_db.has_value(),
+              kind == core::MeasureKind::kResult);
+    ASSERT_EQ(artifacts->encrypted_domains.has_value(),
+              kind == core::MeasureKind::kAccessArea);
+    MeasureContext context;
+    if (artifacts->encrypted_db.has_value()) {
+      context.database = &*artifacts->encrypted_db;
+      context.exec_options = &artifacts->provider_options;
+    }
+    if (artifacts->encrypted_domains.has_value()) {
+      context.domains = &*artifacts->encrypted_domains;
+    }
+    ExpectPreparedEqualsReference(
+        artifacts->encrypted_log, context,
+        std::string(core::MeasureKindName(kind)) + " ciphertexts");
+  }
 }
 
 // Merge-intersection kernel vs std::set_intersection on random sorted

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <optional>
+#include <vector>
+
+#include "distance/features.h"
 #include "sql/parser.h"
 
 namespace dpe::distance {
@@ -64,32 +69,59 @@ TEST_F(ResultDistanceTest, DifferentArityTuplesAreDisjoint) {
 TEST_F(ResultDistanceTest, RequiresDatabase) {
   ResultDistance measure;
   MeasureContext empty;
-  auto q = sql::Parse("SELECT id FROM t").value();
-  EXPECT_FALSE(measure.Distance(q, q, empty).ok());
+  const std::vector<sql::SelectQuery> log = {
+      sql::Parse("SELECT id FROM t").value()};
+  EXPECT_FALSE(measure.Distance(log[0], log[0], empty).ok());
+  auto features = FeatureCache::Compute(log).value();
+  EXPECT_EQ(measure.Prepare(log, features, empty).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(ResultDistanceTest, ExecutionErrorsPropagate) {
-  auto q1 = sql::Parse("SELECT id FROM t").value();
-  auto q2 = sql::Parse("SELECT id FROM missing").value();
-  EXPECT_FALSE(measure_.Distance(q1, q2, ctx_).ok());
+  const std::vector<sql::SelectQuery> log = {
+      sql::Parse("SELECT id FROM t").value(),
+      sql::Parse("SELECT id FROM missing").value()};
+  EXPECT_FALSE(measure_.Distance(log[0], log[1], ctx_).ok());
+  // The prepared path reports the same failure, before any pair.
+  auto features = FeatureCache::Compute(log).value();
+  EXPECT_FALSE(measure_.Prepare(log, features, ctx_).ok());
 }
 
 TEST_F(ResultDistanceTest, SharedInformationDeclaresDbContent) {
   EXPECT_TRUE(measure_.Shared().db_content);
 }
 
-TEST_F(ResultDistanceTest, CachedExecutionIsConsistent) {
-  // Repeated distance computations (cache hits) agree with fresh ones.
-  double d1 = D("SELECT id FROM t WHERE id <= 6", "SELECT id FROM t WHERE id >= 4");
-  double d2 = D("SELECT id FROM t WHERE id <= 6", "SELECT id FROM t WHERE id >= 4");
-  EXPECT_EQ(d1, d2);
-  ResultDistance fresh;
-  EXPECT_EQ(fresh
-                .Distance(sql::Parse("SELECT id FROM t WHERE id <= 6").value(),
-                          sql::Parse("SELECT id FROM t WHERE id >= 4").value(),
-                          ctx_)
-                .value(),
-            d1);
+// One measure, two databases built one after the other at one address: the
+// second answer must come from the second database. A memo keyed by the
+// database address and the SQL text would still answer 0.7 here.
+TEST_F(ResultDistanceTest, AnswersFromTheDatabaseItIsGiven) {
+  const auto make_db = [](std::initializer_list<int> ids) {
+    db::Database database;
+    db::Table t("t", db::TableSchema({{"id", db::ColumnType::kInt}}));
+    for (int id : ids) EXPECT_TRUE(t.Append({db::Value::Int(id)}).ok());
+    EXPECT_TRUE(database.CreateTable(std::move(t)).ok());
+    return database;
+  };
+  const std::vector<sql::SelectQuery> log = {
+      sql::Parse("SELECT id FROM t WHERE id <= 6").value(),
+      sql::Parse("SELECT id FROM t WHERE id >= 4").value()};
+  std::optional<db::Database> database;
+  MeasureContext ctx;
+
+  database.emplace(make_db({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  ctx.database = &*database;
+  // {1..6} vs {4..10}: intersection 3, union 10.
+  EXPECT_DOUBLE_EQ(measure_.Distance(log[0], log[1], ctx).value(), 0.7);
+
+  database.reset();
+  database.emplace(make_db({1, 2, 3, 7, 8, 9}));
+  ASSERT_EQ(&*database, ctx.database);
+  // {1, 2, 3} vs {7, 8, 9}: disjoint.
+  EXPECT_EQ(measure_.Distance(log[0], log[1], ctx).value(), 1.0);
+  auto features = FeatureCache::Compute(log).value();
+  auto prepared = measure_.Prepare(log, features, ctx);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_EQ((*prepared)->Distance(0, 1), 1.0);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <thread>
 
+#include "distance/result_distance.h"
 #include "distance/token_distance.h"
+#include "sql/parser.h"
 #include "tests/json_test_util.h"
 #include "tests/scenario_test_util.h"
 #include "workload/scenarios.h"
@@ -31,6 +33,43 @@ TEST(EngineTest, BuildMatrixMatchesSerialReference) {
   auto built = engine.BuildMatrix("token");
   ASSERT_TRUE(built.ok()) << built.status();
   ExpectBitIdentical(*serial, *built);
+}
+
+// A result build prepares its tuple sets from the database as it is at
+// build time, and keeps none of them: after rows are appended, a rebuild of
+// the same log must match the per-pair reference on the grown table.
+TEST(EngineTest, ResultRebuildSeesTheDatabaseItIsGiven) {
+  db::Database database;
+  db::Table t("t", db::TableSchema({{"id", db::ColumnType::kInt}}));
+  for (int id = 1; id <= 10; ++id) {
+    ASSERT_TRUE(t.Append({db::Value::Int(id)}).ok());
+  }
+  ASSERT_TRUE(database.CreateTable(std::move(t)).ok());
+  distance::MeasureContext context;
+  context.database = &database;
+  const std::vector<sql::SelectQuery> log = {
+      sql::Parse("SELECT id FROM t WHERE id <= 5").value(),
+      sql::Parse("SELECT id FROM t WHERE id >= 3").value(),
+      sql::Parse("SELECT id FROM t WHERE id > 8").value()};
+  Engine engine(context, {.threads = 2});
+  engine.SetLog(log);
+  ASSERT_TRUE(engine.BuildMatrix("result").ok());
+
+  db::Table* table = database.GetMutableTable("t").value();
+  for (int id = 11; id <= 20; ++id) {
+    ASSERT_TRUE(table->Append({db::Value::Int(id)}).ok());
+  }
+  engine.SetLog(log);
+  auto rebuilt = engine.BuildMatrix("result");
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  distance::ResultDistance reference;
+  for (size_t i = 0; i < log.size(); ++i) {
+    for (size_t j = 0; j < log.size(); ++j) {
+      EXPECT_EQ(rebuilt->at(i, j),
+                reference.Distance(log[i], log[j], context).value())
+          << "cell (" << i << ", " << j << ")";
+    }
+  }
 }
 
 TEST(EngineTest, UnknownMeasureIsNotFound) {

@@ -55,17 +55,15 @@ TEST(KernelDispatchTest, AllMeasuresBitIdenticalAcrossBackends) {
     // Scalar-forced reference build.
     distance::MeasureContext scalar_ctx = s.Context();
     scalar_ctx.kernel_backend = KernelBackend::kScalar;
-    auto scalar_measure = registry.Create(name);
-    ASSERT_TRUE(scalar_measure.ok());
+    auto measure = registry.Create(name);
+    ASSERT_TRUE(measure.ok());
     MatrixBuilder builder(nullptr, MatrixBuilderOptions{4});
-    auto reference = builder.Build(log, **scalar_measure, scalar_ctx);
+    auto reference = builder.Build(log, **measure, scalar_ctx);
     ASSERT_TRUE(reference.ok()) << name << ": " << reference.status();
 
     for (KernelBackend backend : RunnableBackends()) {
       distance::MeasureContext ctx = s.Context();
       ctx.kernel_backend = backend;
-      auto measure = registry.Create(name);  // fresh instance per backend
-      ASSERT_TRUE(measure.ok());
       auto built = builder.Build(log, **measure, ctx);
       ASSERT_TRUE(built.ok())
           << name << " on " << BackendName(backend) << ": " << built.status();

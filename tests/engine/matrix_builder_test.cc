@@ -58,9 +58,7 @@ TEST(MatrixBuilderTest, ParallelEqualsSerialForOddBlockSizes) {
   }
 }
 
-TEST(MatrixBuilderTest, ParallelEqualsSerialForStatefulResultMeasure) {
-  // The result measure memoizes tuple sets; Prepare() warms that cache
-  // serially so the parallel pairwise phase is read-only.
+TEST(MatrixBuilderTest, ParallelEqualsSerialForResultMeasure) {
   workload::Scenario s = Shop(11, 24);
   distance::MeasureContext context = s.Context();
   distance::ResultDistance serial_measure;

@@ -105,9 +105,8 @@ TEST_F(ShardTest, ShardedBuildIsBitIdenticalForAllMeasures) {
       auto plan = PlanShards(s.log.size(), k);
       ASSERT_TRUE(plan.ok());
 
-      // Each shard runs as its own "process": a private store handle and a
-      // fresh measure instance (stateful measures must not share Prepare
-      // state across workers). Its file carries exactly its rows' cells.
+      // Each shard runs as its own "process": a private store handle and
+      // its own measure instance. Its file carries exactly its rows' cells.
       size_t cells = 0;
       for (size_t shard = 0; shard < k; ++shard) {
         auto store = store::MatrixStore::Open(shard_dir);

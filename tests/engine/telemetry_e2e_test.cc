@@ -214,7 +214,8 @@ TEST(TelemetryE2eTest, EncryptedResultMeasureExportsCryptoOpsAndSpans) {
   EXPECT_GT(paillier_ops(), ops_before);
 
   // Spans from the crypto/cryptdb layer landed in the engine's trace via
-  // the ambient buffer (installed on the build and on pool workers).
+  // the ambient buffer the build installs on its calling thread, where the
+  // result measure's Prepare executes the queries.
   bool crypto_span = false;
   for (const obs::TraceEvent& event : engine.trace().Events()) {
     if (event.name.rfind("crypto.", 0) == 0 ||

@@ -138,9 +138,8 @@ TEST_F(CounterexampleTest, CountNeverMatchesProjectedValues) {
 }
 
 TEST_F(CounterexampleTest, DocumentedResidualEqualSumsAcrossRowSets) {
-  // The HOM residual (DESIGN.md §2): two SUM queries over *different* row
-  // sets with *equal* sums overlap on the plaintext side but their Paillier
-  // folds differ. Def. 4 (result equivalence) still holds — both decrypt to
+  // The HOM residual: two SUM queries over *different* row sets with *equal*
+  // sums overlap on the plaintext side but their Paillier folds differ. Def. 4 (result equivalence) still holds — both decrypt to
   // the same sum — but Def. 1 does not for such crafted pairs. This test
   // documents the boundary rather than hiding it.
   std::vector<sql::SelectQuery> log;
