@@ -44,7 +44,8 @@ namespace {
 
 struct Scenario {
   std::string name;
-  /// One DPE_FAULT-grammar spec per worker; "" = a healthy worker.
+  /// One fault spec (common/fault.h grammar) per worker; "" = a healthy
+  /// worker.
   std::vector<std::string> worker_faults;
   /// Workers expected to survive to the end but wedged: the parent
   /// SIGKILLs them after the drive completes instead of waiting.

@@ -44,11 +44,12 @@ ls -l BENCH_distance_scaling.json BENCH_mining_scaling.json \
 
 echo "== multi-host crash harness: forked workers, the full crash matrix =="
 # Forks real worker processes coordinating through lease files, scripts
-# their crash points (DPE_FAULT grammar) — die before export, die mid frame
-# write, wedge without heartbeat, the double-acquire race, every worker
-# dead — and hard-fails unless each scenario's merged matrix is
-# bit-identical to the direct build and meets its expiry, kill and latency
-# floors. About 6 s; --smoke runs only the first kill.
+# their crash points (each child arms the common/fault.h injector) — die
+# before export, die mid frame write, wedge without heartbeat, the
+# double-acquire race, every worker dead — and hard-fails unless each
+# scenario's merged matrix is bit-identical to the direct build and meets
+# its expiry, kill and latency floors. About 6 s; --smoke runs only the
+# first kill.
 (cd build && ./bench/bench_multihost)
 ls -l BENCH_multihost.json
 
@@ -142,16 +143,20 @@ wait "$SERVE_PID" 2>/dev/null || true
 cat observability_out/serve_log.txt
 ls -l observability_out/scraped_metrics.prom observability_out/healthz.json
 
-echo "== sanitizers: asan+ubsan on engine/distance/store/mining tests =="
-# mining is here for complete link's unchecked index arithmetic over its
-# working copy of the cluster distances.
+echo "== sanitizers: asan+ubsan on the owner and provider suites =="
+# Provider side: engine, distance, store and mining (complete link's
+# unchecked index arithmetic over its working copy of the cluster
+# distances). Owner side: sql (the parser), db (executor, access areas),
+# crypto (hand-written AES/SHA-256, the GMP wrappers, OPE), cryptdb
+# (ciphertext hex decoding, result decryption) and core (log encryption).
 cmake -B build-asan -S . -DDPE_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j"$JOBS" \
       --target dpe_engine_tests dpe_distance_tests dpe_store_tests \
-      dpe_mining_tests
+      dpe_mining_tests dpe_sql_tests dpe_db_tests dpe_crypto_tests \
+      dpe_cryptdb_tests dpe_core_tests
 ctest --test-dir build-asan --output-on-failure \
-      -R '^(engine|distance|store|mining)$'
+      -R '^(engine|distance|store|mining|sql|db|crypto|cryptdb|core)$'
 
 echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # The lease protocol's value is exactly its behavior under concurrency:

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 namespace dpe::common {
@@ -190,22 +189,7 @@ void FaultInjector::Perform(const Fault& fault) {
 }
 
 FaultInjector& FaultInjector::Global() {
-  static FaultInjector* injector = [] {
-    auto* created = new FaultInjector();
-    if (const char* spec = std::getenv("DPE_FAULT");
-        spec != nullptr && spec[0] != '\0') {
-      std::string error;
-      if (!created->Arm(spec, &error)) {
-        // A malformed DPE_FAULT in a test harness must be loud, not
-        // silently inert — but common/ has no logging dependency, so
-        // stderr it is.
-        ::write(2, "DPE_FAULT ignored: ", 19);
-        ::write(2, error.data(), error.size());
-        ::write(2, "\n", 1);
-      }
-    }
-    return created;
-  }();
+  static FaultInjector* injector = new FaultInjector();
   return *injector;
 }
 

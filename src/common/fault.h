@@ -7,18 +7,18 @@
 // fault points (`FaultInjector::Fire("worker.export")`) that are no-ops in
 // production and become deaths, wedges, or delays when a spec arms them.
 //
-// Spec grammar (the DPE_FAULT environment variable, or Arm() in-process):
+// Spec grammar (what Arm() parses):
 //
 //   spec    := entry (';' entry)*
 //   entry   := point '=' action
 //   action  := 'die' | 'wedge' [':' cap_ms] | 'sleep' ':' ms
 //   point may carry '@' n to fire on the n-th hit only (1-based; default 1)
 //
-//   DPE_FAULT='worker.export=die'              die at the 1st export
-//   DPE_FAULT='worker.acquired=wedge'          hold the lease, stop forever
-//   DPE_FAULT='worker.acquired=wedge:30000'    ... for at most 30 s (CI cap)
-//   DPE_FAULT='worker.preacquire=sleep:200@2'  stall the 2nd acquire attempt
-//   DPE_FAULT='store.frame.mid_write=die'      die with a torn tmp on disk
+//   worker.export=die               die at the 1st export
+//   worker.acquired=wedge           hold the lease, stop forever
+//   worker.acquired=wedge:30000     ... for at most 30 s (CI cap)
+//   worker.preacquire=sleep:200@2   stall the 2nd acquire attempt
+//   store.frame.mid_write=die       die with a torn tmp on disk
 //
 // `die` is _exit(137) — no atexit handlers, no flushes: the closest a test
 // can get to SIGKILL while still being scheduled from inside the victim.
@@ -26,8 +26,9 @@
 // failure mode heartbeat timeouts exist for. Each armed entry fires at most
 // once.
 //
-// Two scopes: the process-global injector (armed from DPE_FAULT at first
-// use — how bench_multihost scripts its forked workers) and per-instance
+// Two scopes: the process-global injector, which nothing arms until a
+// forked child calls Global().Arm(spec) (how bench_multihost and the
+// compaction crash tests script a child process), and per-instance
 // injectors handed around by value (how in-process tests crash a worker
 // thread's export path without also crashing the coordinator that shares
 // the process). Fire() on a null/unarmed injector is a branch and a load —
@@ -90,9 +91,9 @@ class FaultInjector {
   /// True if any entry is armed.
   bool armed() const EXCLUDES(mu_);
 
-  /// The process-global injector, armed once from DPE_FAULT on first use.
-  /// Forked workers inherit a fresh process, so setenv("DPE_FAULT", ...)
-  /// between fork and exec scripts each worker independently.
+  /// The process-global injector; unarmed until someone calls Arm() on it.
+  /// A forked worker arms its own copy after fork, so each worker process
+  /// runs its own script.
   static FaultInjector& Global();
 
  private:

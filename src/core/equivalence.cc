@@ -218,58 +218,6 @@ bool HasAggregate(const SelectQuery& q) {
   });
 }
 
-/// Output plan for aggregate-free queries: the (rel.attr) of each output
-/// column, star expanded.
-Result<std::vector<std::string>> PlainOutputColumns(
-    const SelectQuery& q, const cryptdb::SchemaMap& schemas) {
-  std::map<std::string, std::string> qual_to_rel;
-  std::vector<std::string> rels;
-  auto add_rel = [&](const sql::TableRef& t) {
-    rels.push_back(t.name);
-    qual_to_rel[t.name] = t.name;
-    if (!t.alias.empty()) qual_to_rel[t.alias] = t.name;
-  };
-  add_rel(q.from);
-  for (const auto& j : q.joins) add_rel(j.table);
-
-  std::vector<std::string> out;
-  for (const auto& item : q.items) {
-    if (item.star) {
-      for (const std::string& rel : rels) {
-        auto it = schemas.find(rel);
-        if (it == schemas.end()) return Status::NotFound("relation " + rel);
-        for (const auto& col : it->second.columns()) {
-          out.push_back(rel + "." + col.name);
-        }
-      }
-      continue;
-    }
-    std::vector<std::string> candidates;
-    if (!item.column.relation.empty()) {
-      auto it = qual_to_rel.find(item.column.relation);
-      if (it == qual_to_rel.end()) {
-        return Status::ExecutionError("unknown qualifier " + item.column.relation);
-      }
-      candidates.push_back(it->second);
-    } else {
-      candidates = rels;
-    }
-    bool found = false;
-    for (const std::string& rel : candidates) {
-      auto it = schemas.find(rel);
-      if (it != schemas.end() && it->second.Find(item.column.name).has_value()) {
-        out.push_back(rel + "." + item.column.name);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::ExecutionError("cannot resolve " + item.column.ToSql());
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<EquivalenceReport> CheckResultEquivalence(
@@ -320,15 +268,15 @@ Result<EquivalenceReport> CheckResultEquivalence(
       continue;
     }
     DPE_ASSIGN_OR_RETURN(db::ResultTable plain, enc.ExecutePlain(q));
-    DPE_ASSIGN_OR_RETURN(std::vector<std::string> out_cols,
-                         PlainOutputColumns(q, enc.schemas()));
+    DPE_ASSIGN_OR_RETURN(std::vector<cryptdb::OutputColumn> out_cols,
+                         cryptdb::PlanOutput(q, enc.schemas()));
     db::ResultTable expected;  // kinds default to kPlain (SPJ query)
     bool enc_ok = true;
     for (const db::Row& row : plain.rows) {
       db::Row enc_row;
       for (size_t i = 0; i < row.size(); ++i) {
         Result<db::Value> cell =
-            cdb->onion_crypto().EncryptEq(out_cols[i], row[i]);
+            cdb->onion_crypto().EncryptEq(out_cols[i].ColumnKey(), row[i]);
         if (!cell.ok()) {
           enc_ok = false;
           break;

@@ -101,53 +101,6 @@ SchemeSpec CanonicalScheme(MeasureKind measure) {
 
 namespace {
 
-/// Alias/qualifier resolution for one query.
-struct QueryScope {
-  std::map<std::string, std::string> qualifier_to_relation;
-  std::vector<std::string> relations;
-
-  explicit QueryScope(const SelectQuery& q) {
-    Add(q.from);
-    for (const auto& j : q.joins) Add(j.table);
-  }
-
-  void Add(const sql::TableRef& t) {
-    relations.push_back(t.name);
-    qualifier_to_relation[t.name] = t.name;
-    if (!t.alias.empty()) qualifier_to_relation[t.alias] = t.name;
-  }
-
-  Result<std::string> RelationOf(const ColumnRef& c) const {
-    if (!c.relation.empty()) {
-      auto it = qualifier_to_relation.find(c.relation);
-      if (it == qualifier_to_relation.end()) {
-        return Status::ExecutionError("unknown qualifier " + c.relation);
-      }
-      return it->second;
-    }
-    if (relations.size() == 1) return relations.front();
-    return Status::ExecutionError("unqualified column " + c.name +
-                                  " in multi-relation query");
-  }
-};
-
-Result<ColumnType> TypeOf(const cryptdb::SchemaMap& schemas,
-                          const std::string& column_key) {
-  auto dot = column_key.find('.');
-  if (dot == std::string::npos) {
-    return Status::InvalidArgument("column key must be rel.attr");
-  }
-  auto it = schemas.find(column_key.substr(0, dot));
-  if (it == schemas.end()) {
-    return Status::NotFound("unknown relation in " + column_key);
-  }
-  auto idx = it->second.Find(column_key.substr(dot + 1));
-  if (!idx.has_value()) {
-    return Status::NotFound("unknown column " + column_key);
-  }
-  return it->second.columns()[*idx].type;
-}
-
 /// Union-find over column keys (join-group construction).
 class UnionFind {
  public:
@@ -182,12 +135,11 @@ Result<cryptdb::OnionLayout> DeriveOnionLayout(
     return layout.columns[key];
   };
 
-  std::function<Status(const Predicate&, const QueryScope&)> walk_pred =
-      [&](const Predicate& p, const QueryScope& scope) -> Status {
+  std::function<Status(const Predicate&, const sql::QueryScope&)> walk_pred =
+      [&](const Predicate& p, const sql::QueryScope& scope) -> Status {
     switch (p.kind) {
       case Predicate::Kind::kCompare: {
-        DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(p.column));
-        const std::string key = rel + "." + p.column.name;
+        DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(p.column));
         if (p.op == sql::CompareOp::kEq || p.op == sql::CompareOp::kNe) {
           touch(key).eq = true;
         } else {
@@ -196,23 +148,21 @@ Result<cryptdb::OnionLayout> DeriveOnionLayout(
         return Status::OK();
       }
       case Predicate::Kind::kColumnCompare: {
-        DPE_ASSIGN_OR_RETURN(std::string rel1, scope.RelationOf(p.column));
-        DPE_ASSIGN_OR_RETURN(std::string rel2, scope.RelationOf(p.column2));
-        const std::string k1 = rel1 + "." + p.column.name;
-        const std::string k2 = rel2 + "." + p.column2.name;
+        DPE_ASSIGN_OR_RETURN(std::string k1, scope.ColumnKey(p.column));
+        DPE_ASSIGN_OR_RETURN(std::string k2, scope.ColumnKey(p.column2));
         touch(k1).eq = true;
         touch(k2).eq = true;
         join_groups.Union(k1, k2);
         return Status::OK();
       }
       case Predicate::Kind::kBetween: {
-        DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(p.column));
-        touch(rel + "." + p.column.name).ord = true;
+        DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(p.column));
+        touch(key).ord = true;
         return Status::OK();
       }
       case Predicate::Kind::kIn: {
-        DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(p.column));
-        touch(rel + "." + p.column.name).eq = true;
+        DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(p.column));
+        touch(key).eq = true;
         return Status::OK();
       }
       case Predicate::Kind::kAnd:
@@ -227,11 +177,11 @@ Result<cryptdb::OnionLayout> DeriveOnionLayout(
   };
 
   for (const SelectQuery& q : log) {
-    QueryScope scope(q);
+    const sql::QueryScope scope(q);
     for (const auto& item : q.items) {
       if (item.star && item.agg == sql::AggFn::kNone) {
         // SELECT *: every column of every relation in scope is projected.
-        for (const std::string& rel : scope.relations) {
+        for (const std::string& rel : scope.relations()) {
           auto it = schemas.find(rel);
           if (it == schemas.end()) {
             return Status::NotFound("unknown relation " + rel);
@@ -243,8 +193,7 @@ Result<cryptdb::OnionLayout> DeriveOnionLayout(
         continue;
       }
       if (item.star) continue;  // COUNT(*)
-      DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(item.column));
-      const std::string key = rel + "." + item.column.name;
+      DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(item.column));
       switch (item.agg) {
         case sql::AggFn::kNone:
         case sql::AggFn::kCount:
@@ -261,22 +210,20 @@ Result<cryptdb::OnionLayout> DeriveOnionLayout(
       }
     }
     for (const auto& j : q.joins) {
-      DPE_ASSIGN_OR_RETURN(std::string rel1, scope.RelationOf(j.left));
-      DPE_ASSIGN_OR_RETURN(std::string rel2, scope.RelationOf(j.right));
-      const std::string k1 = rel1 + "." + j.left.name;
-      const std::string k2 = rel2 + "." + j.right.name;
+      DPE_ASSIGN_OR_RETURN(std::string k1, scope.ColumnKey(j.left));
+      DPE_ASSIGN_OR_RETURN(std::string k2, scope.ColumnKey(j.right));
       touch(k1).eq = true;
       touch(k2).eq = true;
       join_groups.Union(k1, k2);
     }
     if (q.where) DPE_RETURN_NOT_OK(walk_pred(*q.where, scope));
     for (const auto& c : q.group_by) {
-      DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(c));
-      touch(rel + "." + c.name).eq = true;
+      DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(c));
+      touch(key).eq = true;
     }
     for (const auto& o : q.order_by) {
-      DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(o.column));
-      touch(rel + "." + o.column.name).ord = true;
+      DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(o.column));
+      touch(key).ord = true;
     }
   }
 
@@ -291,11 +238,13 @@ Result<cryptdb::OnionLayout> DeriveOnionLayout(
   return layout;
 }
 
-Result<std::map<std::string, PpeClass>> DeriveConstClasses(
-    const std::vector<SelectQuery>& log, const cryptdb::SchemaMap& schemas,
-    ConstMode mode) {
-  DPE_ASSIGN_OR_RETURN(cryptdb::OnionLayout layout,
-                       DeriveOnionLayout(log, schemas));
+namespace {
+
+/// The per-attribute constant class of the composite modes, read off the
+/// onion layout the log needs: ranged attribute -> OPE, equality-only ->
+/// DET, only aggregated -> HOM (kCryptDb) or PROB (kCryptDbNoHom).
+std::map<std::string, PpeClass> ConstClassesOf(
+    const cryptdb::OnionLayout& layout, ConstMode mode) {
   std::map<std::string, PpeClass> out;
   for (const auto& [key, cfg] : layout.columns) {
     if (cfg.ord) {
@@ -312,6 +261,8 @@ Result<std::map<std::string, PpeClass>> DeriveConstClasses(
   }
   return out;
 }
+
+}  // namespace
 
 Result<LogEncryptor> LogEncryptor::Create(
     const SchemeSpec& spec, const crypto::KeyManager& keys,
@@ -331,27 +282,27 @@ Result<LogEncryptor> LogEncryptor::Create(
   }
 
   if (spec.const_mode != ConstMode::kUniform) {
-    DPE_ASSIGN_OR_RETURN(enc.const_class_,
-                         DeriveConstClasses(log, enc.schemas_, spec.const_mode));
-  }
-
-  if (spec.const_mode == ConstMode::kCryptDb) {
+    // One walk of the log yields the constant classes and, for the result
+    // scheme, the onion layout of the encrypted database.
     DPE_ASSIGN_OR_RETURN(cryptdb::OnionLayout layout,
                          DeriveOnionLayout(log, enc.schemas_));
-    // Exact Def.-1 preservation of the result measure needs value images
-    // that are consistent ACROSS columns (plaintext tuples can coincide
-    // across attributes); share the EQ/ORD keys globally (JOIN usage mode).
-    layout.shared_value_keys = true;
-    cryptdb::CryptDb::Options db_options;
-    db_options.crypto.paillier_bits = options.paillier_bits;
-    db_options.crypto.ope_range_bits = options.ope_range_bits;
-    crypto::Csprng rng = options.rng_seed.empty()
-                             ? crypto::Csprng::FromSystemEntropy()
-                             : crypto::Csprng::FromSeed(options.rng_seed);
-    DPE_ASSIGN_OR_RETURN(
-        cryptdb::CryptDb cdb,
-        cryptdb::CryptDb::Build(plain_db, layout, keys, db_options, std::move(rng)));
-    enc.crypt_db_ = std::make_shared<cryptdb::CryptDb>(std::move(cdb));
+    enc.const_class_ = ConstClassesOf(layout, spec.const_mode);
+    if (spec.const_mode == ConstMode::kCryptDb) {
+      // Exact Def.-1 preservation of the result measure needs value images
+      // that are consistent ACROSS columns (plaintext tuples can coincide
+      // across attributes); share the EQ/ORD keys globally (JOIN usage mode).
+      layout.shared_value_keys = true;
+      cryptdb::CryptDb::Options db_options;
+      db_options.crypto.paillier_bits = options.paillier_bits;
+      db_options.crypto.ope_range_bits = options.ope_range_bits;
+      crypto::Csprng rng = options.rng_seed.empty()
+                               ? crypto::Csprng::FromSystemEntropy()
+                               : crypto::Csprng::FromSeed(options.rng_seed);
+      DPE_ASSIGN_OR_RETURN(cryptdb::CryptDb cdb,
+                           cryptdb::CryptDb::Build(plain_db, layout, keys,
+                                                   db_options, std::move(rng)));
+      enc.crypt_db_ = std::make_shared<cryptdb::CryptDb>(std::move(cdb));
+    }
   }
 
   enc.prob_rng_ = options.rng_seed.empty()
@@ -478,13 +429,6 @@ Result<Literal> LogEncryptor::EncryptConstant(const std::string& column_key,
   }
 }
 
-Result<std::string> LogEncryptor::ResolveColumnKey(const ColumnRef& c,
-                                                   const SelectQuery& q) const {
-  QueryScope scope(q);
-  DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(c));
-  return rel + "." + c.name;
-}
-
 Result<ColumnRef> LogEncryptor::EncryptColumnRef(const ColumnRef& c) const {
   ColumnRef out;
   if (!c.relation.empty()) {
@@ -494,14 +438,14 @@ Result<ColumnRef> LogEncryptor::EncryptColumnRef(const ColumnRef& c) const {
   return out;
 }
 
-Result<Literal> LogEncryptor::EncryptConstantForQuery(const ColumnRef& c,
-                                                      const SelectQuery& q,
-                                                      const Literal& lit,
-                                                      bool range_context) const {
-  (void)range_context;  // the class is per-attribute, not per-operator
-  DPE_ASSIGN_OR_RETURN(std::string key, ResolveColumnKey(c, q));
-  DPE_ASSIGN_OR_RETURN(ColumnType type, TypeOf(schemas_, key));
+Result<Literal> LogEncryptor::EncryptConstantForQuery(
+    const ColumnRef& c, const sql::QueryScope& scope, const Literal& lit) const {
+  // The class is per attribute, not per operator.
+  DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(c));
+  DPE_ASSIGN_OR_RETURN(ColumnType type,
+                       db::ColumnTypeOf(schemas_, rel, c.name));
   DPE_ASSIGN_OR_RETURN(Literal coerced, cryptdb::CoerceLiteral(type, lit));
+  const std::string key = rel + "." + c.name;
   DPE_ASSIGN_OR_RETURN(PpeClass cls, ConstClassFor(key));
   switch (cls) {
     case PpeClass::kProb: {
@@ -531,15 +475,14 @@ Result<Literal> LogEncryptor::EncryptConstantForQuery(const ColumnRef& c,
   }
 }
 
-Result<PredicatePtr> LogEncryptor::EncryptPredicate(const Predicate& p,
-                                                    const SelectQuery& q) const {
+Result<PredicatePtr> LogEncryptor::EncryptPredicate(
+    const Predicate& p, const sql::QueryScope& scope) const {
   using Kind = Predicate::Kind;
   switch (p.kind) {
     case Kind::kCompare: {
       DPE_ASSIGN_OR_RETURN(ColumnRef col, EncryptColumnRef(p.column));
-      const bool range = p.op != sql::CompareOp::kEq && p.op != sql::CompareOp::kNe;
       DPE_ASSIGN_OR_RETURN(Literal lit,
-                           EncryptConstantForQuery(p.column, q, p.literal, range));
+                           EncryptConstantForQuery(p.column, scope, p.literal));
       return Predicate::Compare(std::move(col), p.op, std::move(lit));
     }
     case Kind::kColumnCompare: {
@@ -550,9 +493,9 @@ Result<PredicatePtr> LogEncryptor::EncryptPredicate(const Predicate& p,
     case Kind::kBetween: {
       DPE_ASSIGN_OR_RETURN(ColumnRef col, EncryptColumnRef(p.column));
       DPE_ASSIGN_OR_RETURN(Literal lo,
-                           EncryptConstantForQuery(p.column, q, p.low, true));
+                           EncryptConstantForQuery(p.column, scope, p.low));
       DPE_ASSIGN_OR_RETURN(Literal hi,
-                           EncryptConstantForQuery(p.column, q, p.high, true));
+                           EncryptConstantForQuery(p.column, scope, p.high));
       return Predicate::Between(std::move(col), std::move(lo), std::move(hi));
     }
     case Kind::kIn: {
@@ -560,7 +503,7 @@ Result<PredicatePtr> LogEncryptor::EncryptPredicate(const Predicate& p,
       std::vector<Literal> values;
       for (const auto& v : p.in_list) {
         DPE_ASSIGN_OR_RETURN(Literal ev,
-                             EncryptConstantForQuery(p.column, q, v, false));
+                             EncryptConstantForQuery(p.column, scope, v));
         values.push_back(std::move(ev));
       }
       return Predicate::In(std::move(col), std::move(values));
@@ -569,14 +512,15 @@ Result<PredicatePtr> LogEncryptor::EncryptPredicate(const Predicate& p,
     case Kind::kOr: {
       std::vector<PredicatePtr> children;
       for (const auto& c : p.children) {
-        DPE_ASSIGN_OR_RETURN(PredicatePtr ec, EncryptPredicate(*c, q));
+        DPE_ASSIGN_OR_RETURN(PredicatePtr ec, EncryptPredicate(*c, scope));
         children.push_back(std::move(ec));
       }
       return p.kind == Kind::kAnd ? Predicate::And(std::move(children))
                                   : Predicate::Or(std::move(children));
     }
     case Kind::kNot: {
-      DPE_ASSIGN_OR_RETURN(PredicatePtr child, EncryptPredicate(*p.children[0], q));
+      DPE_ASSIGN_OR_RETURN(PredicatePtr child,
+                           EncryptPredicate(*p.children[0], scope));
       return Predicate::Not(std::move(child));
     }
   }
@@ -618,7 +562,8 @@ Result<SelectQuery> LogEncryptor::EncryptQuery(const SelectQuery& q) const {
     }
   }
   if (q.where) {
-    DPE_ASSIGN_OR_RETURN(out.where, EncryptPredicate(*q.where, q));
+    DPE_ASSIGN_OR_RETURN(out.where,
+                         EncryptPredicate(*q.where, sql::QueryScope(q)));
   }
   for (const auto& c : q.group_by) {
     DPE_ASSIGN_OR_RETURN(ColumnRef col, EncryptColumnRef(c));

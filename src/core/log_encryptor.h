@@ -143,14 +143,11 @@ class LogEncryptor {
 
   LogEncryptor() = default;
 
-  Result<sql::PredicatePtr> EncryptPredicate(const sql::Predicate& p,
-                                             const sql::SelectQuery& q) const;
-  Result<std::string> ResolveColumnKey(const sql::ColumnRef& c,
-                                       const sql::SelectQuery& q) const;
+  Result<sql::PredicatePtr> EncryptPredicate(
+      const sql::Predicate& p, const sql::QueryScope& scope) const;
   Result<sql::Literal> EncryptConstantForQuery(const sql::ColumnRef& c,
-                                               const sql::SelectQuery& q,
-                                               const sql::Literal& lit,
-                                               bool range_context) const;
+                                               const sql::QueryScope& scope,
+                                               const sql::Literal& lit) const;
   Result<sql::ColumnRef> EncryptColumnRef(const sql::ColumnRef& c) const;
 
   SchemeSpec spec_;
@@ -170,16 +167,10 @@ class LogEncryptor {
 };
 
 /// Derives the CryptDB onion layout a log needs (which onions per column,
-/// join groups from equi-join predicates). Exposed for tests and benches.
+/// join groups from equi-join predicates). The composite constant modes read
+/// their per-attribute classes off it. Exposed for tests and benches.
 Result<cryptdb::OnionLayout> DeriveOnionLayout(
     const std::vector<sql::SelectQuery>& log, const cryptdb::SchemaMap& schemas);
-
-/// Derives the per-attribute constant class for the composite modes:
-/// ranged attribute -> OPE, equality-only -> DET, never constrained -> PROB
-/// (kCryptDbNoHom) or HOM (kCryptDb, when the attribute is aggregated).
-Result<std::map<std::string, crypto::PpeClass>> DeriveConstClasses(
-    const std::vector<sql::SelectQuery>& log, const cryptdb::SchemaMap& schemas,
-    ConstMode mode);
 
 }  // namespace dpe::core
 

@@ -1,5 +1,8 @@
 #include "cryptdb/encrypted_db.h"
 
+#include <algorithm>
+#include <charconv>
+
 #include "common/hex.h"
 #include "common/str.h"
 #include "crypto/instrument.h"
@@ -147,79 +150,46 @@ Result<db::ResultTable> CryptDb::ExecuteEncrypted(
   return db::Execute(encrypted_, enc_query, ProviderOptions());
 }
 
-namespace {
-
-/// The plaintext (relation, attribute, type) of each output column of
-/// `plain_query`, with SELECT * expanded; agg items keep their AggFn.
-struct OutputColumn {
-  sql::AggFn agg = sql::AggFn::kNone;
-  bool count_star = false;
-  std::string relation;
-  std::string attribute;
-  ColumnType type = ColumnType::kString;
-};
-
-Result<std::vector<OutputColumn>> PlanOutput(const sql::SelectQuery& q,
+Result<std::vector<OutputColumn>> PlanOutput(const sql::SelectQuery& query,
                                              const SchemaMap& schemas) {
-  // Alias resolution.
-  std::map<std::string, std::string> qual_to_rel;
-  std::vector<std::string> rels;
-  auto add_rel = [&](const sql::TableRef& t) {
-    rels.push_back(t.name);
-    qual_to_rel[t.name] = t.name;
-    if (!t.alias.empty()) qual_to_rel[t.alias] = t.name;
-  };
-  add_rel(q.from);
-  for (const auto& j : q.joins) add_rel(j.table);
-
-  auto resolve = [&](const sql::ColumnRef& c) -> Result<std::pair<std::string, ColumnType>> {
-    std::vector<std::string> candidates;
-    if (!c.relation.empty()) {
-      auto it = qual_to_rel.find(c.relation);
-      if (it == qual_to_rel.end()) {
-        return Status::ExecutionError("unknown qualifier " + c.relation);
-      }
-      candidates.push_back(it->second);
-    } else {
-      candidates = rels;
-    }
-    for (const std::string& rel : candidates) {
-      auto sit = schemas.find(rel);
-      if (sit == schemas.end()) continue;
-      auto idx = sit->second.Find(c.name);
-      if (idx.has_value()) {
-        return std::make_pair(rel, sit->second.columns()[*idx].type);
-      }
-    }
-    return Status::ExecutionError("cannot resolve column " + c.ToSql());
-  };
-
+  const sql::QueryScope scope(query);
   std::vector<OutputColumn> out;
-  for (const auto& item : q.items) {
+  for (const sql::SelectItem& item : query.items) {
     if (item.star && item.agg == sql::AggFn::kNone) {
-      for (const std::string& rel : rels) {
-        auto sit = schemas.find(rel);
-        if (sit == schemas.end()) {
+      for (const std::string& rel : scope.relations()) {
+        auto it = schemas.find(rel);
+        if (it == schemas.end()) {
           return Status::ExecutionError("unknown relation " + rel);
         }
-        for (const auto& col : sit->second.columns()) {
+        for (const db::ColumnDef& col : it->second.columns()) {
           out.push_back({sql::AggFn::kNone, false, rel, col.name, col.type});
         }
       }
       continue;
     }
-    if (item.star && item.agg == sql::AggFn::kCount) {
+    if (item.star) {
       out.push_back({sql::AggFn::kCount, true, "", "", ColumnType::kInt});
       continue;
     }
-    DPE_ASSIGN_OR_RETURN(auto rel_type, resolve(item.column));
-    out.push_back({item.agg, false, rel_type.first, item.column.name,
-                   rel_type.second});
+    const sql::ColumnRef& c = item.column;
+    std::vector<std::string> candidates = scope.relations();
+    if (!c.relation.empty()) {
+      DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(c));
+      candidates = {std::move(rel)};
+    }
+    auto has_column = [&](const std::string& rel) {
+      return db::ColumnTypeOf(schemas, rel, c.name).ok();
+    };
+    auto rel = std::find_if(candidates.begin(), candidates.end(), has_column);
+    if (rel == candidates.end()) {
+      return Status::ExecutionError("cannot resolve column " + c.ToSql());
+    }
+    DPE_ASSIGN_OR_RETURN(ColumnType type,
+                         db::ColumnTypeOf(schemas, *rel, c.name));
+    out.push_back({item.agg, false, *rel, c.name, type});
   }
   return out;
 }
-
-}  // namespace
 
 Result<db::ResultTable> CryptDb::DecryptResult(
     const sql::SelectQuery& plain_query,
@@ -229,12 +199,12 @@ Result<db::ResultTable> CryptDb::DecryptResult(
   db::ResultTable out;
   for (const auto& col : plan) {
     if (col.agg == sql::AggFn::kNone) {
-      out.column_names.push_back(col.relation + "." + col.attribute);
+      out.column_names.push_back(col.ColumnKey());
     } else if (col.count_star) {
       out.column_names.push_back("COUNT(*)");
     } else {
       out.column_names.push_back(std::string(sql::AggFnSql(col.agg)) + "(" +
-                                 col.relation + "." + col.attribute + ")");
+                                 col.ColumnKey() + ")");
     }
     switch (col.agg) {
       case sql::AggFn::kNone:
@@ -271,13 +241,12 @@ Result<db::ResultTable> CryptDb::DecryptResult(
         prow.push_back(Value::Null());
         continue;
       }
-      const std::string key = col.relation + "." + col.attribute;
       switch (col.agg) {
         case sql::AggFn::kNone:
         case sql::AggFn::kMin:
         case sql::AggFn::kMax: {
-          DPE_ASSIGN_OR_RETURN(Value v,
-                               crypto_->DecryptCell(key, col.type, cell));
+          DPE_ASSIGN_OR_RETURN(
+              Value v, crypto_->DecryptCell(col.ColumnKey(), col.type, cell));
           prow.push_back(std::move(v));
           break;
         }
@@ -299,11 +268,17 @@ Result<db::ResultTable> CryptDb::DecryptResult(
           if (bar == std::string::npos) {
             return Status::CryptoError("AVG cell missing count: " + s);
           }
+          // The whole tail must be a positive int64: no blanks, sign,
+          // trailing bytes or overflow.
+          int64_t count = 0;
+          const char* end = s.data() + s.size();
+          auto [stop, error] = std::from_chars(s.data() + bar + 1, end, count);
+          if (error != std::errc() || stop != end || count <= 0) {
+            return Status::CryptoError("AVG count invalid: " + s.substr(bar + 1));
+          }
           DPE_ASSIGN_OR_RETURN(
               int64_t sum,
               crypto_->DecryptPaillierSum(Value::String(s.substr(0, bar))));
-          int64_t count = std::strtoll(s.c_str() + bar + 1, nullptr, 10);
-          if (count <= 0) return Status::CryptoError("AVG count invalid");
           prow.push_back(Value::Double(static_cast<double>(sum) /
                                        static_cast<double>(count)));
           break;

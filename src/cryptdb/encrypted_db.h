@@ -11,9 +11,9 @@
 #ifndef DPE_CRYPTDB_ENCRYPTED_DB_H_
 #define DPE_CRYPTDB_ENCRYPTED_DB_H_
 
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cryptdb/onion.h"
 #include "cryptdb/rewriter.h"
@@ -22,6 +22,27 @@
 #include "db/executor.h"
 
 namespace dpe::cryptdb {
+
+/// One output column of a plaintext query, with SELECT * expanded: the
+/// aggregate applied (kNone for a projection) and the attribute it reads.
+/// COUNT(*) reads none.
+struct OutputColumn {
+  sql::AggFn agg = sql::AggFn::kNone;
+  bool count_star = false;
+  std::string relation;
+  std::string attribute;
+  db::ColumnType type = db::ColumnType::kString;
+
+  /// "rel.attr" of the attribute read.
+  std::string ColumnKey() const { return relation + "." + attribute; }
+};
+
+/// The output columns of `query` under the plaintext catalog, in output
+/// order; SELECT * expands every relation in scope. A qualified column is
+/// looked up in its qualifier's relation, an unqualified one in the first
+/// relation in scope that has it. ExecutionError when none has it.
+Result<std::vector<OutputColumn>> PlanOutput(const sql::SelectQuery& query,
+                                             const SchemaMap& schemas);
 
 class CryptDb {
  public:

@@ -36,58 +36,10 @@ Result<Literal> CoerceLiteral(ColumnType type, const Literal& lit) {
   return Status::Internal("bad column type");
 }
 
-/// Maps qualifiers (alias or relation name) back to relation names and
-/// resolves unqualified attributes for single-relation queries.
-struct QueryRewriter::Scope {
-  std::map<std::string, std::string> qualifier_to_relation;
-  std::vector<std::string> relations;  // syntactic order
-
-  explicit Scope(const SelectQuery& q) {
-    Add(q.from);
-    for (const auto& j : q.joins) Add(j.table);
-  }
-
-  void Add(const sql::TableRef& t) {
-    relations.push_back(t.name);
-    qualifier_to_relation[t.name] = t.name;
-    if (!t.alias.empty()) qualifier_to_relation[t.alias] = t.name;
-  }
-
-  Result<std::string> RelationOf(const ColumnRef& c) const {
-    if (!c.relation.empty()) {
-      auto it = qualifier_to_relation.find(c.relation);
-      if (it == qualifier_to_relation.end()) {
-        return Status::ExecutionError("unknown qualifier " + c.relation);
-      }
-      return it->second;
-    }
-    if (relations.size() == 1) return relations.front();
-    return Status::ExecutionError("unqualified column " + c.name +
-                                  " in multi-relation query");
-  }
-};
-
-namespace {
-
-Result<ColumnType> TypeOf(const SchemaMap& schemas, const std::string& relation,
-                          const std::string& attr) {
-  auto it = schemas.find(relation);
-  if (it == schemas.end()) {
-    return Status::NotFound("unknown relation " + relation);
-  }
-  auto idx = it->second.Find(attr);
-  if (!idx.has_value()) {
-    return Status::NotFound("unknown column " + relation + "." + attr);
-  }
-  return it->second.columns()[*idx].type;
-}
-
-}  // namespace
-
-Result<ColumnRef> QueryRewriter::RewriteColumn(const ColumnRef& c,
-                                               const char* onion_suffix,
-                                               const Scope& scope) const {
-  DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(c));
+Result<ColumnRef> QueryRewriter::RewriteColumn(
+    const ColumnRef& c, const char* onion_suffix,
+    const sql::QueryScope& scope) const {
+  DPE_RETURN_NOT_OK(scope.RelationOf(c).status());
   ColumnRef out;
   // Keep the original qualifier structure: qualified stays qualified (with
   // the encrypted alias/relation text), unqualified stays unqualified.
@@ -95,7 +47,6 @@ Result<ColumnRef> QueryRewriter::RewriteColumn(const ColumnRef& c,
     out.relation = crypto_->EncryptRelName(c.relation);
   }
   out.name = crypto_->EncryptAttrName(c.name) + onion_suffix;
-  (void)rel;
   return out;
 }
 
@@ -125,14 +76,15 @@ Result<Literal> QueryRewriter::EncryptConstOrd(const std::string& column_key,
   return Literal::String(cell.string_value());
 }
 
-Result<PredicatePtr> QueryRewriter::RewritePredicate(const Predicate& p,
-                                                     const Scope& scope) const {
+Result<PredicatePtr> QueryRewriter::RewritePredicate(
+    const Predicate& p, const sql::QueryScope& scope) const {
   using Kind = Predicate::Kind;
   switch (p.kind) {
     case Kind::kCompare: {
       DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(p.column));
       const std::string key = rel + "." + p.column.name;
-      DPE_ASSIGN_OR_RETURN(ColumnType type, TypeOf(*schemas_, rel, p.column.name));
+      DPE_ASSIGN_OR_RETURN(ColumnType type,
+                           db::ColumnTypeOf(*schemas_, rel, p.column.name));
       const bool equality =
           p.op == sql::CompareOp::kEq || p.op == sql::CompareOp::kNe;
       const char* suffix = equality ? kEqSuffix : kOrdSuffix;
@@ -154,7 +106,8 @@ Result<PredicatePtr> QueryRewriter::RewritePredicate(const Predicate& p,
     case Kind::kBetween: {
       DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(p.column));
       const std::string key = rel + "." + p.column.name;
-      DPE_ASSIGN_OR_RETURN(ColumnType type, TypeOf(*schemas_, rel, p.column.name));
+      DPE_ASSIGN_OR_RETURN(ColumnType type,
+                           db::ColumnTypeOf(*schemas_, rel, p.column.name));
       DPE_ASSIGN_OR_RETURN(ColumnRef col, RewriteColumn(p.column, kOrdSuffix, scope));
       DPE_ASSIGN_OR_RETURN(Literal lo, EncryptConstOrd(key, type, p.low));
       DPE_ASSIGN_OR_RETURN(Literal hi, EncryptConstOrd(key, type, p.high));
@@ -163,7 +116,8 @@ Result<PredicatePtr> QueryRewriter::RewritePredicate(const Predicate& p,
     case Kind::kIn: {
       DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(p.column));
       const std::string key = rel + "." + p.column.name;
-      DPE_ASSIGN_OR_RETURN(ColumnType type, TypeOf(*schemas_, rel, p.column.name));
+      DPE_ASSIGN_OR_RETURN(ColumnType type,
+                           db::ColumnTypeOf(*schemas_, rel, p.column.name));
       DPE_ASSIGN_OR_RETURN(ColumnRef col, RewriteColumn(p.column, kEqSuffix, scope));
       std::vector<Literal> values;
       for (const auto& v : p.in_list) {
@@ -194,7 +148,7 @@ Result<PredicatePtr> QueryRewriter::RewritePredicate(const Predicate& p,
 Result<SelectQuery> QueryRewriter::Rewrite(const SelectQuery& q) const {
   DPE_CRYPTO_COUNT("cryptdb", "rewrite");
   crypto::CryptoSpan rewrite_span("cryptdb.rewrite");
-  Scope scope(q);
+  const sql::QueryScope scope(q);
   SelectQuery out;
   out.distinct = q.distinct;
 
@@ -249,8 +203,7 @@ Result<SelectQuery> QueryRewriter::Rewrite(const SelectQuery& q) const {
       out.items.push_back(sql::SelectItem::CountStar());
       continue;
     }
-    DPE_ASSIGN_OR_RETURN(std::string rel, scope.RelationOf(item.column));
-    const std::string key = rel + "." + item.column.name;
+    DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(item.column));
     const char* suffix = kEqSuffix;
     switch (item.agg) {
       case sql::AggFn::kSum:

@@ -15,7 +15,6 @@
 #ifndef DPE_CRYPTDB_REWRITER_H_
 #define DPE_CRYPTDB_REWRITER_H_
 
-#include <map>
 #include <string>
 
 #include "cryptdb/onion.h"
@@ -25,7 +24,7 @@
 namespace dpe::cryptdb {
 
 /// Plaintext schema catalog the rewriter consults for types/star expansion.
-using SchemaMap = std::map<std::string, db::TableSchema>;
+using SchemaMap = db::SchemaMap;
 
 class QueryRewriter {
  public:
@@ -36,13 +35,11 @@ class QueryRewriter {
   Result<sql::SelectQuery> Rewrite(const sql::SelectQuery& query) const;
 
  private:
-  struct Scope;  // alias resolution for one query
-
   Result<sql::ColumnRef> RewriteColumn(const sql::ColumnRef& c,
                                        const char* onion_suffix,
-                                       const Scope& scope) const;
-  Result<sql::PredicatePtr> RewritePredicate(const sql::Predicate& p,
-                                             const Scope& scope) const;
+                                       const sql::QueryScope& scope) const;
+  Result<sql::PredicatePtr> RewritePredicate(
+      const sql::Predicate& p, const sql::QueryScope& scope) const;
   Result<sql::Literal> EncryptConstEq(const std::string& column_key,
                                       db::ColumnType type,
                                       const sql::Literal& lit) const;

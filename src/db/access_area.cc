@@ -91,42 +91,6 @@ PredicatePtr ToNnf(const Predicate& p, bool negated) {
   return p.Clone();
 }
 
-/// Resolves a column reference to "relation.attribute" using the query's
-/// FROM/JOIN tables (aliases map back to relation names).
-class ColumnResolver {
- public:
-  explicit ColumnResolver(const sql::SelectQuery& q) {
-    AddTable(q.from);
-    for (const auto& j : q.joins) AddTable(j.table);
-  }
-
-  Result<std::string> Resolve(const sql::ColumnRef& c) const {
-    if (!c.relation.empty()) {
-      auto it = qualifier_to_relation_.find(c.relation);
-      if (it == qualifier_to_relation_.end()) {
-        return Status::ExecutionError("unknown qualifier " + c.relation);
-      }
-      return it->second + "." + c.name;
-    }
-    if (relations_.size() == 1) {
-      return relations_.front() + "." + c.name;
-    }
-    return Status::ExecutionError(
-        "unqualified column " + c.name +
-        " is ambiguous in a multi-relation query");
-  }
-
- private:
-  void AddTable(const sql::TableRef& t) {
-    relations_.push_back(t.name);
-    qualifier_to_relation_[t.name] = t.name;
-    if (!t.alias.empty()) qualifier_to_relation_[t.alias] = t.name;
-  }
-
-  std::vector<std::string> relations_;
-  std::map<std::string, std::string> qualifier_to_relation_;
-};
-
 /// Interval set of one comparison atom, clipped to the universe.
 IntervalSet AtomArea(CompareOp op, const Value& v, const IntervalSet& universe) {
   IntervalSet raw;
@@ -155,11 +119,11 @@ IntervalSet AtomArea(CompareOp op, const Value& v, const IntervalSet& universe) 
 
 /// Projects the NNF predicate onto one attribute.
 Result<IntervalSet> ProjectArea(const Predicate& p, const std::string& attr_key,
-                                const ColumnResolver& resolver,
+                                const sql::QueryScope& scope,
                                 const IntervalSet& universe) {
   switch (p.kind) {
     case Predicate::Kind::kCompare: {
-      DPE_ASSIGN_OR_RETURN(std::string key, resolver.Resolve(p.column));
+      DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(p.column));
       if (key != attr_key) return universe;
       return AtomArea(p.op, Value::FromLiteral(p.literal), universe);
     }
@@ -168,14 +132,14 @@ Result<IntervalSet> ProjectArea(const Predicate& p, const std::string& attr_key,
       // on their own (they relate two attributes); both sides stay full.
       return universe;
     case Predicate::Kind::kBetween: {
-      DPE_ASSIGN_OR_RETURN(std::string key, resolver.Resolve(p.column));
+      DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(p.column));
       if (key != attr_key) return universe;
       IntervalSet raw = IntervalSet::Of(Interval::Closed(
           Value::FromLiteral(p.low), Value::FromLiteral(p.high)));
       return raw.Intersect(universe);
     }
     case Predicate::Kind::kIn: {
-      DPE_ASSIGN_OR_RETURN(std::string key, resolver.Resolve(p.column));
+      DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(p.column));
       if (key != attr_key) return universe;
       std::vector<Interval> points;
       for (const auto& v : p.in_list) {
@@ -187,7 +151,7 @@ Result<IntervalSet> ProjectArea(const Predicate& p, const std::string& attr_key,
       IntervalSet acc = universe;
       for (const auto& c : p.children) {
         DPE_ASSIGN_OR_RETURN(IntervalSet child,
-                             ProjectArea(*c, attr_key, resolver, universe));
+                             ProjectArea(*c, attr_key, scope, universe));
         acc = acc.Intersect(child);
       }
       return acc;
@@ -196,7 +160,7 @@ Result<IntervalSet> ProjectArea(const Predicate& p, const std::string& attr_key,
       IntervalSet acc = IntervalSet::Empty();
       for (const auto& c : p.children) {
         DPE_ASSIGN_OR_RETURN(IntervalSet child,
-                             ProjectArea(*c, attr_key, resolver, universe));
+                             ProjectArea(*c, attr_key, scope, universe));
         acc = acc.Union(child);
       }
       return acc;
@@ -217,38 +181,17 @@ Result<std::map<std::string, IntervalSet>> AccessAreas(
 Result<std::map<std::string, IntervalSet>> AccessAreas(
     const sql::SelectQuery& query, const DomainRegistry& domains,
     const AccessAreaOptions& options) {
-  ColumnResolver resolver(query);
+  const sql::QueryScope scope(query);
 
   // 1. Which attributes does the query access?
   std::set<std::string> accessed;
   auto add = [&](const sql::ColumnRef& c) -> Status {
-    DPE_ASSIGN_OR_RETURN(std::string key, resolver.Resolve(c));
+    DPE_ASSIGN_OR_RETURN(std::string key, scope.ColumnKey(c));
     accessed.insert(std::move(key));
     return Status::OK();
   };
   if (query.where) {
-    std::vector<sql::ColumnRef> cols;
-    // Reuse SelectQuery::Columns for the WHERE subtree by scanning all and
-    // filtering below would over-collect; walk WHERE explicitly instead.
-    struct Walker {
-      static void Walk(const Predicate& p, std::vector<sql::ColumnRef>& out) {
-        switch (p.kind) {
-          case Predicate::Kind::kCompare:
-          case Predicate::Kind::kBetween:
-          case Predicate::Kind::kIn:
-            out.push_back(p.column);
-            break;
-          case Predicate::Kind::kColumnCompare:
-            out.push_back(p.column);
-            out.push_back(p.column2);
-            break;
-          default:
-            for (const auto& c : p.children) Walk(*c, out);
-        }
-      }
-    };
-    Walker::Walk(*query.where, cols);
-    for (const auto& c : cols) DPE_RETURN_NOT_OK(add(c));
+    for (const auto& c : query.where->Columns()) DPE_RETURN_NOT_OK(add(c));
   }
   for (const auto& j : query.joins) {
     DPE_RETURN_NOT_OK(add(j.left));
@@ -277,7 +220,7 @@ Result<std::map<std::string, IntervalSet>> AccessAreas(
     }
     if (nnf) {
       DPE_ASSIGN_OR_RETURN(IntervalSet area,
-                           ProjectArea(*nnf, key, resolver, universe));
+                           ProjectArea(*nnf, key, scope, universe));
       out[key] = std::move(area);
     } else {
       out[key] = universe;

@@ -23,4 +23,18 @@ bool TableSchema::Accepts(size_t idx, const Value& v) const {
   return false;
 }
 
+Result<ColumnType> ColumnTypeOf(const SchemaMap& schemas,
+                                const std::string& relation,
+                                const std::string& attribute) {
+  auto it = schemas.find(relation);
+  if (it == schemas.end()) {
+    return Status::NotFound("unknown relation " + relation);
+  }
+  std::optional<size_t> idx = it->second.Find(attribute);
+  if (!idx.has_value()) {
+    return Status::NotFound("unknown column " + relation + "." + attribute);
+  }
+  return it->second.columns()[*idx].type;
+}
+
 }  // namespace dpe::db

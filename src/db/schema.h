@@ -1,8 +1,10 @@
-// Relation schemas and the typed-column catalog entries.
+// Relation schemas and the schema catalog: the one place a column's type is
+// looked up.
 
 #ifndef DPE_DB_SCHEMA_H_
 #define DPE_DB_SCHEMA_H_
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,6 +46,15 @@ class TableSchema {
  private:
   std::vector<ColumnDef> columns_;
 };
+
+/// Schema catalog: relation name -> schema.
+using SchemaMap = std::map<std::string, TableSchema>;
+
+/// Type of `relation`.`attribute`; NotFound for an unknown relation or
+/// column.
+Result<ColumnType> ColumnTypeOf(const SchemaMap& schemas,
+                                const std::string& relation,
+                                const std::string& attribute);
 
 }  // namespace dpe::db
 

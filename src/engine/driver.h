@@ -222,8 +222,9 @@ struct ShardRuntime {
   obs::MetricsRegistry* metrics = nullptr;  ///< null = process default
   obs::TraceBuffer* trace = nullptr;        ///< may be null
   /// The worker loop's crash-injection scope: null = the process-global
-  /// injector (DPE_FAULT). In-process tests pass their own so a "worker"
-  /// thread's faults do not fire elsewhere. A drive fires no fault points.
+  /// injector (FaultInjector::Global(), armed only by a forked worker
+  /// itself). In-process tests pass their own so a "worker" thread's faults
+  /// do not fire elsewhere. A drive fires no fault points.
   common::FaultInjector* faults = nullptr;
 };
 

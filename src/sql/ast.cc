@@ -281,13 +281,6 @@ bool SelectQuery::Equals(const SelectQuery& other) const {
   return true;
 }
 
-std::vector<std::string> SelectQuery::Relations() const {
-  std::vector<std::string> out;
-  out.push_back(from.name);
-  for (const auto& j : joins) out.push_back(j.table.name);
-  return out;
-}
-
 namespace {
 void CollectPredicateColumns(const Predicate& p, std::vector<ColumnRef>& out) {
   switch (p.kind) {
@@ -309,6 +302,12 @@ void CollectPredicateColumns(const Predicate& p, std::vector<ColumnRef>& out) {
 }
 }  // namespace
 
+std::vector<ColumnRef> Predicate::Columns() const {
+  std::vector<ColumnRef> out;
+  CollectPredicateColumns(*this, out);
+  return out;
+}
+
 std::vector<ColumnRef> SelectQuery::Columns() const {
   std::vector<ColumnRef> out;
   for (const auto& item : items) {
@@ -322,6 +321,34 @@ std::vector<ColumnRef> SelectQuery::Columns() const {
   for (const auto& c : group_by) out.push_back(c);
   for (const auto& o : order_by) out.push_back(o.column);
   return out;
+}
+
+QueryScope::QueryScope(const SelectQuery& query) {
+  auto add = [this](const TableRef& t) {
+    relations_.push_back(t.name);
+    qualifier_to_relation_[t.name] = t.name;
+    if (!t.alias.empty()) qualifier_to_relation_[t.alias] = t.name;
+  };
+  add(query.from);
+  for (const JoinClause& j : query.joins) add(j.table);
+}
+
+Result<std::string> QueryScope::RelationOf(const ColumnRef& c) const {
+  if (!c.relation.empty()) {
+    auto it = qualifier_to_relation_.find(c.relation);
+    if (it == qualifier_to_relation_.end()) {
+      return Status::ExecutionError("unknown qualifier " + c.relation);
+    }
+    return it->second;
+  }
+  if (relations_.size() == 1) return relations_.front();
+  return Status::ExecutionError("unqualified column " + c.name +
+                                " in multi-relation query");
+}
+
+Result<std::string> QueryScope::ColumnKey(const ColumnRef& c) const {
+  DPE_ASSIGN_OR_RETURN(std::string relation, RelationOf(c));
+  return relation + "." + c.name;
 }
 
 }  // namespace dpe::sql

@@ -10,6 +10,7 @@
 #define DPE_SQL_AST_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -112,6 +113,10 @@ struct Predicate {
 
   PredicatePtr Clone() const;
   bool Equals(const Predicate& other) const;
+
+  /// Column refs of the tree's atoms, left to right; a column-column
+  /// compare contributes both sides.
+  std::vector<ColumnRef> Columns() const;
 };
 
 enum class AggFn { kNone, kCount, kSum, kAvg, kMin, kMax };
@@ -187,11 +192,34 @@ struct SelectQuery {
   SelectQuery CloneValue() const;
   bool Equals(const SelectQuery& other) const;
 
-  /// All relation names mentioned (FROM + JOINs), in syntactic order.
-  std::vector<std::string> Relations() const;
-
   /// All column refs mentioned anywhere (select list, predicates, group/order).
   std::vector<ColumnRef> Columns() const;
+};
+
+/// Column resolution for one query, shared by everything that keys a column
+/// reference to the attribute it denotes ("rel.attr": the onion layout, the
+/// constant keys, the encrypted domains, the access areas). Qualifiers are
+/// relation names and aliases. The executor binds columns to row positions
+/// on its own (db/expr_eval.h) and also accepts an unqualified column that is
+/// unambiguous across a join; this scope does not.
+class QueryScope {
+ public:
+  explicit QueryScope(const SelectQuery& query);
+
+  /// Relation names in scope: FROM, then each JOIN, in order.
+  const std::vector<std::string>& relations() const { return relations_; }
+
+  /// The relation `c` denotes: its qualifier's, or the only relation in
+  /// scope when `c` is unqualified. ExecutionError for an unknown qualifier
+  /// or an unqualified column among several relations.
+  Result<std::string> RelationOf(const ColumnRef& c) const;
+
+  /// "rel.attr" of `c`, with the relation as RelationOf resolves it.
+  Result<std::string> ColumnKey(const ColumnRef& c) const;
+
+ private:
+  std::vector<std::string> relations_;
+  std::map<std::string, std::string> qualifier_to_relation_;
 };
 
 }  // namespace dpe::sql

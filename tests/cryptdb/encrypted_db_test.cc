@@ -244,5 +244,31 @@ TEST_F(CryptDbTest, DecryptResultValidatesArity) {
   EXPECT_FALSE(Instance().DecryptResult(q, bogus).ok());
 }
 
+TEST_F(CryptDbTest, DecryptResultRejectsMalformedAvgCounts) {
+  // The provider's AVG cell is "h<hex>|<count>"; the owner divides by the
+  // count, so anything but a whole positive int64 after the bar is refused.
+  auto q = sql::Parse("SELECT AVG(salary) FROM emp").value();
+  auto enc_result =
+      Instance().ExecuteEncrypted(Instance().Rewrite(q).value()).value();
+  ASSERT_EQ(enc_result.rows.size(), 1u);
+  const std::string cell = enc_result.rows[0][0].string_value();
+  const size_t bar = cell.rfind('|');
+  ASSERT_NE(bar, std::string::npos);
+  ASSERT_EQ(cell.substr(bar + 1), "5");
+
+  auto decrypted = Instance().DecryptResult(q, enc_result);
+  ASSERT_TRUE(decrypted.ok()) << decrypted.status();
+  EXPECT_EQ(decrypted->rows[0][0], Value::Double(100.0));
+
+  for (const char* count :
+       {"4x", " 4", "+4", "99999999999999999999", "0", "-1", ""}) {
+    db::ResultTable tampered = enc_result;
+    tampered.rows[0][0] = Value::String(cell.substr(0, bar + 1) + count);
+    EXPECT_EQ(Instance().DecryptResult(q, tampered).status().code(),
+              StatusCode::kCryptoError)
+        << "count '" << count << "'";
+  }
+}
+
 }  // namespace
 }  // namespace dpe::cryptdb

@@ -131,6 +131,63 @@ TEST_F(OpeTest, RejectsBadOptions) {
   EXPECT_FALSE(BoldyrevaOpe::Create("short-key").ok());
 }
 
+// Ciphertexts pinned for every (domain, range) width in use: (32, 48) in the
+// security and taxonomy probes, (64, 80) in the search and integration
+// tests, (64, 96) for the owner and perfbench. A faster OPE must reproduce
+// them byte for byte.
+struct OpeGolden {
+  int domain_bits;
+  int range_bits;
+  uint64_t x;
+  const char* hex;
+};
+
+constexpr OpeGolden kOpeGoldens[] = {
+    {32, 48, 0, "00000003dc91"},
+    {32, 48, 1, "0000000493b8"},
+    {32, 48, 0xFFFFFFFFULL, "fffffd7f983a"},
+    {32, 48, 1000, "000006161a7a"},
+    {32, 48, 1001, "000006161b76"},
+    {32, 48, 1002, "000006161df4"},
+    {32, 48, 1003, "000006162ac9"},
+    {32, 48, 0x12345678ULL, "016e9b92b6f5"},
+    {32, 48, 0xDEADBEEFULL, "900a0a6a2e24"},
+    {64, 80, 0, "000000000001a76edd0a"},
+    {64, 80, 1, "000000000001ba2d4858"},
+    {64, 80, ~0ULL, "fffffffffffffbf6969f"},
+    {64, 80, 1000, "000000000485bfbf5f95"},
+    {64, 80, 1001, "000000000485d0593096"},
+    {64, 80, 1002, "000000000485fe4ca13f"},
+    {64, 80, 1003, "00000000048617d5e95f"},
+    {64, 80, 0x0123456789ABCDEFULL, "048da4c1a3530560799d"},
+    {64, 80, 0xFEDCBA9876543210ULL, "e941b8bfdf73b9f89b49"},
+    {64, 96, 0, "0000000000878f2c7aa1663b"},
+    {64, 96, 1, "000000000087a77e7169254a"},
+    {64, 96, ~0ULL, "fffffffffff49489c74249ea"},
+    {64, 96, 1000, "000000002352b3bff9f7289a"},
+    {64, 96, 1001, "000000002352c953d9a213ea"},
+    {64, 96, 1002, "00000000235354f106b8a49a"},
+    {64, 96, 1003, "0000000023535a1e9e7da444"},
+    {64, 96, 0x0123456789ABCDEFULL, "07074f0321fde3925f0d088f"},
+    {64, 96, 0xFEDCBA9876543210ULL, "e010d2d8a7248d50be271e0c"},
+};
+
+TEST(OpeGoldenTest, CiphertextsArePinnedAndDecrypt) {
+  const Bytes key = KeyManager("ope-golden").Derive("k");
+  for (const OpeGolden& g : kOpeGoldens) {
+    BoldyrevaOpe::Options opts;
+    opts.domain_bits = g.domain_bits;
+    opts.range_bits = g.range_bits;
+    BoldyrevaOpe ope = BoldyrevaOpe::Create(key, opts).value();
+    const std::string hex = ope.EncryptToHex(g.x);
+    EXPECT_EQ(hex, g.hex) << "(" << g.domain_bits << ", " << g.range_bits
+                          << ") x = " << g.x;
+    Result<Bigint> ct = Bigint::FromString("0x" + hex);
+    ASSERT_TRUE(ct.ok()) << hex;
+    EXPECT_EQ(ope.Decrypt(*ct).value(), g.x);
+  }
+}
+
 TEST(DictionaryOpeTest, BuildAndEncryptPreservesOrder) {
   auto ope = DictionaryOpe::Create(KeyManager("dope").Derive("k")).value();
   std::vector<Bytes> domain = {"delta", "alpha", "charlie", "bravo", "alpha"};
