@@ -149,14 +149,16 @@ echo "== sanitizers: asan+ubsan on the owner and provider suites =="
 # distances). Owner side: sql (the parser), db (executor, access areas),
 # crypto (hand-written AES/SHA-256, the GMP wrappers, OPE), cryptdb
 # (ciphertext hex decoding, result decryption) and core (log encryption).
+# Both: common (the fault-spec parser's counts, the thread pool, the
+# kernels).
 cmake -B build-asan -S . -DDPE_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug \
       -DDPE_BUILD_BENCHES=OFF -DDPE_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j"$JOBS" \
       --target dpe_engine_tests dpe_distance_tests dpe_store_tests \
       dpe_mining_tests dpe_sql_tests dpe_db_tests dpe_crypto_tests \
-      dpe_cryptdb_tests dpe_core_tests
+      dpe_cryptdb_tests dpe_core_tests dpe_common_tests
 ctest --test-dir build-asan --output-on-failure \
-      -R '^(engine|distance|store|mining|sql|db|crypto|cryptdb|core)$'
+      -R '^(engine|distance|store|mining|sql|db|crypto|cryptdb|core|common)$'
 
 echo "== tsan: driver/coordinator/pool concurrency under ThreadSanitizer =="
 # The lease protocol's value is exactly its behavior under concurrency:

@@ -2,12 +2,22 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <thread>
 
 namespace dpe::common {
 
 namespace {
+
+// Parses a run of decimal digits that an int can hold into `out`; false for
+// an empty run, a sign, any other character and a value past INT_MAX.
+bool ParseCount(std::string_view digits, int* out) {
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, *out);
+  return !digits.empty() && digits.front() != '-' && ec == std::errc() &&
+         ptr == end;
+}
 
 // Parses "point=action[:ms][@n]" into `out`. Returns false with *error on
 // any defect; never partially fills.
@@ -28,11 +38,7 @@ bool ParseEntry(std::string_view entry, FaultInjector::Fault* out,
   // '@n' suffix on the action selects the n-th hit.
   if (const size_t at = action.rfind('@'); at != std::string_view::npos) {
     int n = 0;
-    for (char c : action.substr(at + 1)) {
-      if (c < '0' || c > '9') { n = -1; break; }
-      n = n * 10 + (c - '0');
-    }
-    if (n < 1) {
+    if (!ParseCount(action.substr(at + 1), &n) || n < 1) {
       if (error != nullptr) {
         *error = "fault spec '@' wants a positive hit count in '" +
                  std::string(entry) + "'";
@@ -45,12 +51,7 @@ bool ParseEntry(std::string_view entry, FaultInjector::Fault* out,
   // Optional ':ms' parameter.
   int ms = -1;
   if (const size_t colon = action.find(':'); colon != std::string_view::npos) {
-    ms = 0;
-    for (char c : action.substr(colon + 1)) {
-      if (c < '0' || c > '9') { ms = -1; break; }
-      ms = ms * 10 + (c - '0');
-    }
-    if (ms < 0) {
+    if (!ParseCount(action.substr(colon + 1), &ms)) {
       if (error != nullptr) {
         *error = "fault spec ':' wants a millisecond count in '" +
                  std::string(entry) + "'";

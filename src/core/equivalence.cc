@@ -5,6 +5,7 @@
 
 #include "sql/features.h"
 #include "sql/lexer.h"
+#include "sql/parser.h"
 #include "sql/printer.h"
 
 namespace dpe::core {
@@ -83,23 +84,10 @@ Result<EquivalenceReport> CheckTokenEquivalence(
         case sql::TokenKind::kInteger:
         case sql::TokenKind::kFloat:
         case sql::TokenKind::kString: {
-          // Re-parse the literal token and map it through EncConst. The
-          // global-key scheme makes this independent of the attribute, so
-          // "@any" serves as the column key.
-          sql::Literal lit;
-          if (t.kind == sql::TokenKind::kInteger) {
-            lit = sql::Literal::Int(std::strtoll(t.lexeme.c_str(), nullptr, 10));
-          } else if (t.kind == sql::TokenKind::kFloat) {
-            lit = sql::Literal::Double(std::strtod(t.lexeme.c_str(), nullptr));
-          } else {
-            std::string body = t.lexeme.substr(1, t.lexeme.size() - 2);
-            std::string unescaped;
-            for (size_t i = 0; i < body.size(); ++i) {
-              unescaped += body[i];
-              if (body[i] == '\'' && i + 1 < body.size() && body[i + 1] == '\'') ++i;
-            }
-            lit = sql::Literal::String(unescaped);
-          }
+          // Read the literal token as the parser does and map it through
+          // EncConst. The global-key scheme makes this independent of the
+          // attribute, so "@any" serves as the column key.
+          DPE_ASSIGN_OR_RETURN(sql::Literal lit, sql::LiteralFromToken(t));
           Result<sql::Literal> image = enc.EncryptConstant("@any", lit);
           if (!image.ok()) {
             mapped_ok = false;

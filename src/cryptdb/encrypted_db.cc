@@ -4,7 +4,6 @@
 #include <charconv>
 
 #include "common/hex.h"
-#include "common/str.h"
 #include "crypto/instrument.h"
 
 namespace dpe::cryptdb {
@@ -54,7 +53,7 @@ Result<CryptDb> CryptDb::Build(const db::Database& plain,
         enc_columns.push_back({enc_attr + kAddSuffix, ColumnType::kString});
         plan.push_back({i, key, 'h'});
       }
-      if (cfg.rnd_only() || options.materialize_rnd_for_all) {
+      if (cfg.rnd_only()) {
         enc_columns.push_back({enc_attr + kRndSuffix, ColumnType::kString});
         plan.push_back({i, key, 'p'});
       }
@@ -288,24 +287,6 @@ Result<db::ResultTable> CryptDb::DecryptResult(
     out.rows.push_back(std::move(prow));
   }
   return out;
-}
-
-Result<db::DomainRegistry> CryptDb::EncryptDomains(
-    const db::DomainRegistry& plain) const {
-  db::DomainRegistry out;
-  for (const auto& [key, domain] : plain.all()) {
-    DPE_ASSIGN_OR_RETURN(Value lo, crypto_->EncryptOrd(key, domain.min));
-    DPE_ASSIGN_OR_RETURN(Value hi, crypto_->EncryptOrd(key, domain.max));
-    out.Set(EncryptColumnKey(key), db::Domain{std::move(lo), std::move(hi)});
-  }
-  return out;
-}
-
-std::string CryptDb::EncryptColumnKey(const std::string& column_key) const {
-  auto parts = Split(column_key, '.');
-  if (parts.size() != 2) return column_key;
-  return crypto_->EncryptRelName(parts[0]) + "." +
-         crypto_->EncryptAttrName(parts[1]);
 }
 
 }  // namespace dpe::cryptdb

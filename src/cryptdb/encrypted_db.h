@@ -48,9 +48,6 @@ class CryptDb {
  public:
   struct Options {
     OnionCrypto::Options crypto;
-    /// Also materialize RND columns for columns with onions (CryptDB keeps
-    /// an outer RND layer; we model it as an extra column when asked).
-    bool materialize_rnd_for_all = false;
   };
 
   /// Encrypts `plain` under `layout`. `keys` must outlive the CryptDb.
@@ -77,14 +74,6 @@ class CryptDb {
   /// column/key mapping (the proxy keeps the original query, as in CryptDB).
   Result<db::ResultTable> DecryptResult(const sql::SelectQuery& plain_query,
                                         const db::ResultTable& enc_result) const;
-
-  /// Owner-side: OPE-encrypted image of a plaintext domain registry, keyed
-  /// by encrypted "rel.attr" names — what the provider gets for the
-  /// access-area measure ("Domains" column of Table I).
-  Result<db::DomainRegistry> EncryptDomains(const db::DomainRegistry& plain) const;
-
-  /// Encrypted key ("encRel.encAttr") of a plaintext column key.
-  std::string EncryptColumnKey(const std::string& column_key) const;
 
  private:
   CryptDb(std::unique_ptr<OnionCrypto> crypto, db::Database encrypted,

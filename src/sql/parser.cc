@@ -119,7 +119,8 @@ class Parser {
       if (t.kind != TokenKind::kInteger) {
         return Status::ParseError("LIMIT expects an integer");
       }
-      q.limit = std::strtoll(t.lexeme.c_str(), nullptr, 10);
+      DPE_ASSIGN_OR_RETURN(Literal limit, LiteralFromToken(t));
+      q.limit = limit.int_value();
     }
     if (!cur_.AtEnd()) {
       return Status::ParseError("trailing tokens after query: '" +
@@ -212,39 +213,7 @@ class Parser {
     return c;
   }
 
-  Result<Literal> ParseLiteral() {
-    const Token t = cur_.Advance();
-    switch (t.kind) {
-      case TokenKind::kInteger: {
-        int64_t v = 0;
-        auto [ptr, ec] =
-            std::from_chars(t.lexeme.data(), t.lexeme.data() + t.lexeme.size(), v);
-        if (ec != std::errc()) {
-          return Status::ParseError("integer literal out of range: " + t.lexeme);
-        }
-        (void)ptr;
-        return Literal::Int(v);
-      }
-      case TokenKind::kFloat:
-        return Literal::Double(std::strtod(t.lexeme.c_str(), nullptr));
-      case TokenKind::kString: {
-        // Strip quotes, un-escape ''.
-        std::string body;
-        for (size_t i = 1; i + 1 < t.lexeme.size(); ++i) {
-          if (t.lexeme[i] == '\'' && i + 2 < t.lexeme.size() &&
-              t.lexeme[i + 1] == '\'') {
-            body += '\'';
-            ++i;
-          } else {
-            body += t.lexeme[i];
-          }
-        }
-        return Literal::String(std::move(body));
-      }
-      default:
-        return Status::ParseError("expected literal, found '" + t.lexeme + "'");
-    }
-  }
+  Result<Literal> ParseLiteral() { return LiteralFromToken(cur_.Advance()); }
 
   Result<PredicatePtr> ParseOr() {
     DPE_ASSIGN_OR_RETURN(PredicatePtr first, ParseAnd());
@@ -327,6 +296,39 @@ class Parser {
 };
 
 }  // namespace
+
+Result<Literal> LiteralFromToken(const Token& token) {
+  const std::string& lexeme = token.lexeme;
+  switch (token.kind) {
+    case TokenKind::kInteger: {
+      int64_t v = 0;
+      const char* end = lexeme.data() + lexeme.size();
+      const auto [ptr, ec] = std::from_chars(lexeme.data(), end, v);
+      if (ec != std::errc() || ptr != end) {
+        return Status::ParseError("integer literal out of range: " + lexeme);
+      }
+      return Literal::Int(v);
+    }
+    case TokenKind::kFloat:
+      return Literal::Double(std::strtod(lexeme.c_str(), nullptr));
+    case TokenKind::kString: {
+      // Strip quotes, un-escape ''.
+      std::string body;
+      for (size_t i = 1; i + 1 < lexeme.size(); ++i) {
+        if (lexeme[i] == '\'' && i + 2 < lexeme.size() &&
+            lexeme[i + 1] == '\'') {
+          body += '\'';
+          ++i;
+        } else {
+          body += lexeme[i];
+        }
+      }
+      return Literal::String(std::move(body));
+    }
+    default:
+      return Status::ParseError("expected literal, found '" + lexeme + "'");
+  }
+}
 
 Result<SelectQuery> Parse(std::string_view text) {
   DPE_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));

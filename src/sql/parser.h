@@ -8,11 +8,19 @@
 
 #include "common/status.h"
 #include "sql/ast.h"
+#include "sql/token.h"
 
 namespace dpe::sql {
 
 /// Parses one SELECT statement; the whole input must be consumed.
 Result<SelectQuery> Parse(std::string_view text);
+
+/// The constant a literal token denotes: an integer token must fit int64_t,
+/// and a string token loses its quotes and its '' escapes. ParseError for an
+/// integer out of range and for any token that is not a literal. The one
+/// reader of literal tokens: predicates, LIMIT and the token-equivalence
+/// checker all go through it.
+Result<Literal> LiteralFromToken(const Token& token);
 
 }  // namespace dpe::sql
 

@@ -396,78 +396,37 @@ void AppendRecord(std::string_view payload, std::string* out) {
   out->append(payload);
 }
 
-Result<RecordScan> ScanRecords(std::string_view data) {
+RecordScan ScanRecords(std::string_view data) {
   RecordScan scan;
   Reader r(data);
   while (!r.AtEnd()) {
-    if (r.remaining() < 8) {  // half-written length/crc header
-      scan.torn_tail = true;
-      TornTailCounter().Increment();
-      return scan;
-    }
-    DPE_ASSIGN_OR_RETURN(uint32_t len, r.ReadU32());
-    DPE_ASSIGN_OR_RETURN(uint32_t crc, r.ReadU32());
-    if (len > r.remaining()) {  // payload cut off by the crash
-      scan.torn_tail = true;
-      TornTailCounter().Increment();
-      return scan;
-    }
-    DPE_ASSIGN_OR_RETURN(std::string payload, r.ReadBytes(len));
-    CrcValidationCounter().Increment();
-    if (Crc32(payload) != crc) {
-      if (r.AtEnd()) {  // final record half-flushed: recoverable
-        scan.torn_tail = true;
-        TornTailCounter().Increment();
-        return scan;
-      }
-      return Corrupt("record checksum mismatch mid-stream");
-    }
-    scan.records.push_back(std::move(payload));
-    scan.valid_bytes = data.size() - r.remaining();
-  }
-  return scan;
-}
-
-SalvageScan ScanRecordsSalvage(std::string_view data) {
-  SalvageScan scan;
-  Reader r(data);
-  while (!r.AtEnd()) {
-    if (r.remaining() < 8) {  // half-written length/crc header
-      scan.torn_tail = true;
-      scan.torn_bytes = r.remaining();
-      return scan;
-    }
-    // The header reads below cannot fail (>= 8 bytes checked above), and
-    // ReadBytes cannot fail after the length check — but the Reader API is
-    // fallible by contract, so treat an impossible failure as a tear.
+    scan.damage_followed = scan.damaged_records > 0;
+    const size_t left = r.remaining();
     Result<uint32_t> len = r.ReadU32();
     Result<uint32_t> crc = r.ReadU32();
     if (!len.ok() || !crc.ok() || *len > r.remaining()) {
-      // A length pointing past the end is either the genuine torn tail of a
-      // killed appender or a corrupted length field; either way nothing
-      // beyond this point can be framed, so the remainder is quarantined.
-      scan.torn_tail = true;
-      scan.torn_bytes = r.remaining() + 8;
-      return scan;
+      // A half-written header, or a length pointing past the end: the torn
+      // tail of a killed appender or a damaged length field. Either way
+      // nothing beyond this point can be framed.
+      scan.torn_bytes = left;
+      TornTailCounter().Increment();
+      break;
     }
-    Result<std::string> payload = r.ReadBytes(*len);
-    if (!payload.ok()) {
-      scan.torn_tail = true;
-      scan.torn_bytes = r.remaining() + 8;
-      return scan;
-    }
+    std::string payload = r.ReadBytes(*len).value();  // *len <= remaining
     CrcValidationCounter().Increment();
-    if (Crc32(*payload) != *crc) {
-      // The length field still framed a full record, so the stream resyncs
-      // at the next boundary: skip exactly this record. (A corrupted length
-      // that lands mid-record desyncs the scan, but every subsequent
-      // misframed "record" fails its CRC too — garbage is dropped, never
-      // returned.)
-      scan.quarantined_records += 1;
-      scan.quarantined_bytes += 8 + *len;
+    if (Crc32(payload) != *crc) {
+      // The length still frames a whole record, so the scan resyncs at the
+      // next boundary. (A damaged length that lands mid-record desyncs it,
+      // but every misframed "record" after it fails its checksum too:
+      // damage is dropped, never returned.)
+      scan.damaged_records += 1;
+      scan.damaged_bytes += 8 + *len;
       continue;
     }
-    scan.records.push_back(std::move(*payload));
+    scan.records.push_back(std::move(payload));
+    if (scan.damaged_records == 0) {
+      scan.valid_bytes = data.size() - r.remaining();
+    }
   }
   return scan;
 }

@@ -18,9 +18,14 @@
 //
 // The whole-file frame is checksummed once over the payload and written
 // atomically (tmp + rename); the record frame is checksummed per record so
-// an append-only journal detects torn tails. Every framed format has
-// exactly one version, and readers accept only that version. Distances
-// travel as runs of raw doubles (Writer::PutDoubles): the rows of a
+// an append-only journal detects torn tails. Each scheme has one reader:
+// ReadFramedFileSalvage for whole files (ReadFramedFile is its strict
+// wrapper) and ScanRecords for records. Neither reader decides what damage
+// means — it reports what it found, and each caller applies its own policy
+// (a strict load refuses any damage, crash recovery cuts a torn tail off,
+// the scrubber keeps what survives). Every framed format has exactly one
+// version, and readers accept only that version. Distances travel as runs
+// of raw doubles (Writer::PutDoubles): the rows of a
 // distance::DistanceTriangle, whether in a snapshot chunk, a journal row
 // record or a shard file.
 
@@ -226,36 +231,26 @@ Result<SalvagedFrame> ReadFramedFileSalvage(const std::string& path,
 /// Appends one [payload_len][crc32][payload] record to `out`.
 void AppendRecord(std::string_view payload, std::string* out);
 
-/// Outcome of a crash-tolerant record scan.
+/// What a record scan found: the records that pass their checksum, and an
+/// account of the damage for the caller to judge.
 struct RecordScan {
-  std::vector<std::string> records;  ///< intact records, in order
-  size_t valid_bytes = 0;            ///< prefix length holding them
-  bool torn_tail = false;            ///< trailing partial record was dropped
+  std::vector<std::string> records;  ///< checksum-intact records, in order
+  size_t valid_bytes = 0;        ///< intact prefix before any damage or tear
+  uint64_t damaged_records = 0;  ///< framed records whose checksum failed
+  uint64_t damaged_bytes = 0;    ///< bytes they occupy, headers included
+  bool damage_followed = false;  ///< bytes follow a damaged record
+  uint64_t torn_bytes = 0;  ///< the partial record ending the input, if any
 };
 
-/// Splits a concatenation of records back into payloads. A corrupt record
-/// that reaches the end of the input is reported as a torn tail (the
-/// half-written append of a killed process); a checksum failure *followed
-/// by further records* is a ParseError. WAL recovery = replay `records`,
-/// then truncate the file back to `valid_bytes`.
-Result<RecordScan> ScanRecords(std::string_view data);
-
-/// Outcome of a salvage scan: what survived and what was quarantined.
-struct SalvageScan {
-  std::vector<std::string> records;   ///< CRC-intact records, in order
-  uint64_t quarantined_records = 0;   ///< mid-stream CRC failures skipped
-  uint64_t quarantined_bytes = 0;     ///< bytes those failures occupied
-  bool torn_tail = false;             ///< trailing partial record dropped
-  uint64_t torn_bytes = 0;            ///< bytes in the dropped tail
-};
-
-/// The scrubber's record scan: never fails. A mid-stream checksum failure
-/// whose length field still frames a plausible record is *skipped* (the
-/// length resyncs the stream at the next record boundary) and counted as
-/// quarantined; a length field pointing past the end quarantines the
-/// remainder as a torn tail. Only CRC-passing payloads are ever returned,
-/// so salvage admits no wrong data — it only drops damaged records.
-SalvageScan ScanRecordsSalvage(std::string_view data);
+/// Splits a concatenation of records back into payloads; never fails. A
+/// record whose checksum fails but whose length still frames it is skipped
+/// (the length resyncs the scan at the next boundary) and counted as
+/// damaged; a header or payload cut off by the end of the input is the torn
+/// tail. Only checksum-passing payloads are returned, so no caller ever
+/// sees damaged bytes as a record. Crash recovery replays the records of a
+/// scan whose damage is not followed by more bytes, then truncates the file
+/// back to `valid_bytes`.
+RecordScan ScanRecords(std::string_view data);
 
 }  // namespace dpe::store
 

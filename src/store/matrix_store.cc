@@ -129,28 +129,107 @@ Result<JournalRecord> DecodeJournalRecord(std::string_view payload) {
   return record;
 }
 
-/// The records of one journal file's bytes: checks the magic/version
-/// prologue, then scans the record stream (a torn tail is reported in the
-/// scan, not failed).
-Result<RecordScan> ScanJournal(std::string_view data, const std::string& path) {
-  Reader header(data);
-  DPE_ASSIGN_OR_RETURN(uint32_t magic, header.ReadU32());
-  if (magic != kJournalMagic) {
-    return Corrupt("bad journal magic in " + path);
-  }
-  DPE_ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
-  if (version != kJournalFormatVersion) {
-    return Corrupt("unsupported journal version " + std::to_string(version) +
-                   " in " + path);
-  }
-  return ScanRecords(data.substr(8));
-}
-
 std::string JournalPrologue() {
   Writer w;
   w.PutU32(kJournalMagic);
   w.PutU32(kJournalFormatVersion);
   return w.TakeBuffer();
+}
+
+/// A journal file starts with its magic and version, 8 bytes in all.
+constexpr uint64_t kJournalPrologueBytes = 8;
+
+/// One journal file as the one reader finds it: whether it exists, its size,
+/// whether its magic/version prologue is intact and, when it is, the scan of
+/// the records after it. Every reader of journal files goes through
+/// ReadJournalFile and applies its own policy to the damage it reports.
+struct JournalFile {
+  bool exists = false;
+  uint64_t size = 0;
+  bool prologue_ok = false;
+  RecordScan scan;
+};
+
+Result<JournalFile> ReadJournalFile(const std::string& path) {
+  JournalFile file;
+  Result<std::string> read = ReadFileBytes(path);
+  if (read.status().code() == StatusCode::kNotFound) return file;
+  DPE_ASSIGN_OR_RETURN(const std::string data, std::move(read));
+  JournalBytesRead().Increment(data.size());
+  file.exists = true;
+  file.size = data.size();
+  file.prologue_ok = data.starts_with(JournalPrologue());
+  if (file.prologue_ok) {
+    file.scan =
+        ScanRecords(std::string_view(data).substr(kJournalPrologueBytes));
+  }
+  return file;
+}
+
+/// The records of `file` for a load or a fold. Damage that ends the file (a
+/// torn tail, or a final record whose checksum fails: the half-flushed
+/// append of a killed process) is dropped when `tolerate_tail` and refused
+/// otherwise. A bad prologue, damage followed by more bytes and a record
+/// that does not decode are ParseErrors either way.
+Result<std::vector<JournalRecord>> DecodeJournal(const JournalFile& file,
+                                                 const std::string& path,
+                                                 bool tolerate_tail) {
+  if (!file.prologue_ok) {
+    return Corrupt("journal " + path + " lacks its magic/version prologue");
+  }
+  const RecordScan& scan = file.scan;
+  if (scan.damage_followed) {
+    return Corrupt("record checksum mismatch mid-stream in " + path);
+  }
+  if (!tolerate_tail && (scan.damaged_records > 0 || scan.torn_bytes > 0)) {
+    return Corrupt("torn journal tail in " + path + " (crash mid-append?)");
+  }
+  std::vector<JournalRecord> records;
+  records.reserve(scan.records.size());
+  for (const std::string& payload : scan.records) {
+    DPE_ASSIGN_OR_RETURN(JournalRecord record, DecodeJournalRecord(payload));
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+/// One journal file's strict or crash-tolerant read, accumulated into
+/// `recovery`. Recovery cuts damage at the end of the file back to the last
+/// intact record, so future appends extend an intact stream instead of
+/// burying garbage mid-file, and counts the cut as one dropped record.
+Status LoadJournalFile(const std::string& path, bool recover_torn_tail,
+                       JournalRecovery* recovery) {
+  DPE_ASSIGN_OR_RETURN(JournalFile file, ReadJournalFile(path));
+  if (!file.exists) return Status::OK();  // no journal = no records
+  std::error_code ec;
+  uint64_t kept = 0;
+  if (recover_torn_tail && file.size < kJournalPrologueBytes) {
+    // A crash can die inside the very first buffered write, before even the
+    // prologue is complete. The prologue is only ever written as part of an
+    // append, so the stub goes and its in-flight record counts as dropped.
+    fs::remove(path, ec);
+  } else {
+    DPE_ASSIGN_OR_RETURN(std::vector<JournalRecord> records,
+                         DecodeJournal(file, path, recover_torn_tail));
+    recovery->records.insert(recovery->records.end(),
+                             std::make_move_iterator(records.begin()),
+                             std::make_move_iterator(records.end()));
+    kept = kJournalPrologueBytes + file.scan.valid_bytes;
+    if (kept == file.size) return Status::OK();
+    fs::resize_file(path, kept, ec);
+    if (ec) {
+      return Status::Internal("matrix store: cannot truncate torn journal " +
+                              path);
+    }
+  }
+  const uint64_t dropped = file.size - kept;
+  recovery->tail_truncated = true;
+  recovery->dropped_records += 1;  // a tear is one half-flushed record
+  recovery->dropped_bytes += dropped;
+  JournalTornTailRecoveries().Increment();
+  JournalDroppedRecords().Increment();
+  JournalDroppedBytes().Increment(dropped);
+  return Status::OK();
 }
 
 // -- Snapshot payload codec ---------------------------------------------------
@@ -304,15 +383,40 @@ Snapshot AssembleSnapshot(SnapshotCore core,
   return snapshot;
 }
 
-/// Strict decode of a payload whose frame CRC already matched: that CRC
-/// covers every byte, so the core and chunk CRCs are skipped here. They
-/// exist for Scrub, which localizes damage once the frame CRC has failed.
-Result<Snapshot> DecodeSnapshotPayload(std::string_view payload) {
+/// A decoded snapshot plus what the decode skipped. `snapshot` holds each
+/// declared measure, its triangle the prefix of rows that intact, in-order
+/// chunks carried.
+struct SnapshotDecode {
+  Snapshot snapshot;
+  uint64_t chunks = 0;          ///< chunks the payload declares
+  uint64_t chunks_skipped = 0;  ///< damaged, or not continuing their measure
+  uint64_t cells_missing = 0;   ///< declared cells no applied chunk carried
+  Status defect;                ///< the first defect; OK when there is none
+};
+
+/// The one snapshot decoder, for strict loads and the scrubber alike. The
+/// core must decode: the queries are source data and cannot be recomputed,
+/// so a core that does not is a ParseError. Any later defect is recorded
+/// and decoding goes on, skipping a chunk that fails its checksum or does
+/// not continue its measure. The core and chunk checksums are recomputed
+/// only when `frame_crc_ok` is false: a frame checksum that matched already
+/// covers every byte, and the inner ones exist to localize damage once it
+/// has failed.
+Result<SnapshotDecode> DecodeSnapshotPayload(std::string_view payload,
+                                             bool frame_crc_ok) {
   Reader r(payload);
   DPE_ASSIGN_OR_RETURN(uint64_t core_len, r.ReadU64());
-  DPE_RETURN_NOT_OK(r.ReadU32().status());  // core CRC
+  DPE_ASSIGN_OR_RETURN(uint32_t core_crc, r.ReadU32());
   DPE_ASSIGN_OR_RETURN(std::string core_bytes, r.ReadBytes(core_len));
+  if (!frame_crc_ok && Crc32(core_bytes) != core_crc) {
+    return Corrupt("snapshot core checksum mismatch");
+  }
   DPE_ASSIGN_OR_RETURN(SnapshotCore core, DecodeSnapshotCore(core_bytes));
+
+  SnapshotDecode out;
+  auto note = [&out](Status defect) {
+    if (out.defect.ok()) out.defect = std::move(defect);
+  };
   std::vector<distance::DistanceTriangle> triangles(core.measures.size());
   // The chunks carry every declared cell as 8 raw bytes, so the declared
   // rows are checked against the bytes present before any is allocated.
@@ -321,85 +425,56 @@ Result<Snapshot> DecodeSnapshotPayload(std::string_view payload) {
     declared_cells += distance::DistanceTriangle::CellCount(rows);
   }
   if (declared_cells > r.remaining() / sizeof(double)) {
-    return Corrupt("snapshot declares " + std::to_string(declared_cells) +
-                   " cells but holds " + std::to_string(r.remaining()) +
-                   " payload bytes");
-  }
-  for (size_t k = 0; k < triangles.size(); ++k) {
-    triangles[k].Reserve(core.measures[k].second);
-  }
-  DPE_ASSIGN_OR_RETURN(uint32_t chunk_count, r.ReadU32());
-  if (chunk_count > r.remaining() / 12) {  // >= 12 header bytes per chunk
-    return Corrupt("snapshot chunk count " + std::to_string(chunk_count) +
-                   " exceeds remaining input");
-  }
-  for (uint32_t c = 0; c < chunk_count; ++c) {
-    DPE_ASSIGN_OR_RETURN(uint64_t chunk_len, r.ReadU64());
-    DPE_RETURN_NOT_OK(r.ReadU32().status());  // chunk CRC
-    DPE_ASSIGN_OR_RETURN(std::string chunk, r.ReadBytes(chunk_len));
-    DPE_RETURN_NOT_OK(ApplySnapshotChunk(chunk, core, &triangles));
-  }
-  DPE_RETURN_NOT_OK(r.ExpectEnd());
-  for (size_t k = 0; k < core.measures.size(); ++k) {
-    if (triangles[k].rows() != core.measures[k].second) {
-      return Corrupt("snapshot measure '" + core.measures[k].first +
-                     "' declares " + std::to_string(core.measures[k].second) +
-                     " rows but its chunks carry " +
-                     std::to_string(triangles[k].rows()));
+    note(Corrupt("snapshot declares " + std::to_string(declared_cells) +
+                 " cells but holds " + std::to_string(r.remaining()) +
+                 " payload bytes"));
+  } else {
+    for (size_t k = 0; k < triangles.size(); ++k) {
+      triangles[k].Reserve(core.measures[k].second);
     }
   }
-  return AssembleSnapshot(std::move(core), std::move(triangles));
-}
-
-/// Tolerant parse for the scrubber: the core must decode (queries are
-/// source data and cannot be recomputed), but a chunk that fails its CRC or
-/// does not continue its measure is skipped and counted. Each triangle
-/// keeps the prefix of rows its intact, in-order chunks carry.
-struct SnapshotSalvageResult {
-  Snapshot snapshot;
-  bool core_ok = false;
-  uint64_t chunks_checked = 0;
-  uint64_t chunks_quarantined = 0;
-  uint64_t cells_quarantined = 0;
-};
-
-SnapshotSalvageResult SalvageSnapshotPayload(std::string_view payload) {
-  SnapshotSalvageResult out;
-  Reader r(payload);
-  Result<uint64_t> core_len = r.ReadU64();
-  Result<uint32_t> core_crc = r.ReadU32();
-  if (!core_len.ok() || !core_crc.ok()) return out;
-  Result<std::string> core_bytes = r.ReadBytes(*core_len);
-  if (!core_bytes.ok() || Crc32(*core_bytes) != *core_crc) return out;
-  Result<SnapshotCore> core = DecodeSnapshotCore(*core_bytes);
-  if (!core.ok()) return out;
-  out.core_ok = true;
-  std::vector<distance::DistanceTriangle> triangles(core->measures.size());
   Result<uint32_t> chunk_count = r.ReadU32();
-  if (chunk_count.ok()) {
-    out.chunks_checked = *chunk_count;
-    for (uint32_t c = 0; c < *chunk_count; ++c) {
-      Result<uint64_t> chunk_len = r.ReadU64();
-      Result<uint32_t> chunk_crc = r.ReadU32();
-      if (!chunk_len.ok() || !chunk_crc.ok() || *chunk_len > r.remaining()) {
-        // Structural damage: nothing past this point can be framed, so the
-        // rest of the chunk stream is quarantined wholesale.
-        out.chunks_quarantined += *chunk_count - c;
-        break;
-      }
-      Result<std::string> chunk = r.ReadBytes(*chunk_len);
-      if (!chunk.ok() || Crc32(*chunk) != *chunk_crc ||
-          !ApplySnapshotChunk(*chunk, *core, &triangles).ok()) {
-        out.chunks_quarantined += 1;
-      }
+  if (!chunk_count.ok()) note(chunk_count.status());
+  out.chunks = chunk_count.ok() ? *chunk_count : 0;
+  if (out.chunks > r.remaining() / 12) {  // >= 12 header bytes per chunk
+    note(Corrupt("snapshot chunk count " + std::to_string(out.chunks) +
+                 " exceeds remaining input"));
+  }
+  // Each pass consumes a 12-byte header or ends the loop, so a count the
+  // bytes cannot hold stops where they do.
+  for (uint64_t c = 0; c < out.chunks; ++c) {
+    Result<uint64_t> chunk_len = r.ReadU64();
+    Result<uint32_t> chunk_crc = r.ReadU32();
+    if (!chunk_len.ok() || !chunk_crc.ok() || *chunk_len > r.remaining()) {
+      // Nothing past a broken chunk header can be framed: the rest of the
+      // chunk stream is skipped wholesale.
+      note(Corrupt("snapshot chunk " + std::to_string(c) +
+                   " is cut off by the end of the payload"));
+      out.chunks_skipped += out.chunks - c;
+      break;
+    }
+    const std::string chunk = r.ReadBytes(*chunk_len).value();
+    Status applied = !frame_crc_ok && Crc32(chunk) != *chunk_crc
+                         ? Corrupt("snapshot chunk " + std::to_string(c) +
+                                   " checksum mismatch")
+                         : ApplySnapshotChunk(chunk, core, &triangles);
+    if (!applied.ok()) {
+      note(std::move(applied));
+      out.chunks_skipped += 1;
     }
   }
-  for (size_t k = 0; k < core->measures.size(); ++k) {
-    out.cells_quarantined +=
-        distance::DistanceTriangle::CellCount(core->measures[k].second) -
-        triangles[k].cells();
+  note(r.ExpectEnd());
+  for (size_t k = 0; k < core.measures.size(); ++k) {
+    const auto& [name, rows] = core.measures[k];
+    if (triangles[k].rows() != rows) {
+      note(Corrupt("snapshot measure '" + name + "' declares " +
+                   std::to_string(rows) + " rows but its chunks carry " +
+                   std::to_string(triangles[k].rows())));
+    }
+    out.cells_missing +=
+        distance::DistanceTriangle::CellCount(rows) - triangles[k].cells();
   }
-  out.snapshot = AssembleSnapshot(std::move(*core), std::move(triangles));
+  out.snapshot = AssembleSnapshot(std::move(core), std::move(triangles));
   return out;
 }
 
@@ -590,7 +665,10 @@ Result<Snapshot> MatrixStore::ReadSnapshotForGen(uint64_t gen) const {
   DPE_ASSIGN_OR_RETURN(std::string payload,
                        ReadFramedFile(SnapshotPathForGen(gen), kSnapshotMagic,
                                       kSnapshotFormatVersion));
-  return DecodeSnapshotPayload(payload);
+  DPE_ASSIGN_OR_RETURN(SnapshotDecode decoded,
+                       DecodeSnapshotPayload(payload, /*frame_crc_ok=*/true));
+  DPE_RETURN_NOT_OK(decoded.defect);
+  return std::move(decoded.snapshot);
 }
 
 Result<Snapshot> MatrixStore::ReadSnapshot() const {
@@ -674,71 +752,15 @@ Status MatrixStore::AppendRow(const std::string& measure, uint32_t row,
   return AppendRecords({std::move(record)});
 }
 
-Status MatrixStore::ReadJournalFile(const std::string& path,
-                                    bool recover_torn_tail,
-                                    JournalRecovery* recovery) const {
-  Result<std::string> read = ReadFileBytes(path);
-  if (read.status().code() == StatusCode::kNotFound) {
-    return Status::OK();  // no journal = no records
-  }
-  DPE_ASSIGN_OR_RETURN(std::string data, std::move(read));
-  JournalBytesRead().Increment(data.size());
-  if (data.size() < 8 && recover_torn_tail) {
-    // A crash can die inside the very first buffered write, before even the
-    // 8-byte magic/version prologue is complete. Recovery treats that as an
-    // empty journal and clears the stub so future appends start clean. The
-    // prologue is only ever written as part of an append, so the in-flight
-    // record was lost too — count it like any other torn tail.
-    std::error_code ec;
-    fs::remove(path, ec);
-    recovery->tail_truncated = true;
-    recovery->dropped_records += 1;
-    recovery->dropped_bytes += data.size();
-    JournalTornTailRecoveries().Increment();
-    JournalDroppedRecords().Increment();
-    JournalDroppedBytes().Increment(data.size());
-    return Status::OK();
-  }
-  DPE_ASSIGN_OR_RETURN(RecordScan scan, ScanJournal(data, path));
-  if (scan.torn_tail) {
-    if (!recover_torn_tail) {
-      return Corrupt("torn journal tail in " + path + " (crash mid-append?)");
-    }
-    // Truncate the torn bytes away so future appends extend an intact
-    // stream instead of burying garbage mid-file.
-    std::error_code ec;
-    fs::resize_file(path, 8 + scan.valid_bytes, ec);
-    if (ec) {
-      return Status::Internal("matrix store: cannot truncate torn journal " +
-                              path);
-    }
-    const uint64_t dropped = data.size() - (8 + scan.valid_bytes);
-    recovery->tail_truncated = true;
-    recovery->dropped_records += 1;  // a tear is one half-flushed record
-    recovery->dropped_bytes += dropped;
-    JournalTornTailRecoveries().Increment();
-    JournalDroppedRecords().Increment();
-    JournalDroppedBytes().Increment(dropped);
-  }
-  recovery->records.reserve(recovery->records.size() + scan.records.size());
-  for (const std::string& payload : scan.records) {
-    DPE_ASSIGN_OR_RETURN(JournalRecord record, DecodeJournalRecord(payload));
-    recovery->records.push_back(std::move(record));
-  }
-  return Status::OK();
-}
-
 Result<JournalRecovery> MatrixStore::ReadJournalImpl(
     bool recover_torn_tail) const {
   JournalRecovery recovery;
-  if (journal_gen_ > gen_) {
-    // A compaction is (or was) in flight: the frozen gen journal replays
-    // first, then the active gen+1 journal on top — append order.
-    DPE_RETURN_NOT_OK(ReadJournalFile(JournalPathForGen(gen_),
-                                      recover_torn_tail, &recovery));
+  // While a compaction is (or was) in flight the frozen gen journal replays
+  // first, then the active gen+1 journal on top: append order.
+  for (uint64_t g = gen_; g <= journal_gen_; ++g) {
+    DPE_RETURN_NOT_OK(
+        LoadJournalFile(JournalPathForGen(g), recover_torn_tail, &recovery));
   }
-  DPE_RETURN_NOT_OK(ReadJournalFile(JournalPathForGen(journal_gen_),
-                                    recover_torn_tail, &recovery));
   return recovery;
 }
 
@@ -807,22 +829,15 @@ Result<Snapshot> MatrixStore::FoldFrozen(const CompactionPlan& plan) const {
   Snapshot folded = base.ok() ? std::move(base).value() : Snapshot{};
 
   // The frozen journal is read tolerantly and WITHOUT mutating the file —
-  // this runs off-lock while appends continue elsewhere. A torn tail is
-  // dropped silently: those bytes belong to an append that never
+  // this runs off-lock while appends continue elsewhere. Damage at its end
+  // is dropped silently: those bytes belong to an append that never
   // acknowledged, and the fold's output supersedes the frozen file anyway.
+  // A stub shorter than the prologue holds nothing to fold.
   const std::string path = JournalPathForGen(plan.from_gen);
-  Result<std::string> read = ReadFileBytes(path);
-  if (read.status().code() == StatusCode::kNotFound) return folded;
-  DPE_ASSIGN_OR_RETURN(const std::string data, std::move(read));
-  JournalBytesRead().Increment(data.size());
-  if (data.size() < 8) return folded;
-  DPE_ASSIGN_OR_RETURN(RecordScan scan, ScanJournal(data, path));
-  std::vector<JournalRecord> records;
-  records.reserve(scan.records.size());
-  for (const std::string& payload : scan.records) {
-    DPE_ASSIGN_OR_RETURN(JournalRecord record, DecodeJournalRecord(payload));
-    records.push_back(std::move(record));
-  }
+  DPE_ASSIGN_OR_RETURN(const JournalFile file, ReadJournalFile(path));
+  if (file.size < kJournalPrologueBytes) return folded;
+  DPE_ASSIGN_OR_RETURN(std::vector<JournalRecord> records,
+                       DecodeJournal(file, path, /*tolerate_tail=*/true));
   DPE_RETURN_NOT_OK(ApplyJournal(records, &folded));
   return folded;
 }
@@ -883,22 +898,22 @@ Result<ScrubReport> MatrixStore::Scrub() {
                                             kSnapshotFormatVersion)
                     : Result<SalvagedFrame>(Status::NotFound("no checkpoint"));
   if (frame.ok()) {
-    SnapshotSalvageResult salvage = SalvageSnapshotPayload(frame->payload);
-    report.snapshot_chunks_checked = salvage.chunks_checked;
-    if (!salvage.core_ok) {
+    Result<SnapshotDecode> decoded =
+        DecodeSnapshotPayload(frame->payload, frame->crc_ok);
+    if (!decoded.ok()) {
       // The query log is source data — it cannot be recomputed, so a
       // damaged core is not salvageable. Leave the file alone; strict
       // loads keep failing typed (never a wrong matrix).
       report.snapshot_unreadable = true;
     } else {
-      report.snapshot_chunks_quarantined = salvage.chunks_quarantined;
-      report.cells_quarantined = salvage.cells_quarantined;
-      if (!frame->crc_ok || salvage.chunks_quarantined > 0 ||
-          salvage.cells_quarantined > 0) {
+      report.snapshot_chunks_checked = decoded->chunks;
+      report.snapshot_chunks_quarantined = decoded->chunks_skipped;
+      report.cells_quarantined = decoded->cells_missing;
+      if (!frame->crc_ok || !decoded->defect.ok()) {
         DPE_RETURN_NOT_OK(WriteSnapshotToPath(SnapshotPath(),
-                                              salvage.snapshot));
+                                              decoded->snapshot));
         report.snapshot_rewritten = true;
-        ScrubCellsQuarantined().Increment(salvage.cells_quarantined);
+        ScrubCellsQuarantined().Increment(decoded->cells_missing);
         ScrubRewrites().Increment();
       }
     }
@@ -908,41 +923,38 @@ Result<ScrubReport> MatrixStore::Scrub() {
 
   for (uint64_t g = gen_; g <= journal_gen_; ++g) {
     const std::string path = JournalPathForGen(g);
-    Result<std::string> read = ReadFileBytes(path);
-    if (!read.ok()) continue;
-    std::string data = std::move(read).value();
-    JournalBytesRead().Increment(data.size());
-    if (!data.starts_with(JournalPrologue())) {
+    DPE_ASSIGN_OR_RETURN(const JournalFile file, ReadJournalFile(path));
+    if (!file.exists) continue;
+    if (!file.prologue_ok) {
       // With a corrupt prologue the record framing cannot be trusted at
       // all; the whole file is quarantined. Its records were deltas on top
       // of the snapshot — losing them degrades, replaying garbage corrupts.
       std::error_code ec;
       fs::remove(path, ec);
       report.journal_rewritten = true;
-      report.journal_bytes_quarantined += data.size();
+      report.journal_bytes_quarantined += file.size;
       ScrubRewrites().Increment();
       continue;
     }
-    SalvageScan scan = ScanRecordsSalvage(std::string_view(data).substr(8));
-    std::vector<std::string> keep;
-    keep.reserve(scan.records.size());
-    uint64_t quarantined_records = scan.quarantined_records;
-    uint64_t quarantined_bytes = scan.quarantined_bytes + scan.torn_bytes;
-    for (std::string& payload : scan.records) {
-      // CRC-passing payloads still pass the decode gate: a flip that lands
-      // in both the payload and its checksum consistently is astronomically
-      // unlikely, but a malformed record must never be rewritten as "good".
+    const RecordScan& scan = file.scan;
+    std::string records;
+    uint64_t quarantined_records = scan.damaged_records;
+    uint64_t quarantined_bytes = scan.damaged_bytes + scan.torn_bytes;
+    for (const std::string& payload : scan.records) {
+      // Checksum-passing payloads still pass the decode gate: a flip that
+      // lands in both the payload and its checksum consistently is
+      // astronomically unlikely, but a malformed record must never be
+      // rewritten as "good".
       if (DecodeJournalRecord(payload).ok()) {
-        keep.push_back(std::move(payload));
+        AppendRecord(payload, &records);
       } else {
         quarantined_records += 1;
         quarantined_bytes += payload.size() + 8;
       }
     }
-    report.journal_records_checked += keep.size() + quarantined_records;
-    if (quarantined_records == 0 && !scan.torn_tail) continue;  // clean file
-    std::string records;
-    for (const std::string& payload : keep) AppendRecord(payload, &records);
+    report.journal_records_checked +=
+        scan.records.size() + scan.damaged_records;
+    if (quarantined_records == 0 && scan.torn_bytes == 0) continue;  // clean
     DPE_RETURN_NOT_OK(WriteFileAtomic(path, JournalPrologue(), records,
                                       fsync_policy_ != FsyncPolicy::kNever));
     report.journal_rewritten = true;

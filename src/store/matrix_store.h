@@ -324,9 +324,6 @@ class MatrixStore {
   /// Snapshot of generation `gen`; NotFound without a MANIFEST.
   Result<Snapshot> ReadSnapshotForGen(uint64_t gen) const;
   Result<JournalRecovery> ReadJournalImpl(bool recover_torn_tail) const;
-  /// One journal file's crash-tolerant read, accumulated into `recovery`.
-  Status ReadJournalFile(const std::string& path, bool recover_torn_tail,
-                         JournalRecovery* recovery) const;
   /// Reads MANIFEST (or scans for the highest readable snapshot when the
   /// manifest is corrupt) and sets gen_ / journal_gen_. Called on open.
   void ResolveGenerations();

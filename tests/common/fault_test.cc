@@ -34,6 +34,10 @@ TEST(FaultInjectorTest, SpecParsingRejectsMalformedEntries) {
   EXPECT_FALSE(injector.Arm("p=die@0", &error))
       << "@ wants a positive hit count";
   EXPECT_FALSE(injector.Arm("p=die@x", &error));
+  EXPECT_FALSE(injector.Arm("p=sleep:99999999999", &error))
+      << "a duration an int cannot hold";
+  EXPECT_FALSE(injector.Arm("p=die@4294967297", &error))
+      << "a hit count an int cannot hold";
   EXPECT_FALSE(injector.armed()) << "a failed Arm never partially arms";
 }
 

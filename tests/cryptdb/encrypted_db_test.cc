@@ -178,17 +178,6 @@ TEST_F(CryptDbTest, ProviderSeesNoPlaintext) {
   }
 }
 
-TEST_F(CryptDbTest, EncryptDomains) {
-  db::DomainRegistry plain_domains;
-  plain_domains.Set("emp.salary", {Value::Int(0), Value::Int(1000)});
-  auto enc_domains = Instance().EncryptDomains(plain_domains).value();
-  std::string enc_key = Instance().EncryptColumnKey("emp.salary");
-  ASSERT_TRUE(enc_domains.Has(enc_key));
-  auto dom = enc_domains.Get(enc_key).value();
-  // OPE-encrypted bounds preserve order.
-  EXPECT_LT(dom.min.string_value(), dom.max.string_value());
-}
-
 TEST_F(CryptDbTest, StarWithJoinExpandsBothRelations) {
   ExpectSameResults(
       "SELECT * FROM emp JOIN dept ON emp.dept = dept.name "

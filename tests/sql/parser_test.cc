@@ -1,5 +1,7 @@
 #include "sql/parser.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "sql/printer.h"
@@ -112,6 +114,18 @@ TEST(ParserTest, GroupOrderLimit) {
   ASSERT_EQ(q.order_by.size(), 1u);
   EXPECT_FALSE(q.order_by[0].ascending);
   EXPECT_EQ(q.limit.value(), 10);
+}
+
+TEST(ParserTest, OutOfRangeLimitIsAParseError) {
+  // LIMIT reads its integer as a predicate literal does: digits past
+  // int64_t are a ParseError, not a saturated limit.
+  auto limit = Parse("SELECT a FROM r LIMIT 99999999999999999999");
+  EXPECT_EQ(limit.status().code(), StatusCode::kParseError);
+  auto literal = Parse("SELECT a FROM r WHERE x = 99999999999999999999");
+  EXPECT_EQ(literal.status().code(), StatusCode::kParseError);
+  auto largest = Parse("SELECT a FROM r LIMIT 9223372036854775807");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->limit.value(), INT64_MAX);
 }
 
 TEST(ParserTest, TableAlias) {

@@ -214,37 +214,35 @@ TEST(CodecTest, RecordFramingRoundTripAndTornTail) {
   AppendRecord("first", &log);
   AppendRecord("", &log);
   AppendRecord("third record", &log);
-  auto scan = ScanRecords(log);
-  ASSERT_TRUE(scan.ok()) << scan.status();
-  EXPECT_FALSE(scan->torn_tail);
-  EXPECT_EQ(scan->valid_bytes, log.size());
-  ASSERT_EQ(scan->records.size(), 3u);
-  EXPECT_EQ(scan->records[0], "first");
-  EXPECT_EQ(scan->records[1], "");
-  EXPECT_EQ(scan->records[2], "third record");
+  const RecordScan scan = ScanRecords(log);
+  EXPECT_EQ(scan.torn_bytes, 0u);
+  EXPECT_EQ(scan.valid_bytes, log.size());
+  ASSERT_EQ(scan.records.size(), 3u);
+  EXPECT_EQ(scan.records[0], "first");
+  EXPECT_EQ(scan.records[1], "");
+  EXPECT_EQ(scan.records[2], "third record");
 
   // A torn tail (partial append before a crash) is reported as one for
   // every possible cut point inside the last record, and the records before
   // it survive.
   const size_t before_third = log.size() - (8 + 12);
   for (size_t cut = before_third + 1; cut < log.size(); ++cut) {
-    auto torn = ScanRecords(std::string_view(log).substr(0, cut));
-    ASSERT_TRUE(torn.ok()) << "cut at " << cut << ": " << torn.status();
-    EXPECT_TRUE(torn->torn_tail) << "cut at " << cut;
-    EXPECT_EQ(torn->valid_bytes, before_third) << "cut at " << cut;
-    ASSERT_EQ(torn->records.size(), 2u) << "cut at " << cut;
-    EXPECT_EQ(torn->records[0], "first");
-    EXPECT_EQ(torn->records[1], "");
+    const RecordScan torn = ScanRecords(std::string_view(log).substr(0, cut));
+    EXPECT_GT(torn.torn_bytes, 0u) << "cut at " << cut;
+    EXPECT_EQ(torn.valid_bytes, before_third) << "cut at " << cut;
+    ASSERT_EQ(torn.records.size(), 2u) << "cut at " << cut;
+    EXPECT_EQ(torn.records[0], "first");
+    EXPECT_EQ(torn.records[1], "");
   }
 
   // Flipping any payload or header byte of a record is detected too: the
-  // scan fails, reports a torn tail, or comes back short.
+  // scan reports a damaged record or a torn tail, or comes back short.
   for (size_t pos = 0; pos < log.size(); ++pos) {
     std::string corrupted = log;
     corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x01);
-    auto flipped = ScanRecords(corrupted);
-    EXPECT_FALSE(flipped.ok() && !flipped->torn_tail &&
-                 flipped->records.size() == 3)
+    const RecordScan flipped = ScanRecords(corrupted);
+    EXPECT_FALSE(flipped.damaged_records == 0 && flipped.torn_bytes == 0 &&
+                 flipped.records.size() == 3)
         << "flip at " << pos;
   }
 }

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,10 +115,12 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
 
     // The strict load must fail typed or — never anything in between —
     // deliver the exact reference (a flip in bytes the decode ignores).
+    bool strict_ok = false;
     {
       auto store = MatrixStore::OpenExisting(dir_);
       ASSERT_TRUE(store.ok()) << "flip " << flip;
       auto strict = store->ReadSnapshot();
+      strict_ok = strict.ok();
       if (strict.ok()) {
         EXPECT_EQ(strict->queries, reference.queries) << "flip " << flip;
         EXPECT_EQ(strict->triangles, reference.triangles) << "flip " << flip;
@@ -131,6 +134,12 @@ TEST_F(ScrubTest, FlipEveryByteOfTheSnapshotNeverYieldsAWrongCell) {
     ASSERT_TRUE(store.ok()) << "flip " << flip;
     auto report = store->Scrub();
     ASSERT_TRUE(report.ok()) << "flip " << flip << ": " << report.status();
+    // Both read the file through one decoder, so they judge it alike: the
+    // strict load succeeds exactly when the scrub finds nothing to repair.
+    EXPECT_EQ(strict_ok, !report->snapshot_rewritten &&
+                             !report->snapshot_unreadable &&
+                             !report->manifest_rebuilt)
+        << "flip " << flip;
     if (report->snapshot_unreadable) {
       // Core/structural damage: unsalvageable, and the strict load must
       // keep failing typed rather than serve a guess.
@@ -292,6 +301,91 @@ TEST_F(ScrubTest, MidStreamJournalCorruptionIsQuarantinedNotReplayed) {
     }
     EXPECT_TRUE(matched) << "scrubbed journal contains a record that was "
                             "never appended";
+  }
+}
+
+bool SameRecord(const JournalRecord& a, const JournalRecord& b) {
+  return a.kind == b.kind && a.index == b.index && a.sql == b.sql &&
+         a.measure == b.measure && a.row == b.row && a.values == b.values;
+}
+
+/// True if `got` is `of` with some records left out, in the same order.
+bool IsInOrderSubsequence(const std::vector<JournalRecord>& got,
+                          const std::vector<JournalRecord>& of) {
+  size_t cursor = 0;
+  for (const JournalRecord& record : got) {
+    while (cursor < of.size() && !SameRecord(of[cursor], record)) ++cursor;
+    if (cursor == of.size()) return false;
+    ++cursor;
+  }
+  return true;
+}
+
+TEST_F(ScrubTest, JournalReadersAgreeOnEveryCutAndFlip) {
+  // The strict read, the crash recovery and the scrub read journal files
+  // through one reader, so their verdicts on a damaged file must fit
+  // together. For every cut point and every single-byte flip: the strict
+  // read succeeds exactly when the scrub leaves the file as it is, a
+  // recovery returns a prefix of the appended records, and the scrub keeps
+  // an in-order subsequence of them that holds everything recovered.
+  std::vector<JournalRecord> appended;
+  {
+    auto store = MatrixStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store->AppendQuery(0, "SELECT a FROM t0").ok());
+    ASSERT_TRUE(store->AppendRow("token", 1, std::vector<double>{0.25}).ok());
+    ASSERT_TRUE(store->AppendQuery(1, "SELECT b FROM t1 WHERE b = 'x'").ok());
+    ASSERT_TRUE(
+        store->AppendRow("token", 2, std::vector<double>{0.5, 0.75}).ok());
+    auto journal = store->ReadJournal();
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    appended = *journal;
+    ASSERT_EQ(appended.size(), 4u);
+  }
+  const fs::path path = fs::path(dir_) / "journal.0.dpe";
+  const std::string full = ReadAllBytes(path);
+
+  std::vector<std::pair<std::string, std::string>> variants;
+  for (size_t cut = 0; cut <= full.size(); ++cut) {
+    variants.emplace_back("cut " + std::to_string(cut), full.substr(0, cut));
+  }
+  for (size_t flip = 0; flip < full.size(); ++flip) {
+    std::string damaged = full;
+    damaged[flip] = static_cast<char>(damaged[flip] ^ 0x5a);
+    variants.emplace_back("flip " + std::to_string(flip), std::move(damaged));
+  }
+
+  for (const auto& [what, bytes] : variants) {
+    WriteBytes(path, bytes);
+    auto store = MatrixStore::OpenExisting(dir_);
+    ASSERT_TRUE(store.ok()) << what;
+    const bool strict_ok = store->ReadJournal().ok();
+    auto recovered = store->RecoverJournal();
+    if (recovered.ok()) {
+      ASSERT_LE(recovered->records.size(), appended.size()) << what;
+      for (size_t k = 0; k < recovered->records.size(); ++k) {
+        EXPECT_TRUE(SameRecord(recovered->records[k], appended[k]))
+            << what << ": recovered record " << k;
+      }
+    }
+
+    WriteBytes(path, bytes);  // the recovery may have cut the file
+    auto report = store->Scrub();
+    ASSERT_TRUE(report.ok()) << what << ": " << report.status();
+    EXPECT_EQ(strict_ok, !report->journal_rewritten) << what;
+    if (!report->journal_rewritten) {
+      EXPECT_EQ(ReadAllBytes(path), bytes) << what;
+    }
+    auto kept = store->ReadJournal();
+    ASSERT_TRUE(kept.ok()) << what << ": " << kept.status();
+    EXPECT_TRUE(IsInOrderSubsequence(*kept, appended)) << what;
+    if (recovered.ok()) {
+      ASSERT_GE(kept->size(), recovered->records.size()) << what;
+      for (size_t k = 0; k < recovered->records.size(); ++k) {
+        EXPECT_TRUE(SameRecord((*kept)[k], recovered->records[k]))
+            << what << ": scrub lost recovered record " << k;
+      }
+    }
   }
 }
 
